@@ -389,20 +389,18 @@ def _do_report(ctx: RunContext) -> None:
         }
         for name in endpoint_names
     }
+    kept_keys = [k for k in keys if k[0] in retained]
+    # like the similarity table, drop the after-filtering column when the
+    # filter retained nothing to compare
+    header = ["pair", "kappa_all_publications"] + (["kappa_after_filtering"] if kept_keys else [])
     kappa_stats: list[list[str]] = []
     for i, a in enumerate(endpoint_names):
         for b in endpoint_names[i + 1:]:
-            pair_all = _pair_kappa(labels_by_endpoint, a, b, keys)
-            pair_kept = _pair_kappa(
-                labels_by_endpoint, a, b, [k for k in keys if k[0] in retained]
-            )
-            kappa_stats.append([f"{a} - {b}", reports.fmt4(pair_all), reports.fmt4(pair_kept)])
-    reports.write_report(
-        ctx.workspace.reports_dir,
-        "iaa_pairs",
-        ["pair", "kappa_all_publications", "kappa_after_filtering"],
-        kappa_stats,
-    )
+            row = [f"{a} - {b}", reports.fmt4(_pair_kappa(labels_by_endpoint, a, b, keys))]
+            if kept_keys:
+                row.append(reports.fmt4(_pair_kappa(labels_by_endpoint, a, b, kept_keys)))
+            kappa_stats.append(row)
+    reports.write_report(ctx.workspace.reports_dir, "iaa_pairs", header, kappa_stats)
     click.echo("report: wrote coverage, similarity, iaa_pairs")
 
 
@@ -490,14 +488,17 @@ def keywords_cmd(config_path, workspace, mock_dir, abstracts_dir, endpoint_name)
 @click.option("--endpoints", "endpoint_names", default=None,
               help="Comma-separated endpoint subset.")
 @click.option("--resume/--no-resume", default=True, show_default=True,
-              help="Skip answers already in the store (stores are always safe to re-run).")
+              help="Skip answers already in the store; --no-resume first deletes the "
+                   "answer and verdict stores.")
 @click.pass_context
 def ask(click_ctx, config_path, workspace, mock_dir, corpus_dir, endpoint_names, resume):
     """Answer every question for every publication on every endpoint."""
     ctx = _context(config_path, workspace, mock_dir)
     names = endpoint_names.split(",") if endpoint_names else None
-    if not resume and ctx.workspace.answers.is_file():
-        ctx.workspace.answers.unlink()
+    if not resume:
+        # verdicts were made from the answers being discarded
+        ctx.workspace.answers.unlink(missing_ok=True)
+        ctx.workspace.verdicts.unlink(missing_ok=True)
     status = _wrap(_do_ask, ctx, corpus_dir, names)
     if status:
         click_ctx.exit(status)

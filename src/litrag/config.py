@@ -30,7 +30,6 @@ class PipelineConfig:
     endpoints: list[ModelEndpoint] = field(default_factory=list)
     chunking: ChunkingConfig = field(default_factory=ChunkingConfig)
     retrieval_budget: int = 1200
-    scorer: str = "lexical"
     parallelism: int = 4
     tie_rule: str = "no"
     filter_endpoint: str = "Llama 3.1 70B"
@@ -123,7 +122,6 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         endpoints=endpoints,
         chunking=chunking,
         retrieval_budget=int(data.get("retrieval_budget", 1200)),
-        scorer=data.get("scorer", "lexical"),
         parallelism=int(data.get("parallelism", 4)),
         tie_rule=data.get("tie_rule", "no"),
         filter_endpoint=data.get("filter_endpoint", endpoints[0].name),
@@ -138,6 +136,4 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
     )
     if config.tie_rule not in ("yes", "no"):
         raise ConfigError(f"tie_rule must be 'yes' or 'no', got {config.tie_rule!r}")
-    if config.scorer != "lexical":
-        raise ConfigError(f"unknown scorer {config.scorer!r}; only 'lexical' ships built in")
     return config

@@ -15,7 +15,7 @@ import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 log = logging.getLogger(__name__)
 
@@ -371,7 +371,3 @@ def load_corpus(
             PublicationRecord(citation=citation, full_text=full_text, text_source=source)
         )
     return load
-
-
-def iter_dois(publications: Iterable[PublicationRecord]) -> list[str]:
-    return [pub.citation.doi for pub in publications]

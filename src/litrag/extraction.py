@@ -3,20 +3,22 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from . import prompts
 from .corpus import PublicationRecord
 from .errors import GatewayError
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
-from .retrieval import ChunkScorer, ChunkingConfig, retrieve_context
+from .retrieval import ChunkingConfig, DocumentIndex, retrieve_context
 
 log = logging.getLogger(__name__)
 
@@ -84,6 +86,12 @@ class AnswerStore:
     Records are appended as they complete so an interrupted run can resume;
     `canonicalize` rewrites the finished file in sorted key order, which makes
     completed stores byte-identical regardless of worker count.
+
+    A crash can leave a final line whose newline was never written. If that
+    line does not parse, `load` drops it with a warning and the first
+    `append` truncates it away, so the next record starts on a line of its
+    own; a complete record that only lost its newline is kept. A malformed
+    line anywhere else is corruption and raises.
     """
 
     FIELDS = ("doi", "cq_id", "endpoint", "clean_text", "duration_ms")
@@ -91,6 +99,7 @@ class AnswerStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._tail_checked = False
 
     def append(self, answer: TextualAnswer) -> None:
         record = {
@@ -102,18 +111,47 @@ class AnswerStore:
         }
         line = json.dumps(record, ensure_ascii=False)
         with self._lock:
+            if not self._tail_checked:
+                self._end_on_newline()
+                self._tail_checked = True
             with open(self.path, "a", encoding="utf-8") as fh:
                 fh.write(line + "\n")
+
+    def _end_on_newline(self) -> None:
+        """Terminate an unterminated final line, or cut it off if it is torn."""
+        if not self.path.is_file():
+            return
+        with open(self.path, "rb+") as fh:
+            size = fh.seek(0, os.SEEK_END)
+            if size == 0:
+                return
+            fh.seek(size - 1)
+            if fh.read(1) == b"\n":
+                return
+            fh.seek(0)
+            data = fh.read()
+            start = data.rfind(b"\n") + 1
+            if _parse_tail(data[start:]) is None:
+                fh.truncate(start)
+            else:
+                fh.write(b"\n")
 
     def load(self) -> list[dict]:
         if not self.path.is_file():
             return []
         records = []
-        with open(self.path, encoding="utf-8") as fh:
+        with open(self.path, "rb") as fh:
             for line in fh:
-                line = line.strip()
-                if line:
-                    records.append(json.loads(line))
+                if line.endswith(b"\n"):
+                    if line.strip():
+                        records.append(json.loads(line.decode("utf-8")))
+                elif (record := _parse_tail(line)) is not None:
+                    records.append(record)
+                else:
+                    log.warning(
+                        "%s: dropped a torn final line of %d byte(s) left by an "
+                        "interrupted write", self.path, len(line),
+                    )
         return records
 
     def keys(self) -> set[tuple[str, int, str]]:
@@ -129,27 +167,28 @@ class AnswerStore:
                     fh.write(json.dumps(ordered, ensure_ascii=False) + "\n")
 
 
-def answer_cq(
+def _parse_tail(line: bytes) -> Optional[dict]:
+    """The record on an unterminated final line, or None if the write was cut short."""
+    try:
+        return json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        return None
+
+
+def _require_text(publication: PublicationRecord) -> None:
+    if not publication.full_text.strip():
+        raise ValueError(f"publication {publication.citation.doi} has empty text")
+
+
+def _ask(
     publication: PublicationRecord,
     cq: CompetencyQuestion,
     endpoint: ModelEndpoint,
+    context: str,
     gateway: LlmGateway,
-    chunking: ChunkingConfig,
-    budget: int = 1200,
-    scorer: Optional[ChunkScorer] = None,
 ) -> TextualAnswer:
-    """Retrieve context for the question, prompt the endpoint, clean the reply."""
-    if not publication.full_text.strip():
-        raise ValueError(f"publication {publication.citation.doi} has empty text")
-    context = retrieve_context(
-        publication.full_text,
-        cq.text,
-        chunking,
-        budget,
-        doc_id=publication.citation.doi,
-        scorer=scorer,
-    )
-    prompt = prompts.render("cq-answering", {"query": cq.text, "context": context.text})
+    """Prompt the endpoint with the retrieved context and clean the reply."""
+    prompt = prompts.render("cq-answering", {"query": cq.text, "context": context})
     request = ChatRequest.create(endpoint, prompt)
     response = gateway.complete(
         endpoint, request, doc_id=publication.citation.doi, stage="rag"
@@ -164,6 +203,22 @@ def answer_cq(
     )
 
 
+def answer_cq(
+    publication: PublicationRecord,
+    cq: CompetencyQuestion,
+    endpoint: ModelEndpoint,
+    gateway: LlmGateway,
+    chunking: ChunkingConfig,
+    budget: int = 1200,
+) -> TextualAnswer:
+    """Retrieve context for the question, prompt the endpoint, clean the reply."""
+    _require_text(publication)
+    context = retrieve_context(
+        publication.full_text, cq.text, chunking, budget, doc_id=publication.citation.doi
+    )
+    return _ask(publication, cq, endpoint, context.text, gateway)
+
+
 @dataclass
 class MatrixResult:
     completed: int = 0
@@ -175,6 +230,27 @@ class MatrixResult:
         return not self.failed
 
 
+# (publication, question, endpoint, retrieved context text)
+_Item = tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint, str]
+
+
+def _with_contexts(
+    publication: PublicationRecord,
+    pending: Sequence[tuple[CompetencyQuestion, ModelEndpoint]],
+    chunking: ChunkingConfig,
+    budget: int,
+) -> Iterator[_Item]:
+    """Index the publication once and retrieve each question's context once,
+    shared by every endpoint that still needs it."""
+    _require_text(publication)
+    index = DocumentIndex(publication.full_text, chunking, doc_id=publication.citation.doi)
+    contexts: dict[int, str] = {}
+    for cq, endpoint in pending:
+        if cq.id not in contexts:
+            contexts[cq.id] = index.retrieve(cq.text, budget).text
+        yield publication, cq, endpoint, contexts[cq.id]
+
+
 def run_matrix(
     publications: Sequence[PublicationRecord],
     questions: Sequence[CompetencyQuestion],
@@ -183,53 +259,70 @@ def run_matrix(
     store: AnswerStore,
     chunking: ChunkingConfig,
     budget: int = 1200,
-    scorer: Optional[ChunkScorer] = None,
     parallelism: int = 4,
 ) -> MatrixResult:
     """Fill the (publication x question x endpoint) answer matrix.
 
     Existing store entries are skipped, failed items are retried once at the
     end of the run, and the store is canonicalized when the matrix is
-    complete.
+    complete. Retrieval runs on the calling thread, once per (publication,
+    question) with pending work; worker threads only wait on the endpoints.
+    Publications are handled in DOI order with at most two publications'
+    requests in flight, so memory does not grow with the corpus.
     """
     existing = store.keys()
     result = MatrixResult()
-    work: list[tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint]] = []
+    pending: list[tuple[PublicationRecord, list[tuple[CompetencyQuestion, ModelEndpoint]]]] = []
     for pub in sorted(publications, key=lambda p: p.citation.doi):
+        items = []
         for cq in sorted(questions, key=lambda q: q.id):
             for endpoint in endpoints:
                 if (pub.citation.doi, cq.id, endpoint.name) in existing:
                     result.skipped += 1
                 else:
-                    work.append((pub, cq, endpoint))
+                    items.append((cq, endpoint))
+        if items:
+            pending.append((pub, items))
 
-    def run_one(item: tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint]) -> TextualAnswer:
-        pub, cq, endpoint = item
-        return answer_cq(pub, cq, endpoint, gateway, chunking, budget, scorer)
+    def ask(item: _Item) -> TextualAnswer:
+        return _ask(*item, gateway)
 
-    failures: list[tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint, str]] = []
-    if parallelism <= 1:
-        for item in work:
-            try:
-                store.append(run_one(item))
-                result.completed += 1
-            except GatewayError as exc:
-                failures.append((*item, str(exc)))
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(run_one, item): item for item in work}
-            for future in as_completed(futures):
-                item = futures[future]
-                try:
-                    store.append(future.result())
-                    result.completed += 1
-                except GatewayError as exc:
-                    failures.append((*item, str(exc)))
+    failures: list[_Item] = []
 
-    # one end-of-run retry for anything that failed
-    for pub, cq, endpoint, _ in failures:
+    def record(item: _Item, answer: Callable[[], TextualAnswer]) -> None:
         try:
-            store.append(run_one((pub, cq, endpoint)))
+            store.append(answer())
+            result.completed += 1
+        except GatewayError:
+            failures.append(item)
+
+    if parallelism <= 1:
+        for pub, items in pending:
+            for item in _with_contexts(pub, items, chunking, budget):
+                record(item, functools.partial(ask, item))
+    else:
+        def drain(batch: dict[Future, _Item]) -> None:
+            for future in as_completed(batch):
+                record(batch[future], future.result)
+
+        with ThreadPoolExecutor(max_workers=parallelism) as pool:
+            previous: dict[Future, _Item] = {}
+            for pub, items in pending:
+                # build this publication's contexts while the previous one's
+                # requests run; at most two publications are in flight
+                current = {
+                    pool.submit(ask, item): item
+                    for item in _with_contexts(pub, items, chunking, budget)
+                }
+                drain(previous)
+                previous = current
+            drain(previous)
+
+    # one end-of-run retry for anything that failed, on the same contexts
+    for item in failures:
+        pub, cq, endpoint, _ = item
+        try:
+            store.append(ask(item))
             result.completed += 1
         except GatewayError as exc:
             result.failed.append((pub.citation.doi, cq.id, endpoint.name, str(exc)))

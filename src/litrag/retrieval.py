@@ -1,11 +1,12 @@
-"""Sliding-window chunking, lexical chunk scoring, and budgeted context assembly."""
+"""Sliding-window chunking, a per-document tf-idf index for chunk scoring, and
+budgeted context assembly."""
 
 from __future__ import annotations
 
 import enum
 import logging
 from dataclasses import dataclass
-from typing import Optional, Protocol, Sequence
+from typing import Sequence
 
 from . import textsim
 
@@ -97,33 +98,6 @@ def chunk_document(text: str, config: ChunkingConfig, doc_id: str = "") -> list[
     return chunks
 
 
-class ChunkScorer(Protocol):
-    def score(self, query: str, chunks: Sequence[Chunk]) -> list[ChunkScore]:
-        """Score every chunk against the query; higher is more relevant."""
-
-
-class LexicalScorer:
-    """Default offline scorer: cosine between tf-idf vectors of the query and
-    each chunk, with the idf table fitted over the document's own chunks."""
-
-    def score(self, query: str, chunks: Sequence[Chunk]) -> list[ChunkScore]:
-        if not chunks:
-            raise ValueError("score requires at least one chunk")
-        model = textsim.TfidfModel.fit(chunk.text for chunk in chunks)
-        query_vec = model.transform(query)
-        return [
-            ChunkScore(chunk_index=chunk.index, score=textsim.cosine(query_vec, model.transform(chunk.text)))
-            for chunk in chunks
-        ]
-
-
-def score_chunks(
-    query: str, chunks: Sequence[Chunk], scorer: Optional[ChunkScorer] = None
-) -> list[ChunkScore]:
-    scorer = scorer or LexicalScorer()
-    return scorer.score(query, chunks)
-
-
 def rank_scores(scores: Sequence[ChunkScore]) -> list[ChunkScore]:
     """Descending score; ties broken by ascending chunk index for determinism."""
     return sorted(scores, key=lambda s: (-s.score, s.chunk_index))
@@ -157,17 +131,52 @@ def assemble_context(
     return RetrievalContext(chunks=tuple(admitted), total_tokens=total, budget=budget)
 
 
+class DocumentIndex:
+    """One publication's chunks with a tf-idf model fitted over them.
+
+    Built once per publication; every question is then scored against the
+    stored chunk vectors and norms, so a query costs one transform and one
+    cosine per chunk. The idf table is fitted over the document's own chunks.
+    """
+
+    def __init__(self, text: str, config: ChunkingConfig, doc_id: str = "") -> None:
+        self._fit(chunk_document(text, config, doc_id=doc_id))
+
+    @classmethod
+    def from_chunks(cls, chunks: Sequence[Chunk]) -> "DocumentIndex":
+        index = cls.__new__(cls)
+        index._fit(chunks)
+        return index
+
+    def _fit(self, chunks: Sequence[Chunk]) -> None:
+        self.chunks = tuple(chunks)
+        self.model = textsim.TfidfModel.fit(chunk.text for chunk in self.chunks)
+        self.vectors = [self.model.transform(chunk.text) for chunk in self.chunks]
+        self.norms = [textsim.norm(vector) for vector in self.vectors]
+
+    def score(self, query: str) -> list[ChunkScore]:
+        """Cosine between the query's tf-idf vector and every chunk's."""
+        if not self.chunks:
+            raise ValueError("score requires at least one chunk")
+        query_vec = self.model.transform(query)
+        return [
+            ChunkScore(chunk_index=chunk.index, score=textsim.cosine(query_vec, vector, norm_v=norm))
+            for chunk, vector, norm in zip(self.chunks, self.vectors, self.norms)
+        ]
+
+    def retrieve(self, query: str, budget: int) -> RetrievalContext:
+        """Score, rank, and assemble the query's context."""
+        if not self.chunks:
+            return RetrievalContext(chunks=(), total_tokens=0, budget=budget)
+        return assemble_context(rank_scores(self.score(query)), self.chunks, budget)
+
+
+def score_chunks(query: str, chunks: Sequence[Chunk]) -> list[ChunkScore]:
+    return DocumentIndex.from_chunks(chunks).score(query)
+
+
 def retrieve_context(
-    text: str,
-    query: str,
-    config: ChunkingConfig,
-    budget: int,
-    doc_id: str = "",
-    scorer: Optional[ChunkScorer] = None,
+    text: str, query: str, config: ChunkingConfig, budget: int, doc_id: str = ""
 ) -> RetrievalContext:
     """Chunk, score, rank, and assemble in one step."""
-    chunks = chunk_document(text, config, doc_id=doc_id)
-    if not chunks:
-        return RetrievalContext(chunks=(), total_tokens=0, budget=budget)
-    ranked = rank_scores(score_chunks(query, chunks, scorer))
-    return assemble_context(ranked, chunks, budget)
+    return DocumentIndex(text, config, doc_id=doc_id).retrieve(query, budget)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import re
 from collections import Counter
-from typing import Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping, Optional
 
 _TOKEN_RE = re.compile(r"\w+")
 
@@ -61,8 +61,9 @@ def norm(u: Mapping[str, float]) -> float:
     return math.sqrt(sum(w * w for w in u.values()))
 
 
-def cosine(u: Mapping[str, float], v: Mapping[str, float]) -> float:
-    nu, nv = norm(u), norm(v)
+def cosine(u: Mapping[str, float], v: Mapping[str, float], norm_v: Optional[float] = None) -> float:
+    """``norm_v`` may pass a precomputed ``norm(v)`` for a vector scored many times."""
+    nu, nv = norm(u), norm(v) if norm_v is None else norm_v
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if len(v) < len(u):

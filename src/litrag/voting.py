@@ -17,7 +17,7 @@ from .corpus import PublicationRecord
 from .errors import GatewayError
 from .extraction import CompetencyQuestion, TextualAnswer
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
-from .retrieval import ChunkScorer, ChunkingConfig, retrieve_context
+from .retrieval import ChunkingConfig, retrieve_context
 
 log = logging.getLogger(__name__)
 
@@ -157,7 +157,6 @@ def filter_dl_publication(
     gateway: LlmGateway,
     chunking: ChunkingConfig,
     budget: int = 1200,
-    scorer: Optional[ChunkScorer] = None,
 ) -> Optional[FilterVerdict]:
     """Judge whether the publication actually describes a deep-learning study.
 
@@ -171,12 +170,7 @@ def filter_dl_publication(
         if line.startswith("Query: ")
     )
     context = retrieve_context(
-        publication.full_text,
-        query,
-        chunking,
-        budget,
-        doc_id=publication.citation.doi,
-        scorer=scorer,
+        publication.full_text, query, chunking, budget, doc_id=publication.citation.doi
     )
     prompt = template.render({"context": context.text})
     request = ChatRequest.create(endpoint, prompt)

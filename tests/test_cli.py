@@ -6,7 +6,13 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+from litrag import prompts
 from litrag.cli import main
+from litrag.config import load_config
+from litrag.corpus import load_corpus
+from litrag.extraction import load_competency_questions
+from litrag.gateway import ChatRequest
+from litrag.retrieval import retrieve_context
 from conftest import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
@@ -62,6 +68,69 @@ class TestAsk:
         store = tmp_path / "ws" / "answers" / "answers.jsonl"
         assert len(store.read_text(encoding="utf-8").splitlines()) == 3 * 28 * 2
 
+    def test_no_resume_discards_verdicts_of_discarded_answers(self, tmp_path, mini_corpus_dir):
+        mock = tmp_path / "mock"
+        shutil.copytree(FIXTURES / "mock_responses", mock)
+        workspace = tmp_path / "ws"
+        args = ["--config", str(FIXTURES / "config.yaml"), "--workspace", str(workspace),
+                "--mock", str(mock)]
+        invoke("ask", *args, "--corpus", str(mini_corpus_dir))
+        invoke("categorize", *args)
+
+        config = load_config(FIXTURES / "config.yaml")
+        pub = load_corpus(mini_corpus_dir).publications[0]
+        cq = load_competency_questions()[0]
+        endpoint = config.endpoints[0]
+        key = {"doi": pub.citation.doi, "cq_id": str(cq.id), "endpoint": endpoint.name}
+
+        def verdict() -> str:
+            text = (workspace / "verdicts" / "verdicts.csv").read_text(encoding="utf-8")
+            rows = csv.DictReader(text.splitlines())
+            return next(r["verdict"] for r in rows if {k: r[k] for k in key} == key)
+
+        old_verdict = verdict()
+        new_verdict = "No" if old_verdict == "Yes" else "Yes"
+        new_answer = "A different answer after the canned reply changed."
+        context = retrieve_context(pub.full_text, cq.text, config.chunking,
+                                   config.retrieval_budget, doc_id=pub.citation.doi)
+        asked = ChatRequest.create(
+            endpoint, prompts.render("cq-answering", {"query": cq.text, "context": context.text}))
+        judged = ChatRequest.create(endpoint, prompts.render(
+            "categorical-conversion", {"Question": cq.text, "Answer": new_answer}))
+        (mock / f"{asked.request_id}.txt").write_text(new_answer, encoding="utf-8")
+        (mock / f"{judged.request_id}.txt").write_text(
+            f"Answer:::\nResponse: {new_verdict}\nAnswer:::", encoding="utf-8")
+
+        result = invoke("ask", *args, "--corpus", str(mini_corpus_dir), "--no-resume")
+        assert result.exit_code == 0, result.output
+        result = invoke("categorize", *args)
+        assert "420 new verdict(s)" in result.output
+        assert verdict() == new_verdict
+
+    def test_resume_after_torn_final_line(self, tmp_path, mini_corpus_dir, caplog):
+        full = tmp_path / "full"
+        invoke("ask", *base_args(full), "--corpus", str(mini_corpus_dir))
+        data = (full / "answers" / "answers.jsonl").read_bytes()
+        newline = len(data) - 1
+        start = data.rfind(b"\n", 0, newline) + 1  # first byte of the last record
+        # cut inside the last record; the last cut keeps the record but not its newline
+        for cut in (start + 1, (start + newline) // 2, newline - 1, newline):
+            caplog.clear()
+            workspace = tmp_path / f"cut{cut}"
+            (workspace / "answers").mkdir(parents=True)
+            (workspace / "answers" / "answers.jsonl").write_bytes(data[:cut])
+            for stage in ("ask", "categorize", "vote"):
+                args = base_args(workspace)
+                if stage == "ask":
+                    args += ["--corpus", str(mini_corpus_dir)]
+                result = invoke(stage, *args)
+                assert result.exit_code == 0, (cut, stage, result.output)
+            assert ("torn final line" in caplog.text) == (cut < newline)
+            assert (workspace / "answers" / "answers.jsonl").read_bytes() == \
+                (GOLDEN / "answers.jsonl").read_bytes()
+            assert (workspace / "votes" / "votes.csv").read_bytes() == \
+                (GOLDEN / "votes.csv").read_bytes()
+
 
 class TestCategorize:
     def test_converts_every_stored_answer(self, tmp_path, mini_corpus_dir):
@@ -116,6 +185,21 @@ class TestReportGolden:
                 produced = (workspace / "reports" / f"{name}{suffix}").read_bytes()
                 expected = (GOLDEN / "reports" / f"{name}{suffix}").read_bytes()
                 assert produced == expected, f"{name}{suffix} drifted"
+
+    def test_report_when_filter_retains_nothing(self, tmp_path, mini_corpus_dir):
+        workspace = tmp_path / "ws"
+        invoke("all", *base_args(workspace), "--corpus", str(mini_corpus_dir))
+        filters = workspace / "filters" / "filters.csv"
+        dois = [row["doi"] for row in csv.DictReader(filters.read_text().splitlines())]
+        filters.write_text("doi,is_dl_study\n" + "".join(f"{doi},false\n" for doi in dois),
+                           encoding="utf-8")
+        result = invoke("report", *base_args(workspace))
+        assert result.exit_code == 0, result.output
+        for name in ("similarity", "iaa_pairs"):
+            produced = (workspace / "reports" / f"{name}.csv").read_text().splitlines()
+            golden = (GOLDEN / "reports" / f"{name}.csv").read_text().splitlines()
+            # the after-filtering column goes; the all-publications values stay
+            assert produced == [line.rsplit(",", 1)[0] for line in golden]
 
     def test_report_requires_votes(self, tmp_path):
         result = invoke("report", *base_args(tmp_path / "ws"))

@@ -1,8 +1,9 @@
 import json
+import threading
 
 import pytest
 
-from litrag import prompts
+from litrag import prompts, textsim
 from litrag.corpus import CitationRecord, PublicationRecord
 from litrag.extraction import (
     AnswerStore,
@@ -134,6 +135,15 @@ class TestAnswerStore:
             "duration_ms": 7,
         }
 
+    def test_malformed_line_before_the_last_raises(self, tmp_path):
+        store = AnswerStore(tmp_path / "answers.jsonl")
+        store.append(TextualAnswer("10.1/a", 1, "M", "", "one", 1))
+        with open(store.path, "a", encoding="utf-8") as fh:
+            fh.write('{"doi": "10.1/b", "cq\n')
+        store.append(TextualAnswer("10.1/c", 1, "M", "", "three", 1))
+        with pytest.raises(json.JSONDecodeError):
+            store.load()
+
 
 class TestRunMatrix:
     CONFIG = ChunkingConfig(chunk_size=50, overlap=10)
@@ -247,3 +257,42 @@ class TestRunMatrix:
         assert not result.is_complete
         assert result.failed[0][:3] == ("10.1/p0", 1, "Model 0")
         assert store.load() == []
+
+    def test_one_index_per_document_with_pending_work(self, tmp_path, monkeypatch):
+        fit = textsim.TfidfModel.__dict__["fit"].__func__
+        transform = textsim.TfidfModel.transform
+        fit_threads, transform_threads = [], []
+
+        def counting_fit(cls, documents):
+            fit_threads.append(threading.current_thread())
+            return fit(cls, documents)
+
+        def counting_transform(model, text):
+            transform_threads.append(threading.current_thread())
+            return transform(model, text)
+
+        monkeypatch.setattr(textsim.TfidfModel, "fit", classmethod(counting_fit))
+        monkeypatch.setattr(textsim.TfidfModel, "transform", counting_transform)
+        pubs, questions, endpoints = self.pubs(3), self.questions(4), self.endpoints(5)
+        store = AnswerStore(tmp_path / "answers.jsonl")
+
+        def run():
+            fit_threads.clear()
+            transform_threads.clear()
+            return run_matrix(pubs, questions, endpoints, make_gateway(), store,
+                              self.CONFIG, parallelism=4)
+
+        assert run().completed == 3 * 4 * 5
+        caller = threading.current_thread()
+        assert fit_threads == [caller] * 3
+        assert set(transform_threads) == {caller}
+
+        assert run().completed == 0
+        assert fit_threads == transform_threads == []
+
+        # a resume indexes only the publication it re-asks
+        kept = [line for line in store.path.read_text(encoding="utf-8").splitlines()
+                if not ('"10.1/p1"' in line and '"cq_id": 2,' in line)]
+        store.path.write_text("\n".join(kept) + "\n", encoding="utf-8")
+        assert run().completed == 5
+        assert fit_threads == [caller]

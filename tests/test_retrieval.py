@@ -2,11 +2,15 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litrag.retrieval import (
     Chunk,
     ChunkScore,
     ChunkingConfig,
+    DocumentIndex,
+    RetrievalContext,
     TokenUnit,
     assemble_context,
     chunk_document,
@@ -177,6 +181,46 @@ class TestRetrieveContext:
         context = retrieve_context("", "query", ChunkingConfig(), budget=100)
         assert context.chunks == ()
         assert context.text == ""
+
+
+def seed_retrieve(text, query, config, budget, doc_id=""):
+    """The per-call algorithm the index replaces: fit on the chunks, transform
+    every chunk, cosine, rank, assemble. Returns (scores, context)."""
+    chunks = chunk_document(text, config, doc_id=doc_id)
+    if not chunks:
+        return [], RetrievalContext(chunks=(), total_tokens=0, budget=budget)
+    model = textsim.TfidfModel.fit(chunk.text for chunk in chunks)
+    query_vec = model.transform(query)
+    scores = [
+        ChunkScore(chunk.index, textsim.cosine(query_vec, model.transform(chunk.text)))
+        for chunk in chunks
+    ]
+    return scores, assemble_context(rank_scores(scores), chunks, budget)
+
+
+VOCABULARY = ("cnn", "Model", "data", "train", "images", "code,", "GPU", "x", "é", "42")
+texts = st.lists(st.sampled_from(VOCABULARY), max_size=120).map(" ".join)
+
+
+class TestDocumentIndex:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=texts,
+        queries=st.lists(texts, min_size=1, max_size=4),
+        chunk_size=st.integers(1, 40),
+        overlap_share=st.floats(0.0, 0.99),
+        unit=st.sampled_from(list(TokenUnit)),
+        budget=st.one_of(st.just(0), st.integers(0, 200)),
+    )
+    def test_matches_per_call_retrieval(self, text, queries, chunk_size, overlap_share, unit, budget):
+        config = ChunkingConfig(chunk_size=chunk_size, overlap=int(overlap_share * chunk_size),
+                                token_unit=unit)
+        index = DocumentIndex(text, config, doc_id="d")
+        for query in queries:
+            scores, context = seed_retrieve(text, query, config, budget, "d")
+            assert index.retrieve(query, budget) == context
+            if scores:
+                assert index.score(query) == scores
 
 
 class TestTextsim:
