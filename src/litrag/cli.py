@@ -8,17 +8,18 @@ offline and deterministic.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import logging
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import click
 
 from . import keywords as keywords_mod
-from . import metrics, reports
+from . import metrics, reports, textsim
 from .config import PipelineConfig, load_config
 from .corpus import CorpusLoad, load_corpus
 from .errors import MissingArtifactError, PipelineError
@@ -95,24 +96,23 @@ class RunContext:
     workspace: Workspace
     mock_dir: Optional[Path]
 
-    def gateway(self) -> LlmGateway:
-        timing = (
-            TimingLog.load_csv(self.workspace.timing)
-            if self.workspace.timing.is_file()
-            else TimingLog()
-        )
+    @contextlib.contextmanager
+    def gateway(self) -> Iterator[LlmGateway]:
+        """A gateway for one stage. Its timing log starts empty; when the
+        stage ends, also by an exception, its entries are appended to the
+        workspace's timing log from the calling thread."""
         backend = (
             MockBackend.from_dir(self.mock_dir) if self.mock_dir is not None else HttpBackend()
         )
-        return LlmGateway(
+        gateway = LlmGateway(
             backend,
-            timing_log=timing,
             max_attempts=self.config.max_attempts,
             backoff_seconds=self.config.backoff_seconds,
         )
-
-    def save_timing(self, gateway: LlmGateway) -> None:
-        gateway.timing_log.save_csv(self.workspace.timing)
+        try:
+            yield gateway
+        finally:
+            gateway.timing_log.append_csv(self.workspace.timing)
 
 
 def _common_options(fn):
@@ -170,19 +170,17 @@ def _do_ask(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[list[str]
     load = _load_corpus_checked(corpus_dir)
     questions = load_competency_questions()
     endpoints = ctx.config.select_endpoints(endpoint_names)
-    gateway = ctx.gateway()
-    store = AnswerStore(ctx.workspace.answers)
-    result = run_matrix(
-        load.publications,
-        questions,
-        endpoints,
-        gateway,
-        store,
-        chunking=ctx.config.chunking,
-        budget=ctx.config.retrieval_budget,
-        parallelism=ctx.config.parallelism,
-    )
-    ctx.save_timing(gateway)
+    with ctx.gateway() as gateway:
+        result = run_matrix(
+            load.publications,
+            questions,
+            endpoints,
+            gateway,
+            AnswerStore(ctx.workspace.answers),
+            chunking=ctx.config.chunking,
+            budget=ctx.config.retrieval_budget,
+            parallelism=ctx.config.parallelism,
+        )
     click.echo(
         f"ask: {result.completed} new answer(s), {result.skipped} already stored, "
         f"{len(result.failed)} failed"
@@ -214,12 +212,15 @@ def _do_categorize(ctx: RunContext) -> None:
     answers = _load_answers(ctx)
     questions = {q.id: q for q in load_competency_questions()}
     endpoints = {e.name: e for e in ctx.config.endpoints}
-    gateway = ctx.gateway()
-    store = VerdictStore(ctx.workspace.verdicts)
-    result = run_conversions(
-        answers, questions, endpoints, gateway, store, parallelism=ctx.config.parallelism
-    )
-    ctx.save_timing(gateway)
+    with ctx.gateway() as gateway:
+        result = run_conversions(
+            answers,
+            questions,
+            endpoints,
+            gateway,
+            VerdictStore(ctx.workspace.verdicts),
+            parallelism=ctx.config.parallelism,
+        )
     click.echo(
         f"categorize: {result.completed} new verdict(s), {result.skipped} already stored"
     )
@@ -243,20 +244,19 @@ def _do_filter(ctx: RunContext, corpus_dir: str) -> None:
             click.echo(f"filter: {len(existing)} verdict(s) already stored")
             return
     endpoint = ctx.config.endpoint(ctx.config.filter_endpoint)
-    gateway = ctx.gateway()
     verdicts = []
-    for pub in sorted(load.publications, key=lambda p: p.citation.doi):
-        verdict = filter_dl_publication(
-            pub,
-            endpoint,
-            gateway,
-            chunking=ctx.config.chunking,
-            budget=ctx.config.retrieval_budget,
-        )
-        if verdict is not None:
-            verdicts.append(verdict)
+    with ctx.gateway() as gateway:
+        for pub in sorted(load.publications, key=lambda p: p.citation.doi):
+            verdict = filter_dl_publication(
+                pub,
+                endpoint,
+                gateway,
+                chunking=ctx.config.chunking,
+                budget=ctx.config.retrieval_budget,
+            )
+            if verdict is not None:
+                verdicts.append(verdict)
     save_filters(ctx.workspace.filters, verdicts)
-    ctx.save_timing(gateway)
     retained = sum(1 for v in verdicts if v.is_dl_study)
     click.echo(f"filter: {retained}/{len(verdicts)} publication(s) retained")
 
@@ -360,19 +360,24 @@ def _do_report(ctx: RunContext) -> None:
 
     answers = _load_answers(ctx)
     endpoint_names = [e.name for e in ctx.config.endpoints]
-    texts_by_endpoint = {
-        name: {(a.doi, a.cq_id): a.clean_text for a in answers if a.endpoint == name}
+    # one tokenization per answer serves both similarity matrices
+    terms_by_endpoint = {
+        name: {
+            (a.doi, a.cq_id): textsim.term_counts(a.clean_text)
+            for a in answers
+            if a.endpoint == name
+        }
         for name in endpoint_names
     }
     retained = {doi for doi, keep in filters.items() if keep}
-    texts_after = {
-        name: {key: text for key, text in answers_for.items() if key[0] in retained}
-        for name, answers_for in texts_by_endpoint.items()
+    terms_after = {
+        name: {key: terms for key, terms in answers_for.items() if key[0] in retained}
+        for name, answers_for in terms_by_endpoint.items()
     }
-    similarity_before = metrics.average_pairwise_similarity(texts_by_endpoint)
+    similarity_before = metrics.average_pairwise_similarity(terms_by_endpoint)
     similarity_after = (
-        metrics.average_pairwise_similarity(texts_after)
-        if all(texts_after.values())
+        metrics.average_pairwise_similarity(terms_after)
+        if all(terms_after.values())
         else None
     )
     header, rows = reports.pair_rows(similarity_before, similarity_after, "cosine_similarity")
@@ -458,18 +463,17 @@ def keywords_cmd(config_path, workspace, mock_dir, abstracts_dir, endpoint_name)
         endpoint = (
             ctx.config.endpoint(endpoint_name) if endpoint_name else ctx.config.endpoints[0]
         )
-        gateway = ctx.gateway()
         raw: list[str] = []
-        for path in sorted(Path(abstracts_dir).glob("*.txt")):
-            raw.extend(
-                keywords_mod.extract_keywords(
-                    path.read_text(encoding="utf-8"), endpoint, gateway, doc_id=path.stem
+        with ctx.gateway() as gateway:
+            for path in sorted(Path(abstracts_dir).glob("*.txt")):
+                raw.extend(
+                    keywords_mod.extract_keywords(
+                        path.read_text(encoding="utf-8"), endpoint, gateway, doc_id=path.stem
+                    )
                 )
-            )
-        keywords_mod.save_keywords(ctx.workspace.path("keywords", "raw.txt"), raw)
-        consolidated = keywords_mod.consolidate_keywords(raw, endpoint, gateway)
+            keywords_mod.save_keywords(ctx.workspace.path("keywords", "raw.txt"), raw)
+            consolidated = keywords_mod.consolidate_keywords(raw, endpoint, gateway)
         keywords_mod.save_keywords(ctx.workspace.path("keywords", "consolidated.txt"), consolidated)
-        ctx.save_timing(gateway)
         click.echo(f"keywords: {len(raw)} raw, {len(consolidated)} consolidated")
         curated_path = ctx.workspace.path("keywords", "curated.txt")
         if curated_path.is_file():

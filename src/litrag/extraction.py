@@ -6,15 +6,14 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import os
 import threading
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence, TextIO
 
-from . import prompts
+from . import appendlog, prompts
 from .corpus import PublicationRecord
 from .errors import GatewayError
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
@@ -83,7 +82,9 @@ class TextualAnswer:
 class AnswerStore:
     """Append-only JSONL store of textual answers, keyed by (doi, cq, endpoint).
 
-    Records are appended as they complete so an interrupted run can resume;
+    Records are appended as they complete so an interrupted run can resume:
+    the first `append` opens the file, which stays open until `close` or
+    `canonicalize`, and each record is flushed to the OS as it is written.
     `canonicalize` rewrites the finished file in sorted key order, which makes
     completed stores byte-identical regardless of worker count.
 
@@ -99,7 +100,7 @@ class AnswerStore:
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._tail_checked = False
+        self._fh: Optional[TextIO] = None
 
     def append(self, answer: TextualAnswer) -> None:
         record = {
@@ -111,53 +112,32 @@ class AnswerStore:
         }
         line = json.dumps(record, ensure_ascii=False)
         with self._lock:
-            if not self._tail_checked:
-                self._end_on_newline()
-                self._tail_checked = True
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(line + "\n")
+            if self._fh is None:
+                self._fh = appendlog.open_append(self.path, _parse_tail)
+            self._fh.write(line + "\n")
+            self._fh.flush()
 
-    def _end_on_newline(self) -> None:
-        """Terminate an unterminated final line, or cut it off if it is torn."""
-        if not self.path.is_file():
-            return
-        with open(self.path, "rb+") as fh:
-            size = fh.seek(0, os.SEEK_END)
-            if size == 0:
-                return
-            fh.seek(size - 1)
-            if fh.read(1) == b"\n":
-                return
-            fh.seek(0)
-            data = fh.read()
-            start = data.rfind(b"\n") + 1
-            if _parse_tail(data[start:]) is None:
-                fh.truncate(start)
-            else:
-                fh.write(b"\n")
+    def close(self) -> None:
+        """Close the file `append` opened; a later `append` reopens it."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = None
 
     def load(self) -> list[dict]:
         if not self.path.is_file():
             return []
-        records = []
-        with open(self.path, "rb") as fh:
-            for line in fh:
-                if line.endswith(b"\n"):
-                    if line.strip():
-                        records.append(json.loads(line.decode("utf-8")))
-                elif (record := _parse_tail(line)) is not None:
-                    records.append(record)
-                else:
-                    log.warning(
-                        "%s: dropped a torn final line of %d byte(s) left by an "
-                        "interrupted write", self.path, len(line),
-                    )
-        return records
+        return appendlog.read_records(
+            self.path,
+            lambda lines: [json.loads(line) for line in lines if line.strip()],
+            _parse_tail,
+        )
 
     def keys(self) -> set[tuple[str, int, str]]:
         return {(r["doi"], r["cq_id"], r["endpoint"]) for r in self.load()}
 
     def canonicalize(self) -> None:
+        self.close()
         records = self.load()
         records.sort(key=lambda r: (r["doi"], r["cq_id"], r["endpoint"]))
         with self._lock:
@@ -265,8 +245,10 @@ def run_matrix(
 
     Existing store entries are skipped, failed items are retried once at the
     end of the run, and the store is canonicalized when the matrix is
-    complete. Retrieval runs on the calling thread, once per (publication,
-    question) with pending work; worker threads only wait on the endpoints.
+    complete; it is closed when the run ends, also by an exception.
+    Retrieval and store appends run on the calling thread, retrieval once per
+    (publication, question) with pending work; worker threads only wait on
+    the endpoints.
     Publications are handled in DOI order with at most two publications'
     requests in flight, so memory does not grow with the corpus.
     """
@@ -296,36 +278,39 @@ def run_matrix(
         except GatewayError:
             failures.append(item)
 
-    if parallelism <= 1:
-        for pub, items in pending:
-            for item in _with_contexts(pub, items, chunking, budget):
-                record(item, functools.partial(ask, item))
-    else:
-        def drain(batch: dict[Future, _Item]) -> None:
-            for future in as_completed(batch):
-                record(batch[future], future.result)
-
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            previous: dict[Future, _Item] = {}
+    try:
+        if parallelism <= 1:
             for pub, items in pending:
-                # build this publication's contexts while the previous one's
-                # requests run; at most two publications are in flight
-                current = {
-                    pool.submit(ask, item): item
-                    for item in _with_contexts(pub, items, chunking, budget)
-                }
-                drain(previous)
-                previous = current
-            drain(previous)
+                for item in _with_contexts(pub, items, chunking, budget):
+                    record(item, functools.partial(ask, item))
+        else:
+            def drain(batch: dict[Future, _Item]) -> None:
+                for future in as_completed(batch):
+                    record(batch[future], future.result)
 
-    # one end-of-run retry for anything that failed, on the same contexts
-    for item in failures:
-        pub, cq, endpoint, _ = item
-        try:
-            store.append(ask(item))
-            result.completed += 1
-        except GatewayError as exc:
-            result.failed.append((pub.citation.doi, cq.id, endpoint.name, str(exc)))
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                previous: dict[Future, _Item] = {}
+                for pub, items in pending:
+                    # build this publication's contexts while the previous one's
+                    # requests run; at most two publications are in flight
+                    current = {
+                        pool.submit(ask, item): item
+                        for item in _with_contexts(pub, items, chunking, budget)
+                    }
+                    drain(previous)
+                    previous = current
+                drain(previous)
+
+        # one end-of-run retry for anything that failed, on the same contexts
+        for item in failures:
+            pub, cq, endpoint, _ = item
+            try:
+                store.append(ask(item))
+                result.completed += 1
+            except GatewayError as exc:
+                result.failed.append((pub.citation.doi, cq.id, endpoint.name, str(exc)))
+    finally:
+        store.close()
 
     if result.is_complete:
         store.canonicalize()

@@ -18,10 +18,11 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Protocol
+from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 import requests
 
+from . import appendlog
 from .errors import AuthenticationError, GatewayError
 
 log = logging.getLogger(__name__)
@@ -102,33 +103,66 @@ class TimingLog:
     def __iter__(self) -> Iterator[TimingEntry]:
         return iter(self.entries())
 
-    def save_csv(self, path: str | Path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    def append_csv(self, path: str | Path) -> None:
+        """Append this log's entries to the CSV at ``path`` in one open,
+        writing the header to a new file."""
+        with appendlog.open_append(path, _parse_tail) as fh:
             writer = csv.writer(fh)
-            writer.writerow(
-                ["unique_id", "doi", "endpoint", "stage", "duration_ms", "timestamp_iso8601"]
-            )
+            if fh.tell() == 0:
+                writer.writerow(TIMING_HEADER)
             for e in self.entries():
                 writer.writerow(
                     [e.unique_id, e.doc_id, e.endpoint, e.stage, e.duration_ms, e.timestamp]
                 )
 
+    # The pipeline only appends; perfbench's tracer still probes this name.
+    save_csv = append_csv
+
     @classmethod
     def load_csv(cls, path: str | Path) -> "TimingLog":
-        log_ = cls()
-        with open(path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                log_.append(
-                    TimingEntry(
-                        unique_id=row["unique_id"],
-                        doc_id=row["doi"],
-                        endpoint=row["endpoint"],
-                        stage=row["stage"],
-                        duration_ms=int(row["duration_ms"]),
-                        timestamp=row["timestamp_iso8601"],
-                    )
-                )
-        return log_
+        """Read a timing CSV, dropping a final row cut short by a crash."""
+
+        def parse(lines: Iterator[str]) -> list[TimingEntry]:
+            rows = csv.reader(lines)
+            header = next(rows, None)
+            if header is not None and tuple(header) != TIMING_HEADER:
+                raise ValueError(f"{path}: expected header {','.join(TIMING_HEADER)}")
+            return [_timing_entry(row) for row in rows if row]
+
+        return cls(appendlog.read_records(path, parse, _parse_tail))
+
+
+TIMING_HEADER = ("unique_id", "doi", "endpoint", "stage", "duration_ms", "timestamp_iso8601")
+
+
+def _timing_entry(row: Sequence[str]) -> TimingEntry:
+    unique_id, doc_id, endpoint, stage, duration_ms, timestamp = row
+    if stage not in STAGES:
+        raise ValueError(f"unknown stage {stage!r}")
+    return TimingEntry(
+        unique_id=unique_id,
+        doc_id=doc_id,
+        endpoint=endpoint,
+        stage=stage,
+        duration_ms=int(duration_ms),
+        timestamp=timestamp,
+    )
+
+
+def _parse_tail(line: bytes) -> Optional[TimingEntry]:
+    """The entry on an unterminated final row, or None if the write was cut short.
+
+    A row cut inside its timestamp still has six fields, so a whole entry is
+    one whose timestamp reads back exactly as `datetime.isoformat` wrote it.
+    """
+    try:
+        entry = _timing_entry(next(csv.reader([line.decode("utf-8")])))
+        written = datetime.fromisoformat(entry.timestamp)
+    except (UnicodeDecodeError, csv.Error, ValueError, StopIteration):
+        return None
+    if written.tzinfo is None or written.isoformat() != entry.timestamp:
+        return None
+    return entry
 
 
 def dedupe_timing_logs(timing: TimingLog) -> TimingLog:

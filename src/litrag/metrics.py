@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -119,14 +120,16 @@ class SimilarityMatrix:
 
 
 def average_pairwise_similarity(
-    answers_by_endpoint: Mapping[str, Mapping[object, str]],
+    answers_by_endpoint: Mapping[str, Mapping[object, str | Counter[str]]],
     keys: Optional[Sequence[object]] = None,
 ) -> SimilarityMatrix:
     """Average, over all shared keys, the tf-idf cosine between answer texts.
 
-    The idf table is fitted on the union of every endpoint's answers. Empty
-    answers become zero vectors and contribute 0 to each average. Diagonal
-    entries are 1.0 for any endpoint with at least one nonzero vector.
+    Each answer is its text or its `textsim.term_counts`; pass counts to
+    tokenize once for several matrices. The idf table is fitted on the union
+    of every endpoint's answers. Empty answers become zero vectors and
+    contribute 0 to each average. Diagonal entries are 1.0 for any endpoint
+    with at least one nonzero vector.
     """
     names = tuple(answers_by_endpoint)
     if not names:
@@ -137,25 +140,28 @@ def average_pairwise_similarity(
         if ks != shared:
             raise ValueError("every endpoint must answer the same keys")
     ordered_keys = list(keys) if keys is not None else sorted(shared)
-    model = textsim.TfidfModel.fit(
-        answers_by_endpoint[name][key] for name in names for key in ordered_keys
-    )
-    vectors = {
-        name: [model.transform(answers_by_endpoint[name][key]) for key in ordered_keys]
+    counts = [
+        [_term_counts(answers_by_endpoint[name][key]) for key in ordered_keys]
         for name in names
-    }
+    ]
+    model = textsim.TfidfModel.fit_terms(c.keys() for row in counts for c in row)
+    vectors = [[model.weigh(c) for c in row] for row in counts]
+    norms = [[textsim.norm(v) for v in row] for row in vectors]
     size = len(names)
     matrix = [[0.0] * size for _ in range(size)]
     for i in range(size):
-        has_nonzero = any(vectors[names[i]][k] for k in range(len(ordered_keys)))
-        matrix[i][i] = 1.0 if has_nonzero else 0.0
+        matrix[i][i] = 1.0 if any(vectors[i]) else 0.0
         for j in range(i + 1, size):
             total = sum(
-                textsim.cosine(vectors[names[i]][k], vectors[names[j]][k])
-                for k in range(len(ordered_keys))
+                textsim.cosine(u, v, norm_v=nv, norm_u=nu)
+                for u, v, nu, nv in zip(vectors[i], vectors[j], norms[i], norms[j])
             )
             matrix[i][j] = matrix[j][i] = total / len(ordered_keys)
     return SimilarityMatrix(names=names, values=tuple(tuple(row) for row in matrix))
+
+
+def _term_counts(answer: str | Counter[str]) -> Counter[str]:
+    return textsim.term_counts(answer) if isinstance(answer, str) else answer
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,11 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def term_counts(text: str) -> Counter[str]:
+    """Raw term frequencies of ``text``, in first-occurrence order."""
+    return Counter(tokenize(text))
+
+
 class TfidfModel:
     """Idf table fitted over a fixed document collection."""
 
@@ -37,11 +42,17 @@ class TfidfModel:
 
     @classmethod
     def fit(cls, documents: Iterable[str]) -> "TfidfModel":
+        return cls.fit_terms(set(tokenize(doc)) for doc in documents)
+
+    @classmethod
+    def fit_terms(cls, documents: Iterable[Iterable[str]]) -> "TfidfModel":
+        """Fit on documents given as their distinct terms, such as the keys
+        of `term_counts`."""
         doc_freq: Counter[str] = Counter()
         n_docs = 0
-        for doc in documents:
+        for terms in documents:
             n_docs += 1
-            doc_freq.update(set(tokenize(doc)))
+            doc_freq.update(terms)
         idf = {
             term: math.log((1 + n_docs) / (1 + df)) + 1.0
             for term, df in doc_freq.items()
@@ -49,7 +60,10 @@ class TfidfModel:
         return cls(idf, n_docs)
 
     def transform(self, text: str) -> Vector:
-        counts = Counter(tokenize(text))
+        return self.weigh(term_counts(text))
+
+    def weigh(self, counts: Mapping[str, int]) -> Vector:
+        """The tf-idf vector of a text given as its `term_counts`."""
         return {
             term: count * self.idf[term]
             for term, count in counts.items()
@@ -61,9 +75,16 @@ def norm(u: Mapping[str, float]) -> float:
     return math.sqrt(sum(w * w for w in u.values()))
 
 
-def cosine(u: Mapping[str, float], v: Mapping[str, float], norm_v: Optional[float] = None) -> float:
-    """``norm_v`` may pass a precomputed ``norm(v)`` for a vector scored many times."""
-    nu, nv = norm(u), norm(v) if norm_v is None else norm_v
+def cosine(
+    u: Mapping[str, float],
+    v: Mapping[str, float],
+    norm_v: Optional[float] = None,
+    norm_u: Optional[float] = None,
+) -> float:
+    """``norm_v`` and ``norm_u`` may pass a precomputed `norm` of a vector
+    scored many times."""
+    nu = norm(u) if norm_u is None else norm_u
+    nv = norm(v) if norm_v is None else norm_v
     if nu == 0.0 or nv == 0.0:
         return 0.0
     if len(v) < len(u):

@@ -10,9 +10,9 @@ import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence, TextIO
 
-from . import prompts
+from . import appendlog, prompts
 from .corpus import PublicationRecord
 from .errors import GatewayError
 from .extraction import CompetencyQuestion, TextualAnswer
@@ -198,45 +198,60 @@ def filter_dl_publication(
 
 
 class VerdictStore:
-    """CSV-backed store of categorical answers: doi, cq_id, endpoint, verdict."""
+    """CSV store of categorical answers: doi, cq_id, endpoint, verdict.
+
+    Appends go to one handle, opened by the first `append` (which writes the
+    header to a new file) and kept until `close` or `canonicalize`; each row
+    is flushed to the OS as it is written. A final row cut short by a crash
+    is handled as in `extraction.AnswerStore`: `load` drops it with a warning
+    and the first `append` truncates it, or terminates a complete row that
+    only lost its newline. A malformed row anywhere else raises.
+    """
 
     HEADER = ("doi", "cq_id", "endpoint", "verdict")
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
+        self._fh: Optional[TextIO] = None
+        self._writer = None
 
     def append(self, answer: CategoricalAnswer) -> None:
         with self._lock:
-            new_file = not self.path.is_file()
-            with open(self.path, "a", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                if new_file:
-                    writer.writerow(self.HEADER)
-                writer.writerow(
-                    [answer.doi, answer.cq_id, answer.endpoint, answer.verdict.value]
-                )
+            if self._fh is None:
+                self._fh = appendlog.open_append(self.path, _parse_tail)
+                self._writer = csv.writer(self._fh)
+                if self._fh.tell() == 0:
+                    self._writer.writerow(self.HEADER)
+            self._writer.writerow(
+                [answer.doi, answer.cq_id, answer.endpoint, answer.verdict.value]
+            )
+            self._fh.flush()
+
+    def close(self) -> None:
+        """Close the file `append` opened; a later `append` reopens it."""
+        with self._lock:
+            if self._fh is not None:
+                self._fh.close()
+                self._fh = self._writer = None
 
     def load(self) -> list[CategoricalAnswer]:
         if not self.path.is_file():
             return []
-        answers = []
-        with open(self.path, encoding="utf-8", newline="") as fh:
-            for row in csv.DictReader(fh):
-                answers.append(
-                    CategoricalAnswer(
-                        doi=row["doi"],
-                        cq_id=int(row["cq_id"]),
-                        endpoint=row["endpoint"],
-                        verdict=Verdict(row["verdict"]),
-                    )
-                )
-        return answers
+        def parse(lines: Iterator[str]) -> list[CategoricalAnswer]:
+            rows = csv.reader(lines)
+            header = next(rows, None)
+            if header is not None and tuple(header) != self.HEADER:
+                raise ValueError(f"{self.path}: expected header {','.join(self.HEADER)}")
+            return [_categorical(row) for row in rows if row]
+
+        return appendlog.read_records(self.path, parse, _parse_tail)
 
     def keys(self) -> set[tuple[str, int, str]]:
         return {a.key for a in self.load()}
 
     def canonicalize(self) -> None:
+        self.close()
         answers = sorted(self.load(), key=lambda a: a.key)
         with self._lock:
             with open(self.path, "w", encoding="utf-8", newline="") as fh:
@@ -244,6 +259,21 @@ class VerdictStore:
                 writer.writerow(self.HEADER)
                 for a in answers:
                     writer.writerow([a.doi, a.cq_id, a.endpoint, a.verdict.value])
+
+
+def _categorical(row: Sequence[str]) -> CategoricalAnswer:
+    doi, cq_id, endpoint, verdict = row
+    return CategoricalAnswer(
+        doi=doi, cq_id=int(cq_id), endpoint=endpoint, verdict=Verdict(verdict)
+    )
+
+
+def _parse_tail(line: bytes) -> Optional[CategoricalAnswer]:
+    """The answer on an unterminated final row, or None if the write was cut short."""
+    try:
+        return _categorical(next(csv.reader([line.decode("utf-8")])))
+    except (UnicodeDecodeError, csv.Error, ValueError, StopIteration):
+        return None
 
 
 @dataclass
@@ -261,7 +291,11 @@ def run_conversions(
     store: VerdictStore,
     parallelism: int = 4,
 ) -> ConversionResult:
-    """Convert every stored textual answer; resumable like the answer matrix."""
+    """Convert every stored textual answer; resumable like the answer matrix.
+
+    Verdicts are appended on the calling thread; the store is closed when the
+    run ends, also by an exception.
+    """
     existing = store.keys()
     result = ConversionResult()
     work = []
@@ -279,16 +313,19 @@ def run_conversions(
             gateway,
         )
 
-    if parallelism <= 1:
-        for answer in work:
-            store.append(run_one(answer))
-            result.completed += 1
-    else:
-        with ThreadPoolExecutor(max_workers=parallelism) as pool:
-            futures = {pool.submit(run_one, answer): answer for answer in work}
-            for future in as_completed(futures):
-                store.append(future.result())
+    try:
+        if parallelism <= 1:
+            for answer in work:
+                store.append(run_one(answer))
                 result.completed += 1
+        else:
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                futures = {pool.submit(run_one, answer): answer for answer in work}
+                for future in as_completed(futures):
+                    store.append(future.result())
+                    result.completed += 1
+    finally:
+        store.close()
     store.canonicalize()
     return result
 

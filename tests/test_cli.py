@@ -1,18 +1,20 @@
 import csv
 import shutil
+import threading
 from pathlib import Path
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
-from litrag import prompts
+from litrag import cli, prompts
 from litrag.cli import main
 from litrag.config import load_config
 from litrag.corpus import load_corpus
-from litrag.extraction import load_competency_questions
-from litrag.gateway import ChatRequest
+from litrag.extraction import AnswerStore, load_competency_questions
+from litrag.gateway import ChatRequest, MockBackend, TimingLog
 from litrag.retrieval import retrieve_context
+from litrag.voting import VerdictStore
 from conftest import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
@@ -145,6 +147,25 @@ class TestCategorize:
         rerun = invoke("categorize", *args)
         assert "0 new verdict(s), 420 already stored" in rerun.output
 
+    def test_resume_after_torn_final_row(self, tmp_path, caplog):
+        data = (GOLDEN / "verdicts.csv").read_bytes()
+        end = len(data) - 2  # the last row ends with its verdict, then \r\n
+        start = data.rfind(b"\n", 0, end) + 1
+        verdict = data.rfind(b",", start, end) + 1
+        # cut inside the last row; the last two cuts keep the row but not its line end
+        for cut in (start + 1, verdict - 1, verdict + 1, end - 1, end, end + 1):
+            caplog.clear()
+            workspace = golden_workspace(tmp_path / f"cut{cut}")
+            (workspace / "votes" / "votes.csv").unlink()
+            (workspace / "verdicts" / "verdicts.csv").write_bytes(data[:cut])
+            for stage in ("categorize", "vote"):
+                result = invoke(stage, *base_args(workspace))
+                assert result.exit_code == 0, (cut, stage, result.output)
+            assert ("torn final line" in caplog.text) == (cut < end)
+            assert (workspace / "verdicts" / "verdicts.csv").read_bytes() == data
+            assert (workspace / "votes" / "votes.csv").read_bytes() == \
+                (GOLDEN / "votes.csv").read_bytes()
+
     def test_requires_answers(self, tmp_path):
         result = invoke("categorize", *base_args(tmp_path / "ws"))
         assert result.exit_code != 0
@@ -265,7 +286,7 @@ class TestFootprint:
 
         workspace = tmp_path / "ws"
         (workspace / "logs").mkdir(parents=True)
-        build_timing_fixture().save_csv(workspace / "logs" / "timing.csv")
+        build_timing_fixture().append_csv(workspace / "logs" / "timing.csv")
         result = invoke("footprint", *base_args(workspace))
         assert result.exit_code == 0, result.output
         rows = {r["stage"]: r for r in
@@ -279,6 +300,108 @@ class TestFootprint:
         result = invoke("footprint", *base_args(tmp_path / "ws"))
         assert result.exit_code != 0
         assert "ask" in result.output
+
+
+class CrashingBackend(MockBackend):
+    """Serves ``limit`` requests, then raises an error the gateway does not handle."""
+
+    def __init__(self, limit: int) -> None:
+        super().__init__()
+        self.limit = limit
+        self.served = 0
+        self.served_lock = threading.Lock()
+
+    def send(self, endpoint, request):
+        with self.served_lock:
+            if self.served >= self.limit:
+                raise RuntimeError("backend crashed")
+            self.served += 1
+        return super().send(endpoint, request)
+
+
+def timing_rows(workspace: Path) -> list[dict]:
+    with open(workspace / "logs" / "timing.csv", encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+class TestTimingLog:
+    @pytest.mark.parametrize("served", [0, 37])
+    def test_crashed_ask_keeps_the_timing_of_its_requests(
+        self, tmp_path, mini_corpus_dir, monkeypatch, served
+    ):
+        workspace = tmp_path / "ws"
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.MockBackend, "from_dir",
+                          classmethod(lambda cls, directory: CrashingBackend(served)))
+            result = invoke("ask", *base_args(workspace), "--corpus", str(mini_corpus_dir))
+        assert isinstance(result.exception, RuntimeError), result.output
+        rows = timing_rows(workspace)
+        assert len(rows) == served
+        assert len({row["unique_id"] for row in rows}) == served
+        result = invoke("footprint", *base_args(workspace))
+        assert result.exit_code == 0, result.output
+        assert (workspace / "reports" / "footprint.csv").read_text().startswith("stage,")
+
+    def test_torn_final_row_is_dropped_and_the_next_stage_appends_on_a_fresh_line(
+        self, tmp_path, mini_corpus_dir, caplog
+    ):
+        full = tmp_path / "full"
+        invoke("ask", *base_args(full), "--corpus", str(mini_corpus_dir))
+        data = (full / "logs" / "timing.csv").read_bytes()
+        end = len(data) - 2  # the last row ends with its timestamp, then \r\n
+        start = data.rfind(b"\n", 0, end) + 1
+        # cut inside the last row; the last two cuts keep the row but not its line end
+        for cut in (start + 1, (start + end) // 2, end - 1, end, end + 1):
+            caplog.clear()
+            workspace = tmp_path / f"cut{cut}"
+            shutil.copytree(full, workspace)
+            timing = workspace / "logs" / "timing.csv"
+            timing.write_bytes(data[:cut])
+            kept = 420 if cut >= end else 419
+            result = invoke("footprint", *base_args(workspace))
+            assert result.exit_code == 0, (cut, result.output)
+            assert ("torn final line" in caplog.text) == (cut < end)
+
+            caplog.clear()
+            result = invoke("categorize", *base_args(workspace))
+            assert result.exit_code == 0, (cut, result.output)
+            assert timing.read_bytes().startswith(data[:cut] if cut >= end else data[:start])
+            assert len(TimingLog.load_csv(timing)) == kept + 420
+            assert "torn final line" not in caplog.text
+            assert {row["stage"] for row in timing_rows(workspace)[kept:]} == {"categorize"}
+
+    def test_noop_rerun_neither_reads_nor_changes_the_timing_log(
+        self, tmp_path, mini_corpus_dir, monkeypatch
+    ):
+        workspace = tmp_path / "ws"
+        args = base_args(workspace)
+        corpus = ["--corpus", str(mini_corpus_dir)]
+        assert invoke("all", *args, *corpus).exit_code == 0
+        timing = workspace / "logs" / "timing.csv"
+        before = timing.read_bytes()
+
+        def no_load(cls, path):
+            raise AssertionError("the timing log was read")
+
+        monkeypatch.setattr(TimingLog, "load_csv", classmethod(no_load))
+        for stage, extra in (("ask", corpus), ("categorize", []), ("filter", corpus)):
+            result = invoke(stage, *args, *extra)
+            assert result.exit_code == 0, (stage, result.output)
+        assert timing.read_bytes() == before
+
+    def test_no_worker_thread_writes_a_file(self, tmp_path, mini_corpus_dir, monkeypatch):
+        writers = []
+        for owner, name in ((AnswerStore, "append"), (VerdictStore, "append"),
+                            (TimingLog, "append_csv")):
+            def record(self, *args, _write=getattr(owner, name)):
+                writers.append(threading.current_thread())
+                return _write(self, *args)
+
+            monkeypatch.setattr(owner, name, record)
+        result = invoke("all", *base_args(tmp_path / "ws"), "--corpus", str(mini_corpus_dir))
+        assert result.exit_code == 0, result.output
+        assert len(writers) == 420 + 420 + 3
+        assert set(writers) == {threading.current_thread()}
 
 
 class TestKeywordsCommand:

@@ -110,7 +110,8 @@ class TestAnswerStore:
     def test_append_load_roundtrip(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
         store.append(TextualAnswer("10.1/a", 1, "M", "raw", "clean", 5))
-        records = store.load()
+        records = store.load()  # each record is flushed as it is appended
+        store.close()
         assert records == [
             {"doi": "10.1/a", "cq_id": 1, "endpoint": "M", "clean_text": "clean",
              "duration_ms": 5}
@@ -141,6 +142,7 @@ class TestAnswerStore:
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write('{"doi": "10.1/b", "cq\n')
         store.append(TextualAnswer("10.1/c", 1, "M", "", "three", 1))
+        store.close()
         with pytest.raises(json.JSONDecodeError):
             store.load()
 

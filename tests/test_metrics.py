@@ -1,8 +1,12 @@
 import math
 import random
+from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from litrag import textsim
 from litrag.metrics import (
     ConfusionMatrix2x2,
     LabelSeries,
@@ -182,6 +186,86 @@ class TestAveragePairwiseSimilarity:
     def test_mismatched_keys_rejected(self):
         with pytest.raises(ValueError):
             average_pairwise_similarity({"A": {1: "x"}, "B": {2: "x"}})
+
+
+def oracle_similarity(answers_by_endpoint, keys):
+    """The matrix as computed before answers were tokenized once per report:
+    fit over every text, transform each one, and recompute both norms in
+    every cosine."""
+    names = tuple(answers_by_endpoint)
+    texts = [answers_by_endpoint[name][key] for name in names for key in keys]
+    doc_freq = Counter()
+    for text in texts:
+        doc_freq.update(set(textsim.tokenize(text)))
+    idf = {term: math.log((1 + len(texts)) / (1 + df)) + 1.0 for term, df in doc_freq.items()}
+
+    def transform(text):
+        counts = Counter(textsim.tokenize(text))
+        return {term: count * idf[term] for term, count in counts.items() if term in idf}
+
+    def norm(u):
+        return math.sqrt(sum(w * w for w in u.values()))
+
+    def cosine(u, v):
+        nu, nv = norm(u), norm(v)
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        if len(v) < len(u):
+            u, v = v, u
+        dot = sum(w * v[t] for t, w in u.items() if t in v)
+        return max(-1.0, min(1.0, dot / (nu * nv)))
+
+    vectors = {name: [transform(answers_by_endpoint[name][key]) for key in keys] for name in names}
+    size = len(names)
+    matrix = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        matrix[i][i] = 1.0 if any(vectors[names[i]]) else 0.0
+        for j in range(i + 1, size):
+            total = sum(
+                cosine(vectors[names[i]][k], vectors[names[j]][k]) for k in range(len(keys))
+            )
+            matrix[i][j] = matrix[j][i] = total / len(keys)
+    return tuple(tuple(row) for row in matrix)
+
+
+WORDS = ["cnn", "CNN", "model", "réseau", "neuronal", "数据集", "naïve", "straße",
+         "x1", "_", "42", "the", "a", "ÉTUDE"]
+
+
+@st.composite
+def answer_sets(draw):
+    """Endpoints' answers over shared keys, and a nonempty sorted key subset."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(["10.1/a", "10.1/b", "10.1/c"]), st.integers(1, 4)),
+        min_size=1, max_size=6, unique=True,
+    ))
+    disjoint = draw(st.booleans())
+    answers = {}
+    for i in range(draw(st.integers(1, 6))):
+        words = st.sampled_from(WORDS) if disjoint else st.sampled_from(WORDS) | st.text(max_size=6)
+        answers[f"E{i}"] = {
+            key: " ".join(w + (f"_{i}" if disjoint else "") for w in draw(st.lists(words, max_size=10)))
+            for key in keys
+        }
+    subset = sorted(draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)))
+    return answers, subset
+
+
+class TestSimilarityMatchesOracle:
+    @settings(max_examples=200, deadline=None)
+    @given(answer_sets())
+    def test_every_entry_equals_the_oracle(self, case):
+        answers, subset = case
+        assert average_pairwise_similarity(answers).values == \
+            oracle_similarity(answers, sorted(next(iter(answers.values()))))
+        expected = oracle_similarity(answers, subset)
+        assert average_pairwise_similarity(answers, keys=subset).values == expected
+        # the report tokenizes once and filters the term counts
+        terms = {
+            name: {key: textsim.term_counts(texts[key]) for key in subset}
+            for name, texts in answers.items()
+        }
+        assert average_pairwise_similarity(terms).values == expected
 
 
 class TestPerCqCoverage:

@@ -274,3 +274,37 @@ class TestVerdictStore:
         loaded = store.load()
         assert [a.key for a in loaded] == sorted(a.key for a in loaded)
         assert loaded[0].verdict is Verdict.UNPARSEABLE
+
+    @pytest.mark.parametrize("cut, torn", [(-4, True), (-3, True), (-2, False), (-1, False)])
+    def test_final_row_cut_by_a_crash(self, tmp_path, caplog, cut, torn):
+        path = tmp_path / "verdicts.csv"
+        first = CategoricalAnswer("10.1/a", 1, "M", Verdict.NO)
+        last = CategoricalAnswer("10.1/a", 2, "M", Verdict.YES)
+        store = VerdictStore(path)
+        store.append(first)
+        store.append(last)
+        store.close()
+        # the file ends "Yes\r\n": -4 and -3 cut inside the verdict, -2 and -1
+        # keep the whole row but not its line end
+        path.write_bytes(path.read_bytes()[:cut])
+        kept = [first] if torn else [first, last]
+        assert VerdictStore(path).load() == kept
+        assert ("torn final line" in caplog.text) == torn
+
+        store = VerdictStore(path)
+        extra = CategoricalAnswer("10.1/b", 1, "M", Verdict.UNPARSEABLE)
+        store.append(extra)
+        store.close()
+        assert VerdictStore(path).load() == kept + [extra]
+        assert path.read_bytes().count(b"doi,cq_id") == 1
+
+    def test_malformed_earlier_row_raises(self, tmp_path):
+        path = tmp_path / "verdicts.csv"
+        store = VerdictStore(path)
+        store.append(CategoricalAnswer("10.1/a", 1, "M", Verdict.NO))
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.write("10.1/a,2,M,Ye\r\n")
+        store.append(CategoricalAnswer("10.1/a", 3, "M", Verdict.YES))
+        store.close()
+        with pytest.raises(ValueError):
+            store.load()
