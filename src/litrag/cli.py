@@ -25,20 +25,21 @@ from .corpus import CorpusLoad, load_corpus
 from .errors import MissingArtifactError, PipelineError
 from .extraction import (
     AnswerStore,
+    RunResult,
     TextualAnswer,
     load_competency_questions,
     run_matrix,
+    run_requests,
 )
 from .footprint import HardwareProfile, footprint_from_log
 from .gateway import HttpBackend, LlmGateway, MockBackend, TimingLog
 from .voting import (
+    FilterStore,
     VerdictStore,
     Verdict,
     filter_dl_publication,
-    load_filters,
     load_votes,
     run_conversions,
-    save_filters,
     save_votes,
     vote_all,
 )
@@ -146,7 +147,7 @@ def _load_corpus_checked(corpus_dir: str, fetch_command: Optional[str] = None) -
     return load
 
 
-def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -> CorpusLoad:
+def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -> None:
     load = _load_corpus_checked(corpus_dir, fetch_command)
     with open(ctx.workspace.path("corpus", "citations.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
@@ -163,7 +164,14 @@ def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -
         f"ingest: {len(load.publications)} publication(s), "
         f"{len(load.skipped)} skipped, {len(load.parse.errors)} parse error(s)"
     )
-    return load
+
+
+def _finish(stage: str, summary: str, result: RunResult) -> int:
+    """Print the stage summary and each failed item; the exit status."""
+    click.echo(f"{stage}: {summary}, {len(result.failed)} failed")
+    for *key, error in result.failed[:10]:
+        click.echo(f"  failed: {'|'.join(map(str, key))}: {error}", err=True)
+    return 1 if result.failed else 0
 
 
 def _do_ask(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[list[str]]) -> int:
@@ -181,34 +189,16 @@ def _do_ask(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[list[str]
             budget=ctx.config.retrieval_budget,
             parallelism=ctx.config.parallelism,
         )
-    click.echo(
-        f"ask: {result.completed} new answer(s), {result.skipped} already stored, "
-        f"{len(result.failed)} failed"
+    return _finish(
+        "ask", f"{result.completed} new answer(s), {result.skipped} already stored", result
     )
-    if not result.is_complete:
-        for doi, cq_id, endpoint, error in result.failed[:10]:
-            click.echo(f"  failed: {doi} cq{cq_id} @{endpoint}: {error}", err=True)
-        return 1
-    return 0
 
 
 def _load_answers(ctx: RunContext) -> list[TextualAnswer]:
-    _require(ctx.workspace.answers, "ask")
-    store = AnswerStore(ctx.workspace.answers)
-    return [
-        TextualAnswer(
-            doi=r["doi"],
-            cq_id=r["cq_id"],
-            endpoint=r["endpoint"],
-            raw_text=r["clean_text"],
-            clean_text=r["clean_text"],
-            duration_ms=r["duration_ms"],
-        )
-        for r in store.load()
-    ]
+    return AnswerStore(_require(ctx.workspace.answers, "ask")).load()
 
 
-def _do_categorize(ctx: RunContext) -> None:
+def _do_categorize(ctx: RunContext) -> int:
     answers = _load_answers(ctx)
     questions = {q.id: q for q in load_competency_questions()}
     endpoints = {e.name: e for e in ctx.config.endpoints}
@@ -221,8 +211,8 @@ def _do_categorize(ctx: RunContext) -> None:
             VerdictStore(ctx.workspace.verdicts),
             parallelism=ctx.config.parallelism,
         )
-    click.echo(
-        f"categorize: {result.completed} new verdict(s), {result.skipped} already stored"
+    return _finish(
+        "categorize", f"{result.completed} new verdict(s), {result.skipped} already stored", result
     )
 
 
@@ -235,30 +225,32 @@ def _do_vote(ctx: RunContext) -> None:
     click.echo(f"vote: {len(votes)} decision(s), {yes} Yes")
 
 
-def _do_filter(ctx: RunContext, corpus_dir: str) -> None:
+def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
     load = _load_corpus_checked(corpus_dir)
-    dois = {pub.citation.doi for pub in load.publications}
-    if ctx.workspace.filters.is_file():
-        existing = load_filters(ctx.workspace.filters)
-        if set(existing) == dois:
-            click.echo(f"filter: {len(existing)} verdict(s) already stored")
-            return
+    store = FilterStore(ctx.workspace.filters)
+    existing = store.keys()
+    pubs = sorted(load.publications, key=lambda p: p.citation.doi)
+    pending = [pub for pub in pubs if pub.citation.doi not in existing]
+    result = RunResult(skipped=len(pubs) - len(pending))
     endpoint = ctx.config.endpoint(ctx.config.filter_endpoint)
-    verdicts = []
     with ctx.gateway() as gateway:
-        for pub in sorted(load.publications, key=lambda p: p.citation.doi):
-            verdict = filter_dl_publication(
+        run_requests(
+            [pending],
+            lambda pub: filter_dl_publication(
                 pub,
                 endpoint,
                 gateway,
                 chunking=ctx.config.chunking,
                 budget=ctx.config.retrieval_budget,
-            )
-            if verdict is not None:
-                verdicts.append(verdict)
-    save_filters(ctx.workspace.filters, verdicts)
-    retained = sum(1 for v in verdicts if v.is_dl_study)
-    click.echo(f"filter: {retained}/{len(verdicts)} publication(s) retained")
+            ),
+            lambda pub: (pub.citation.doi,),
+            store,
+            ctx.config.parallelism,
+            result,
+        )
+    return _finish(
+        "filter", f"{result.completed} new verdict(s), {result.skipped} already stored", result
+    )
 
 
 def _read_reference_csv(path: str | Path) -> list[tuple[str, str, str]]:
@@ -351,7 +343,7 @@ def _do_report(ctx: RunContext) -> None:
     _require(ctx.workspace.votes, "vote")
     _require(ctx.workspace.filters, "filter")
     votes = load_votes(ctx.workspace.votes)
-    filters = load_filters(ctx.workspace.filters)
+    filters = {v.doi: v.is_dl_study for v in FilterStore(ctx.workspace.filters).load()}
     questions = {q.id: q.text for q in load_competency_questions()}
 
     coverage = metrics.per_cq_coverage(votes, filters)
@@ -430,11 +422,14 @@ def main(verbose: bool) -> None:
     )
 
 
-def _wrap(fn, *args, **kwargs):
+def _wrap(fn, *args, **kwargs) -> None:
+    """Run a stage; exit with the status it returns, or 1 on a PipelineError."""
     try:
-        return fn(*args, **kwargs)
+        status = fn(*args, **kwargs)
     except PipelineError as exc:
         raise click.ClickException(str(exc)) from exc
+    if status:
+        click.get_current_context().exit(status)
 
 
 @main.command()
@@ -494,8 +489,7 @@ def keywords_cmd(config_path, workspace, mock_dir, abstracts_dir, endpoint_name)
 @click.option("--resume/--no-resume", default=True, show_default=True,
               help="Skip answers already in the store; --no-resume first deletes the "
                    "answer and verdict stores.")
-@click.pass_context
-def ask(click_ctx, config_path, workspace, mock_dir, corpus_dir, endpoint_names, resume):
+def ask(config_path, workspace, mock_dir, corpus_dir, endpoint_names, resume):
     """Answer every question for every publication on every endpoint."""
     ctx = _context(config_path, workspace, mock_dir)
     names = endpoint_names.split(",") if endpoint_names else None
@@ -503,9 +497,7 @@ def ask(click_ctx, config_path, workspace, mock_dir, corpus_dir, endpoint_names,
         # verdicts were made from the answers being discarded
         ctx.workspace.answers.unlink(missing_ok=True)
         ctx.workspace.verdicts.unlink(missing_ok=True)
-    status = _wrap(_do_ask, ctx, corpus_dir, names)
-    if status:
-        click_ctx.exit(status)
+    _wrap(_do_ask, ctx, corpus_dir, names)
 
 
 @main.command()
@@ -565,8 +557,7 @@ def report(config_path, workspace, mock_dir):
 @_common_options
 @click.option("--corpus", "corpus_dir", type=click.Path(exists=True), required=True)
 @click.option("--endpoints", "endpoint_names", default=None)
-@click.pass_context
-def run_all(click_ctx, config_path, workspace, mock_dir, corpus_dir, endpoint_names):
+def run_all(config_path, workspace, mock_dir, corpus_dir, endpoint_names):
     """Run ingest, ask, categorize, vote, filter, evaluate (when references
     are configured), footprint, and report in order."""
     ctx = _context(config_path, workspace, mock_dir)
@@ -574,21 +565,20 @@ def run_all(click_ctx, config_path, workspace, mock_dir, corpus_dir, endpoint_na
 
     def run() -> int:
         _do_ingest(ctx, corpus_dir, None)
-        status = _do_ask(ctx, corpus_dir, names)
+        status = _do_ask(ctx, corpus_dir, names) or _do_categorize(ctx)
         if status:
             return status
-        _do_categorize(ctx)
         _do_vote(ctx)
-        _do_filter(ctx, corpus_dir)
+        status = _do_filter(ctx, corpus_dir)
+        if status:
+            return status
         if ctx.config.reference_labels or ctx.config.voting_reference:
             _do_evaluate(ctx, None, None)
         _do_footprint(ctx)
         _do_report(ctx)
         return 0
 
-    status = _wrap(run)
-    if status:
-        click_ctx.exit(status)
+    _wrap(run)
 
 
 if __name__ == "__main__":

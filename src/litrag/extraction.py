@@ -6,12 +6,11 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import threading
 from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import appendlog, prompts
 from .corpus import PublicationRecord
@@ -70,7 +69,6 @@ class TextualAnswer:
     doi: str
     cq_id: int
     endpoint: str
-    raw_text: str
     clean_text: str
     duration_ms: int
 
@@ -79,30 +77,11 @@ class TextualAnswer:
         return (self.doi, self.cq_id, self.endpoint)
 
 
-class AnswerStore:
-    """Append-only JSONL store of textual answers, keyed by (doi, cq, endpoint).
+class AnswerStore(appendlog.RecordStore[TextualAnswer]):
+    """JSONL store of textual answers, one JSON object per line, keyed by
+    (doi, cq, endpoint)."""
 
-    Records are appended as they complete so an interrupted run can resume:
-    the first `append` opens the file, which stays open until `close` or
-    `canonicalize`, and each record is flushed to the OS as it is written.
-    `canonicalize` rewrites the finished file in sorted key order, which makes
-    completed stores byte-identical regardless of worker count.
-
-    A crash can leave a final line whose newline was never written. If that
-    line does not parse, `load` drops it with a warning and the first
-    `append` truncates it away, so the next record starts on a line of its
-    own; a complete record that only lost its newline is kept. A malformed
-    line anywhere else is corruption and raises.
-    """
-
-    FIELDS = ("doi", "cq_id", "endpoint", "clean_text", "duration_ms")
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._fh: Optional[TextIO] = None
-
-    def append(self, answer: TextualAnswer) -> None:
+    def encode(self, answer: TextualAnswer) -> str:
         record = {
             "doi": answer.doi,
             "cq_id": answer.cq_id,
@@ -110,49 +89,10 @@ class AnswerStore:
             "clean_text": answer.clean_text,
             "duration_ms": answer.duration_ms,
         }
-        line = json.dumps(record, ensure_ascii=False)
-        with self._lock:
-            if self._fh is None:
-                self._fh = appendlog.open_append(self.path, _parse_tail)
-            self._fh.write(line + "\n")
-            self._fh.flush()
+        return json.dumps(record, ensure_ascii=False) + "\n"
 
-    def close(self) -> None:
-        """Close the file `append` opened; a later `append` reopens it."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = None
-
-    def load(self) -> list[dict]:
-        if not self.path.is_file():
-            return []
-        return appendlog.read_records(
-            self.path,
-            lambda lines: [json.loads(line) for line in lines if line.strip()],
-            _parse_tail,
-        )
-
-    def keys(self) -> set[tuple[str, int, str]]:
-        return {(r["doi"], r["cq_id"], r["endpoint"]) for r in self.load()}
-
-    def canonicalize(self) -> None:
-        self.close()
-        records = self.load()
-        records.sort(key=lambda r: (r["doi"], r["cq_id"], r["endpoint"]))
-        with self._lock:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                for record in records:
-                    ordered = {name: record[name] for name in self.FIELDS}
-                    fh.write(json.dumps(ordered, ensure_ascii=False) + "\n")
-
-
-def _parse_tail(line: bytes) -> Optional[dict]:
-    """The record on an unterminated final line, or None if the write was cut short."""
-    try:
-        return json.loads(line.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError):
-        return None
+    def parse(self, lines: Iterable[str]) -> list[TextualAnswer]:
+        return [TextualAnswer(**json.loads(line)) for line in lines if line.strip()]
 
 
 def _require_text(publication: PublicationRecord) -> None:
@@ -177,7 +117,6 @@ def _ask(
         doi=publication.citation.doi,
         cq_id=cq.id,
         endpoint=endpoint.name,
-        raw_text=response.text,
         clean_text=strip_answer_markers(response.text),
         duration_ms=response.duration_ms,
     )
@@ -200,14 +139,86 @@ def answer_cq(
 
 
 @dataclass
-class MatrixResult:
+class RunResult:
+    """What one stage run did. ``failed`` holds one tuple per item whose
+    request failed for good: the fields that name the item, then the error."""
+
     completed: int = 0
     skipped: int = 0
-    failed: list[tuple[str, int, str, str]] = field(default_factory=list)
+    failed: list[tuple] = field(default_factory=list)
 
     @property
     def is_complete(self) -> bool:
         return not self.failed
+
+
+T = TypeVar("T")
+R = TypeVar("R")
+
+
+def run_requests(
+    batches: Iterable[Iterable[T]],
+    call: Callable[[T], R],
+    key: Callable[[T], tuple],
+    store: appendlog.RecordStore[R],
+    parallelism: int,
+    result: RunResult,
+) -> RunResult:
+    """Make one request per item with ``call`` and append each record to
+    ``store``; ``key`` gives the fields that name an item in ``result.failed``.
+
+    Batches are taken in order on the calling thread, so whatever builds a
+    batch (retrieval, for `ask`) runs there too; with ``parallelism`` above 1
+    the calls run on a thread pool with at most two batches in flight, so
+    memory does not grow with the corpus. Records are appended on the
+    calling thread as they arrive. An item whose call raises `GatewayError`
+    is retried once after the last batch; if it fails again it goes into
+    ``result.failed`` and nothing is stored for it, so a resume retries it.
+    The store is closed when the run ends, also by an exception, and
+    canonicalized when no item failed.
+    """
+    failures: list[T] = []
+
+    def record(item: T, outcome: Callable[[], R]) -> None:
+        try:
+            store.append(outcome())
+            result.completed += 1
+        except GatewayError:
+            failures.append(item)
+
+    try:
+        if parallelism <= 1:
+            for batch in batches:
+                for item in batch:
+                    record(item, functools.partial(call, item))
+        else:
+            def drain(futures: dict[Future, T]) -> None:
+                for future in as_completed(futures):
+                    record(futures[future], future.result)
+
+            with ThreadPoolExecutor(max_workers=parallelism) as pool:
+                previous: dict[Future, T] = {}
+                for batch in batches:
+                    # build this batch while the previous one's requests run
+                    current = {pool.submit(call, item): item for item in batch}
+                    drain(previous)
+                    previous = current
+                drain(previous)
+
+        for item in failures:
+            try:
+                store.append(call(item))
+                result.completed += 1
+            except GatewayError as exc:
+                result.failed.append((*key(item), str(exc)))
+    finally:
+        store.close()
+
+    if result.is_complete:
+        store.canonicalize()
+    else:
+        log.error("%d request(s) failed; nothing was stored for them", len(result.failed))
+    return result
 
 
 # (publication, question, endpoint, retrieved context text)
@@ -240,20 +251,16 @@ def run_matrix(
     chunking: ChunkingConfig,
     budget: int = 1200,
     parallelism: int = 4,
-) -> MatrixResult:
+) -> RunResult:
     """Fill the (publication x question x endpoint) answer matrix.
 
-    Existing store entries are skipped, failed items are retried once at the
-    end of the run, and the store is canonicalized when the matrix is
-    complete; it is closed when the run ends, also by an exception.
-    Retrieval and store appends run on the calling thread, retrieval once per
-    (publication, question) with pending work; worker threads only wait on
-    the endpoints.
-    Publications are handled in DOI order with at most two publications'
-    requests in flight, so memory does not grow with the corpus.
+    Stored answers are skipped; the rest run through `run_requests`, one
+    batch per publication in DOI order. Retrieval runs on the calling
+    thread, once per (publication, question) with pending work; worker
+    threads only wait on the endpoints.
     """
     existing = store.keys()
-    result = MatrixResult()
+    result = RunResult()
     pending: list[tuple[PublicationRecord, list[tuple[CompetencyQuestion, ModelEndpoint]]]] = []
     for pub in sorted(publications, key=lambda p: p.citation.doi):
         items = []
@@ -266,54 +273,11 @@ def run_matrix(
         if items:
             pending.append((pub, items))
 
-    def ask(item: _Item) -> TextualAnswer:
-        return _ask(*item, gateway)
-
-    failures: list[_Item] = []
-
-    def record(item: _Item, answer: Callable[[], TextualAnswer]) -> None:
-        try:
-            store.append(answer())
-            result.completed += 1
-        except GatewayError:
-            failures.append(item)
-
-    try:
-        if parallelism <= 1:
-            for pub, items in pending:
-                for item in _with_contexts(pub, items, chunking, budget):
-                    record(item, functools.partial(ask, item))
-        else:
-            def drain(batch: dict[Future, _Item]) -> None:
-                for future in as_completed(batch):
-                    record(batch[future], future.result)
-
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                previous: dict[Future, _Item] = {}
-                for pub, items in pending:
-                    # build this publication's contexts while the previous one's
-                    # requests run; at most two publications are in flight
-                    current = {
-                        pool.submit(ask, item): item
-                        for item in _with_contexts(pub, items, chunking, budget)
-                    }
-                    drain(previous)
-                    previous = current
-                drain(previous)
-
-        # one end-of-run retry for anything that failed, on the same contexts
-        for item in failures:
-            pub, cq, endpoint, _ = item
-            try:
-                store.append(ask(item))
-                result.completed += 1
-            except GatewayError as exc:
-                result.failed.append((pub.citation.doi, cq.id, endpoint.name, str(exc)))
-    finally:
-        store.close()
-
-    if result.is_complete:
-        store.canonicalize()
-    else:
-        log.error("answer matrix incomplete: %d item(s) failed", len(result.failed))
-    return result
+    return run_requests(
+        (_with_contexts(pub, items, chunking, budget) for pub, items in pending),
+        lambda item: _ask(*item, gateway),
+        lambda item: (item[0].citation.doi, item[1].id, item[2].name),
+        store,
+        parallelism,
+        result,
+    )

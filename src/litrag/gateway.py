@@ -374,6 +374,8 @@ class MockBackend:
 class _EndpointState:
     semaphore: threading.Semaphore
     limiter: Optional[RateLimiter]
+    # the endpoint's credential rejection, once the backend reported one
+    rejected: Optional[AuthenticationError] = None
 
 
 class LlmGateway:
@@ -423,17 +425,24 @@ class LlmGateway:
     ) -> ChatResponse:
         """Send one request, retrying transient failures, and log the timing.
 
-        Authentication failures propagate immediately (fatal for the
-        endpoint); exhausting the retry budget raises GatewayError.
+        An authentication failure propagates immediately and is fatal for
+        the endpoint: every later request to it raises `AuthenticationError`
+        without reaching the backend. Exhausting the retry budget raises
+        GatewayError.
         """
         state = self._state(endpoint)
         last_error: Optional[Exception] = None
         with state.semaphore:
             for attempt in range(1, self.max_attempts + 1):
+                if state.rejected is not None:
+                    raise AuthenticationError(str(state.rejected))
                 if state.limiter is not None:
                     state.limiter.acquire()
                 try:
                     text, duration_ms = self.backend.send(endpoint, request)
+                except AuthenticationError as exc:
+                    state.rejected = exc
+                    raise
                 except TransientBackendError as exc:
                     last_error = exc
                     if attempt < self.max_attempts:

@@ -6,16 +6,16 @@ from __future__ import annotations
 import csv
 import enum
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
-from dataclasses import dataclass, field
+# No pool runs in this module; the span tracer in perfbench/trace.py patches this name.
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Mapping, Sequence
 
 from . import appendlog, prompts
 from .corpus import PublicationRecord
-from .errors import GatewayError
-from .extraction import CompetencyQuestion, TextualAnswer
+from .errors import PipelineError
+from .extraction import CompetencyQuestion, RunResult, TextualAnswer, run_requests
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
 from .retrieval import ChunkingConfig, retrieve_context
 
@@ -36,7 +36,6 @@ class CategoricalAnswer:
     cq_id: int
     endpoint: str
     verdict: Verdict
-    note: str = ""
 
     @property
     def key(self) -> tuple[str, int, str]:
@@ -56,7 +55,10 @@ class VoteRecord:
 class FilterVerdict:
     doi: str
     is_dl_study: bool
-    endpoint: str
+
+    @property
+    def key(self) -> str:
+        return self.doi
 
 
 def parse_categorical_response(text: str) -> Verdict:
@@ -95,16 +97,7 @@ def to_categorical(
         {"Question": question.text, "Answer": answer.clean_text},
     )
     request = ChatRequest.create(endpoint, prompt)
-    try:
-        response = gateway.complete(endpoint, request, doc_id=answer.doi, stage="categorize")
-    except GatewayError as exc:
-        return CategoricalAnswer(
-            doi=answer.doi,
-            cq_id=answer.cq_id,
-            endpoint=endpoint.name,
-            verdict=Verdict.UNPARSEABLE,
-            note=f"gateway failure: {exc}",
-        )
+    response = gateway.complete(endpoint, request, doc_id=answer.doi, stage="categorize")
     return CategoricalAnswer(
         doi=answer.doi,
         cq_id=answer.cq_id,
@@ -157,11 +150,11 @@ def filter_dl_publication(
     gateway: LlmGateway,
     chunking: ChunkingConfig,
     budget: int = 1200,
-) -> Optional[FilterVerdict]:
+) -> FilterVerdict:
     """Judge whether the publication actually describes a deep-learning study.
 
-    Returns None on gateway failure (the publication is retained with a
-    warning). An unparseable judgment also retains the publication.
+    An unparseable judgment retains the publication; a failed request
+    raises `GatewayError`.
     """
     template = prompts.default_registry().get("dl-filter")
     query = next(
@@ -174,16 +167,9 @@ def filter_dl_publication(
     )
     prompt = template.render({"context": context.text})
     request = ChatRequest.create(endpoint, prompt)
-    try:
-        response = gateway.complete(
-            endpoint, request, doc_id=publication.citation.doi, stage="filter"
-        )
-    except GatewayError as exc:
-        log.warning(
-            "filter judgment failed for %s, publication retained: %s",
-            publication.citation.doi, exc,
-        )
-        return None
+    response = gateway.complete(
+        endpoint, request, doc_id=publication.citation.doi, stage="filter"
+    )
     verdict = parse_categorical_response(response.text)
     if verdict is Verdict.UNPARSEABLE:
         log.warning(
@@ -193,94 +179,40 @@ def filter_dl_publication(
     return FilterVerdict(
         doi=publication.citation.doi,
         is_dl_study=verdict is not Verdict.NO,
-        endpoint=endpoint.name,
     )
 
 
-class VerdictStore:
-    """CSV store of categorical answers: doi, cq_id, endpoint, verdict.
+class VerdictStore(appendlog.RecordStore[CategoricalAnswer]):
+    """CSV store of categorical answers: doi, cq_id, endpoint, verdict."""
 
-    Appends go to one handle, opened by the first `append` (which writes the
-    header to a new file) and kept until `close` or `canonicalize`; each row
-    is flushed to the OS as it is written. A final row cut short by a crash
-    is handled as in `extraction.AnswerStore`: `load` drops it with a warning
-    and the first `append` truncates it, or terminates a complete row that
-    only lost its newline. A malformed row anywhere else raises.
-    """
+    header = appendlog.csv_line(("doi", "cq_id", "endpoint", "verdict"))
 
-    HEADER = ("doi", "cq_id", "endpoint", "verdict")
+    def encode(self, answer: CategoricalAnswer) -> str:
+        return appendlog.csv_line(
+            (answer.doi, answer.cq_id, answer.endpoint, answer.verdict.value)
+        )
 
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._lock = threading.Lock()
-        self._fh: Optional[TextIO] = None
-        self._writer = None
-
-    def append(self, answer: CategoricalAnswer) -> None:
-        with self._lock:
-            if self._fh is None:
-                self._fh = appendlog.open_append(self.path, _parse_tail)
-                self._writer = csv.writer(self._fh)
-                if self._fh.tell() == 0:
-                    self._writer.writerow(self.HEADER)
-            self._writer.writerow(
-                [answer.doi, answer.cq_id, answer.endpoint, answer.verdict.value]
-            )
-            self._fh.flush()
-
-    def close(self) -> None:
-        """Close the file `append` opened; a later `append` reopens it."""
-        with self._lock:
-            if self._fh is not None:
-                self._fh.close()
-                self._fh = self._writer = None
-
-    def load(self) -> list[CategoricalAnswer]:
-        if not self.path.is_file():
-            return []
-        def parse(lines: Iterator[str]) -> list[CategoricalAnswer]:
-            rows = csv.reader(lines)
-            header = next(rows, None)
-            if header is not None and tuple(header) != self.HEADER:
-                raise ValueError(f"{self.path}: expected header {','.join(self.HEADER)}")
-            return [_categorical(row) for row in rows if row]
-
-        return appendlog.read_records(self.path, parse, _parse_tail)
-
-    def keys(self) -> set[tuple[str, int, str]]:
-        return {a.key for a in self.load()}
-
-    def canonicalize(self) -> None:
-        self.close()
-        answers = sorted(self.load(), key=lambda a: a.key)
-        with self._lock:
-            with open(self.path, "w", encoding="utf-8", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(self.HEADER)
-                for a in answers:
-                    writer.writerow([a.doi, a.cq_id, a.endpoint, a.verdict.value])
+    def parse(self, lines: Iterable[str]) -> list[CategoricalAnswer]:
+        return [
+            CategoricalAnswer(doi=doi, cq_id=int(cq_id), endpoint=endpoint, verdict=Verdict(verdict))
+            for doi, cq_id, endpoint, verdict in filter(None, csv.reader(lines))
+        ]
 
 
-def _categorical(row: Sequence[str]) -> CategoricalAnswer:
-    doi, cq_id, endpoint, verdict = row
-    return CategoricalAnswer(
-        doi=doi, cq_id=int(cq_id), endpoint=endpoint, verdict=Verdict(verdict)
-    )
+class FilterStore(appendlog.RecordStore[FilterVerdict]):
+    """CSV store of filter verdicts: doi, is_dl_study (true or false)."""
 
+    header = appendlog.csv_line(("doi", "is_dl_study"))
 
-def _parse_tail(line: bytes) -> Optional[CategoricalAnswer]:
-    """The answer on an unterminated final row, or None if the write was cut short."""
-    try:
-        return _categorical(next(csv.reader([line.decode("utf-8")])))
-    except (UnicodeDecodeError, csv.Error, ValueError, StopIteration):
-        return None
+    def encode(self, verdict: FilterVerdict) -> str:
+        return appendlog.csv_line((verdict.doi, "true" if verdict.is_dl_study else "false"))
 
-
-@dataclass
-class ConversionResult:
-    completed: int = 0
-    skipped: int = 0
-    failed: list[tuple[str, int, str]] = field(default_factory=list)
+    def parse(self, lines: Iterable[str]) -> list[FilterVerdict]:
+        flags = {"true": True, "false": False}
+        return [
+            FilterVerdict(doi=doi, is_dl_study=flags[flag])
+            for doi, flag in filter(None, csv.reader(lines))
+        ]
 
 
 def run_conversions(
@@ -290,44 +222,35 @@ def run_conversions(
     gateway: LlmGateway,
     store: VerdictStore,
     parallelism: int = 4,
-) -> ConversionResult:
-    """Convert every stored textual answer; resumable like the answer matrix.
+) -> RunResult:
+    """Convert every stored textual answer that has no verdict yet, through
+    `run_requests` with one batch per publication.
 
-    Verdicts are appended on the calling thread; the store is closed when the
-    run ends, also by an exception.
+    Raises `PipelineError` before any request when an answer's question or
+    endpoint is not in the current configuration.
     """
     existing = store.keys()
-    result = ConversionResult()
-    work = []
-    for answer in sorted(answers, key=lambda a: a.key):
-        if answer.key in existing:
-            result.skipped += 1
-        else:
-            work.append(answer)
+    pending = [a for a in sorted(answers, key=lambda a: a.key) if a.key not in existing]
+    result = RunResult(skipped=len(answers) - len(pending))
+    batches: dict[str, list[TextualAnswer]] = {}
+    for answer in pending:
+        if answer.cq_id not in questions_by_id or answer.endpoint not in endpoints_by_name:
+            unknown = (f"question {answer.cq_id}" if answer.cq_id not in questions_by_id
+                       else f"endpoint {answer.endpoint!r}")
+            raise PipelineError(
+                f"a stored answer is for {unknown}, which is not configured; "
+                "run `ask --no-resume` to answer with the current configuration"
+            )
+        batches.setdefault(answer.doi, []).append(answer)
 
-    def run_one(answer: TextualAnswer) -> CategoricalAnswer:
+    def convert(answer: TextualAnswer) -> CategoricalAnswer:
         return to_categorical(
-            questions_by_id[answer.cq_id],
-            answer,
-            endpoints_by_name[answer.endpoint],
-            gateway,
+            questions_by_id[answer.cq_id], answer, endpoints_by_name[answer.endpoint], gateway
         )
 
-    try:
-        if parallelism <= 1:
-            for answer in work:
-                store.append(run_one(answer))
-                result.completed += 1
-        else:
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                futures = {pool.submit(run_one, answer): answer for answer in work}
-                for future in as_completed(futures):
-                    store.append(future.result())
-                    result.completed += 1
-    finally:
-        store.close()
-    store.canonicalize()
-    return result
+    return run_requests(
+        batches.values(), convert, lambda answer: answer.key, store, parallelism, result
+    )
 
 
 def save_votes(path: str | Path, votes: Sequence[VoteRecord]) -> None:
@@ -354,19 +277,3 @@ def load_votes(path: str | Path) -> list[VoteRecord]:
                 )
             )
     return votes
-
-
-def save_filters(path: str | Path, verdicts: Sequence[FilterVerdict]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doi", "is_dl_study"])
-        for verdict in verdicts:
-            writer.writerow([verdict.doi, str(verdict.is_dl_study).lower()])
-
-
-def load_filters(path: str | Path) -> dict[str, bool]:
-    verdicts: dict[str, bool] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            verdicts[row["doi"]] = row["is_dl_study"] == "true"
-    return verdicts

@@ -1,6 +1,8 @@
 import csv
+import os
 import shutil
 import threading
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -11,10 +13,11 @@ from litrag import cli, prompts
 from litrag.cli import main
 from litrag.config import load_config
 from litrag.corpus import load_corpus
+from litrag.errors import AuthenticationError
 from litrag.extraction import AnswerStore, load_competency_questions
 from litrag.gateway import ChatRequest, MockBackend, TimingLog
 from litrag.retrieval import retrieve_context
-from litrag.voting import VerdictStore
+from litrag.voting import FilterStore, VerdictStore
 from conftest import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
@@ -32,6 +35,15 @@ def base_args(workspace, config=None):
         "--workspace", str(workspace),
         "--mock", str(FIXTURES / "mock_responses"),
     ]
+
+
+def config_with(directory: Path, **overrides) -> Path:
+    """The fixture config with some top-level keys replaced."""
+    data = yaml.safe_load((FIXTURES / "config.yaml").read_text(encoding="utf-8"))
+    data.update(overrides)
+    path = directory / "config.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return path
 
 
 def golden_workspace(workspace: Path) -> Path:
@@ -379,6 +391,11 @@ class TestTimingLog:
         assert invoke("all", *args, *corpus).exit_code == 0
         timing = workspace / "logs" / "timing.csv"
         before = timing.read_bytes()
+        stores = [workspace / "answers" / "answers.jsonl", workspace / "verdicts" / "verdicts.csv",
+                  workspace / "filters" / "filters.csv"]
+        # a fixed past mtime shows a rewrite at any clock resolution
+        for store in stores:
+            os.utime(store, ns=(10**18, 10**18))
 
         def no_load(cls, path):
             raise AssertionError("the timing log was read")
@@ -388,6 +405,7 @@ class TestTimingLog:
             result = invoke(stage, *args, *extra)
             assert result.exit_code == 0, (stage, result.output)
         assert timing.read_bytes() == before
+        assert [store.stat().st_mtime_ns for store in stores] == [10**18] * 3
 
     def test_no_worker_thread_writes_a_file(self, tmp_path, mini_corpus_dir, monkeypatch):
         writers = []
@@ -402,6 +420,104 @@ class TestTimingLog:
         assert result.exit_code == 0, result.output
         assert len(writers) == 420 + 420 + 3
         assert set(writers) == {threading.current_thread()}
+
+
+class RejectingBackend(MockBackend):
+    """Rejects the credentials of one endpoint and counts sends per endpoint."""
+
+    def __init__(self, rejected: str) -> None:
+        super().__init__()
+        self.rejected = rejected
+        self.sends: Counter[str] = Counter()
+        self.sends_lock = threading.Lock()
+
+    def send(self, endpoint, request):
+        with self.sends_lock:
+            self.sends[endpoint.name] += 1
+        if endpoint.name == self.rejected:
+            raise AuthenticationError(f"endpoint {endpoint.name} rejected credentials (HTTP 401)")
+        return super().send(endpoint, request)
+
+
+class TestFailedRequests:
+    def test_failed_requests_store_nothing_and_a_rerun_fills_them(
+        self, tmp_path, mini_corpus_dir, monkeypatch
+    ):
+        config_path = config_with(tmp_path, backoff_seconds=0)
+        config = load_config(config_path)
+        pub = load_corpus(mini_corpus_dir).publications[1]
+        cq = load_competency_questions()[3]
+        endpoint = config.endpoints[2]
+        answer = next(a for a in AnswerStore(GOLDEN / "answers.jsonl").load()
+                      if a.key == (pub.citation.doi, cq.id, endpoint.name))
+        judged = ChatRequest.create(endpoint, prompts.render(
+            "categorical-conversion", {"Question": cq.text, "Answer": answer.clean_text}))
+        template = prompts.default_registry().get("dl-filter")
+        query = next(line[len("Query: "):] for line in template.body.splitlines()
+                     if line.startswith("Query: "))
+        context = retrieve_context(pub.full_text, query, config.chunking,
+                                   config.retrieval_budget, doc_id=pub.citation.doi)
+        filtered = ChatRequest.create(config.endpoint(config.filter_endpoint),
+                                      template.render({"context": context.text}))
+        canned = MockBackend.from_dir(FIXTURES / "mock_responses").canned
+        workspace = tmp_path / "ws"
+        args = base_args(workspace, config=config_path)
+        corpus = ["--corpus", str(mini_corpus_dir)]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.MockBackend, "from_dir", classmethod(
+                lambda cls, directory: MockBackend(
+                    canned=canned, fail_first={judged.request_id: 99, filtered.request_id: 99})))
+            result = invoke("all", *args, *corpus)
+            assert result.exit_code == 1, result.output
+            assert "categorize: 419 new verdict(s), 0 already stored, 1 failed" in result.output
+            assert not (workspace / "votes" / "votes.csv").exists()  # all stopped there
+            result = invoke("filter", *args, *corpus)
+            assert result.exit_code == 1, result.output
+            assert "filter: 2 new verdict(s), 0 already stored, 1 failed" in result.output
+        assert answer.key not in VerdictStore(workspace / "verdicts" / "verdicts.csv").keys()
+        assert len(VerdictStore(workspace / "verdicts" / "verdicts.csv").load()) == 419
+        assert FilterStore(workspace / "filters" / "filters.csv").keys() == \
+            FilterStore(GOLDEN / "filters.csv").keys() - {pub.citation.doi}
+
+        result = invoke("all", *args, *corpus)
+        assert result.exit_code == 0, result.output
+        assert "categorize: 1 new verdict(s), 419 already stored" in result.output
+        assert "filter: 1 new verdict(s), 2 already stored" in result.output
+        for sub, name in (("verdicts", "verdicts.csv"), ("votes", "votes.csv"),
+                          ("filters", "filters.csv")):
+            assert (workspace / sub / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+    def test_rejected_credentials_stop_their_endpoint(self, tmp_path, mini_corpus_dir, monkeypatch):
+        # one worker, so no second request to the endpoint is already in flight
+        # when its first rejection arrives
+        config = config_with(tmp_path, parallelism=1)
+        workspace = tmp_path / "ws"
+        rejected = "Mixtral 8x7B"
+        backend = RejectingBackend(rejected)
+        monkeypatch.setattr(cli.MockBackend, "from_dir",
+                            classmethod(lambda cls, directory: backend))
+        result = invoke("ask", *base_args(workspace, config=config),
+                        "--corpus", str(mini_corpus_dir))
+        assert result.exit_code == 1, result.output
+        assert "ask: 336 new answer(s), 0 already stored, 84 failed" in result.output
+        assert backend.sends[rejected] == 1
+        assert sorted(backend.sends.values()) == [1, 84, 84, 84, 84]
+        answers = AnswerStore(workspace / "answers" / "answers.jsonl").load()
+        assert len(answers) == 336
+        assert rejected not in {a.endpoint for a in answers}
+
+    def test_categorize_rejects_answers_of_an_unconfigured_endpoint(self, tmp_path):
+        workspace = golden_workspace(tmp_path / "ws")
+        (workspace / "verdicts" / "verdicts.csv").unlink()
+        endpoints = yaml.safe_load((FIXTURES / "config.yaml").read_text(encoding="utf-8"))["endpoints"]
+        config = config_with(tmp_path, endpoints=[e for e in endpoints if e["name"] != "Gemma 2 9B"])
+        result = invoke("categorize", *base_args(workspace, config=config))
+        assert result.exit_code == 1, result.output
+        assert not isinstance(result.exception, KeyError)
+        assert "'Gemma 2 9B'" in result.output and "ask --no-resume" in result.output
+        assert not (workspace / "verdicts" / "verdicts.csv").exists()
+        assert not timing_rows(workspace)  # no request was made
 
 
 class TestKeywordsCommand:
@@ -445,6 +561,24 @@ class TestAllChain:
             assert produced.read_bytes() == expected.read_bytes(), produced.name
         for path in sorted((GOLDEN / "reports").glob("*")):
             assert (workspace / "reports" / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_stores_left_out_of_order_are_rewritten_in_key_order(self, tmp_path, mini_corpus_dir):
+        # every record stored, but not in key order: a run killed after its
+        # last append and before its rewrite leaves the stores like this
+        workspace = golden_workspace(tmp_path / "ws")
+        for sub, name, header in (("answers", "answers.jsonl", 0),
+                                  ("verdicts", "verdicts.csv", 1),
+                                  ("filters", "filters.csv", 1)):
+            lines = (GOLDEN / name).read_bytes().splitlines(keepends=True)
+            (workspace / sub / name).write_bytes(b"".join(lines[:header] + lines[header:][::-1]))
+        corpus = ["--corpus", str(mini_corpus_dir)]
+        for stage, extra in (("ask", corpus), ("categorize", []), ("filter", corpus)):
+            result = invoke(stage, *base_args(workspace), *extra)
+            assert result.exit_code == 0, (stage, result.output)
+            assert f"{stage}: 0 new" in result.output
+        for sub, name in (("answers", "answers.jsonl"), ("verdicts", "verdicts.csv"),
+                          ("filters", "filters.csv")):
+            assert (workspace / sub / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_all_rerun_is_noop(self, tmp_path, mini_corpus_dir):
         workspace = tmp_path / "ws"

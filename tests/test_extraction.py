@@ -81,7 +81,6 @@ class TestAnswerCq:
         request = ChatRequest.create(endpoint, prompt)
         gateway = make_gateway(canned={request.request_id: "Helpful Answer:: Images."})
         answer = answer_cq(pub, cq, endpoint, gateway, self.CONFIG, budget=1200)
-        assert answer.raw_text == "Helpful Answer:: Images."
         assert answer.clean_text == "Images."
         assert answer.duration_ms >= 0
 
@@ -109,26 +108,23 @@ class TestAnswerCq:
 class TestAnswerStore:
     def test_append_load_roundtrip(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
-        store.append(TextualAnswer("10.1/a", 1, "M", "raw", "clean", 5))
+        store.append(TextualAnswer("10.1/a", 1, "M", "clean", 5))
         records = store.load()  # each record is flushed as it is appended
         store.close()
-        assert records == [
-            {"doi": "10.1/a", "cq_id": 1, "endpoint": "M", "clean_text": "clean",
-             "duration_ms": 5}
-        ]
+        assert records == [TextualAnswer("10.1/a", 1, "M", "clean", 5)]
 
     def test_canonicalize_sorts_by_key(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
-        store.append(TextualAnswer("10.1/b", 2, "M", "", "two", 1))
-        store.append(TextualAnswer("10.1/a", 1, "Z", "", "one-z", 1))
-        store.append(TextualAnswer("10.1/a", 1, "A", "", "one-a", 1))
+        store.append(TextualAnswer("10.1/b", 2, "M", "two", 1))
+        store.append(TextualAnswer("10.1/a", 1, "Z", "one-z", 1))
+        store.append(TextualAnswer("10.1/a", 1, "A", "one-a", 1))
         store.canonicalize()
-        keys = [(r["doi"], r["cq_id"], r["endpoint"]) for r in store.load()]
+        keys = [r.key for r in store.load()]
         assert keys == sorted(keys)
 
     def test_canonical_file_is_stable_json(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
-        store.append(TextualAnswer("10.1/a", 1, "M", "", "text", 7))
+        store.append(TextualAnswer("10.1/a", 1, "M", "text", 7))
         store.canonicalize()
         line = (tmp_path / "answers.jsonl").read_text(encoding="utf-8").strip()
         assert json.loads(line) == {
@@ -138,10 +134,10 @@ class TestAnswerStore:
 
     def test_malformed_line_before_the_last_raises(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
-        store.append(TextualAnswer("10.1/a", 1, "M", "", "one", 1))
+        store.append(TextualAnswer("10.1/a", 1, "M", "one", 1))
         with open(store.path, "a", encoding="utf-8") as fh:
             fh.write('{"doi": "10.1/b", "cq\n')
-        store.append(TextualAnswer("10.1/c", 1, "M", "", "three", 1))
+        store.append(TextualAnswer("10.1/c", 1, "M", "three", 1))
         store.close()
         with pytest.raises(json.JSONDecodeError):
             store.load()

@@ -5,6 +5,7 @@ import pytest
 
 from litrag import prompts
 from litrag.corpus import CitationRecord, PublicationRecord
+from litrag.errors import GatewayError
 from litrag.extraction import CompetencyQuestion, TextualAnswer
 from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
 from litrag.retrieval import ChunkingConfig
@@ -78,8 +79,7 @@ class TestParseCategoricalResponse:
 class TestToCategorical:
     def test_specific_answer_judged_yes(self):
         question = CompetencyQuestion(id=2, text=EXAMPLE_YES_QUESTION)
-        answer = TextualAnswer("10.1/a", 2, ENDPOINT.name, EXAMPLE_YES_ANSWER,
-                               EXAMPLE_YES_ANSWER, 10)
+        answer = TextualAnswer("10.1/a", 2, ENDPOINT.name, EXAMPLE_YES_ANSWER, 10)
         gateway = conversion_gateway(EXAMPLE_YES_QUESTION, EXAMPLE_YES_ANSWER,
                                      "Answer:::\nResponse: Yes\nAnswer:::")
         verdict = to_categorical(question, answer, ENDPOINT, gateway)
@@ -87,8 +87,7 @@ class TestToCategorical:
 
     def test_unspecific_answer_judged_no(self):
         question = CompetencyQuestion(id=1, text=EXAMPLE_NO_QUESTION)
-        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, EXAMPLE_NO_ANSWER,
-                               EXAMPLE_NO_ANSWER, 10)
+        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, EXAMPLE_NO_ANSWER, 10)
         gateway = conversion_gateway(EXAMPLE_NO_QUESTION, EXAMPLE_NO_ANSWER,
                                      "Answer:::\nResponse: No\nAnswer:::")
         verdict = to_categorical(question, answer, ENDPOINT, gateway)
@@ -96,32 +95,31 @@ class TestToCategorical:
 
     def test_free_prose_is_unparseable(self):
         question = CompetencyQuestion(id=1, text="Q?")
-        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, "A.", "A.", 10)
+        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, "A.", 10)
         gateway = conversion_gateway("Q?", "A.", "I believe the answer is affirmative.")
         assert to_categorical(question, answer, ENDPOINT, gateway).verdict is Verdict.UNPARSEABLE
 
-    def test_gateway_failure_becomes_unparseable_with_note(self):
+    def test_gateway_failure_raises(self):
         question = CompetencyQuestion(id=1, text="Q?")
-        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, "A.", "A.", 10)
+        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, "A.", 10)
         prompt = prompts.render("categorical-conversion", {"Question": "Q?", "Answer": "A."})
         request = ChatRequest.create(ENDPOINT, prompt)
         gateway = LlmGateway(
             MockBackend(fail_first={request.request_id: 99}), sleep=lambda s: None
         )
-        verdict = to_categorical(question, answer, ENDPOINT, gateway)
-        assert verdict.verdict is Verdict.UNPARSEABLE
-        assert "gateway failure" in verdict.note
+        with pytest.raises(GatewayError):
+            to_categorical(question, answer, ENDPOINT, gateway)
 
     def test_mismatched_endpoint_rejected(self):
         question = CompetencyQuestion(id=1, text="Q?")
-        answer = TextualAnswer("10.1/a", 1, "Somebody Else", "A.", "A.", 10)
+        answer = TextualAnswer("10.1/a", 1, "Somebody Else", "A.", 10)
         with pytest.raises(ValueError):
             to_categorical(question, answer, ENDPOINT,
                            LlmGateway(MockBackend(), sleep=lambda s: None))
 
     def test_categorize_stage_logged(self):
         question = CompetencyQuestion(id=1, text="Q?")
-        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, "A.", "A.", 10)
+        answer = TextualAnswer("10.1/a", 1, ENDPOINT.name, "A.", 10)
         gateway = conversion_gateway("Q?", "A.", "Response: Yes")
         to_categorical(question, answer, ENDPOINT, gateway)
         assert gateway.timing_log.entries()[0].stage == "categorize"
@@ -220,7 +218,7 @@ class TestFilterDlPublication:
         verdict = filter_dl_publication(pub, ENDPOINT, gateway, CONFIG)
         assert verdict.is_dl_study is False
 
-    def test_gateway_failure_returns_none(self):
+    def test_gateway_failure_raises(self):
         pub = self.pub()
         template = prompts.default_registry().get("dl-filter")
         query = next(line[len("Query: "):] for line in template.body.splitlines()
@@ -233,7 +231,8 @@ class TestFilterDlPublication:
         request = ChatRequest.create(ENDPOINT, prompt)
         gateway = LlmGateway(MockBackend(fail_first={request.request_id: 99}),
                              sleep=lambda s: None)
-        assert filter_dl_publication(pub, ENDPOINT, gateway, CONFIG) is None
+        with pytest.raises(GatewayError):
+            filter_dl_publication(pub, ENDPOINT, gateway, CONFIG)
 
     def test_unparseable_retains_publication(self):
         pub = self.pub()
