@@ -3,84 +3,3 @@ under retrieval-augmented generation, vote the answers, and report agreement,
 similarity, coverage, and compute-footprint analytics."""
 
 __version__ = "0.1.0"
-
-from .corpus import (
-    CitationRecord,
-    KeywordSet,
-    PublicationRecord,
-    build_search_queries,
-    dedupe_by_doi,
-    load_corpus,
-    normalize_doi,
-    parse_bibliography,
-)
-from .extraction import (
-    CompetencyQuestion,
-    TextualAnswer,
-    answer_cq,
-    load_competency_questions,
-    run_matrix,
-    strip_answer_markers,
-)
-from .gateway import (
-    ChatRequest,
-    ChatResponse,
-    LlmGateway,
-    MockBackend,
-    ModelEndpoint,
-    TimingLog,
-    dedupe_timing_logs,
-    sum_runtime,
-)
-from .metrics import LabelSeries, agreement_counts, average_pairwise_similarity, cohen_kappa
-from .retrieval import Chunk, ChunkingConfig, assemble_context, chunk_document, score_chunks
-from .voting import (
-    CategoricalAnswer,
-    FilterVerdict,
-    Verdict,
-    VoteRecord,
-    majority_vote,
-    parse_categorical_response,
-    to_categorical,
-)
-
-__all__ = [
-    "CitationRecord",
-    "KeywordSet",
-    "PublicationRecord",
-    "build_search_queries",
-    "dedupe_by_doi",
-    "load_corpus",
-    "normalize_doi",
-    "parse_bibliography",
-    "CompetencyQuestion",
-    "TextualAnswer",
-    "answer_cq",
-    "load_competency_questions",
-    "run_matrix",
-    "strip_answer_markers",
-    "ChatRequest",
-    "ChatResponse",
-    "LlmGateway",
-    "MockBackend",
-    "ModelEndpoint",
-    "TimingLog",
-    "dedupe_timing_logs",
-    "sum_runtime",
-    "LabelSeries",
-    "agreement_counts",
-    "average_pairwise_similarity",
-    "cohen_kappa",
-    "Chunk",
-    "ChunkingConfig",
-    "assemble_context",
-    "chunk_document",
-    "score_chunks",
-    "CategoricalAnswer",
-    "FilterVerdict",
-    "Verdict",
-    "VoteRecord",
-    "majority_vote",
-    "parse_categorical_response",
-    "to_categorical",
-]

@@ -22,7 +22,7 @@ from . import keywords as keywords_mod
 from . import metrics, reports, textsim
 from .config import PipelineConfig, load_config
 from .corpus import CorpusLoad, load_corpus
-from .errors import MissingArtifactError, PipelineError
+from .errors import ConfigError, MissingArtifactError, PipelineError
 from .extraction import (
     AnswerStore,
     RunResult,
@@ -127,8 +127,12 @@ def _common_options(fn):
 
 
 def _context(config_path, workspace, mock_dir) -> RunContext:
+    try:
+        config = load_config(config_path)
+    except ConfigError as exc:
+        raise click.ClickException(str(exc)) from exc
     return RunContext(
-        config=load_config(config_path),
+        config=config,
         workspace=Workspace(Path(workspace)),
         mock_dir=Path(mock_dir) if mock_dir is not None else None,
     )
@@ -351,7 +355,9 @@ def _do_report(ctx: RunContext) -> None:
     reports.write_report(ctx.workspace.reports_dir, "coverage", header, rows)
 
     answers = _load_answers(ctx)
-    endpoint_names = [e.name for e in ctx.config.endpoints]
+    # compare the configured endpoints that answered, such as after `ask --endpoints`
+    answered = {a.endpoint for a in answers}
+    endpoint_names = [e.name for e in ctx.config.endpoints if e.name in answered]
     # one tokenization per answer serves both similarity matrices
     terms_by_endpoint = {
         name: {
@@ -361,6 +367,7 @@ def _do_report(ctx: RunContext) -> None:
         }
         for name in endpoint_names
     }
+    _require_complete(terms_by_endpoint, "answers", "ask")
     retained = {doi for doi, keep in filters.items() if keep}
     terms_after = {
         name: {key: terms for key, terms in answers_for.items() if key[0] in retained}
@@ -377,7 +384,6 @@ def _do_report(ctx: RunContext) -> None:
 
     _require(ctx.workspace.verdicts, "categorize")
     verdict_rows = VerdictStore(ctx.workspace.verdicts).load()
-    keys = sorted({(v.doi, v.cq_id) for v in verdict_rows})
     labels_by_endpoint = {
         name: {
             (v.doi, v.cq_id): _verdict_label(v.verdict)
@@ -386,6 +392,7 @@ def _do_report(ctx: RunContext) -> None:
         }
         for name in endpoint_names
     }
+    keys = sorted(_require_complete(labels_by_endpoint, "verdicts", "categorize"))
     kept_keys = [k for k in keys if k[0] in retained]
     # like the similarity table, drop the after-filtering column when the
     # filter retained nothing to compare
@@ -399,6 +406,19 @@ def _do_report(ctx: RunContext) -> None:
             kappa_stats.append(row)
     reports.write_report(ctx.workspace.reports_dir, "iaa_pairs", header, kappa_stats)
     click.echo("report: wrote coverage, similarity, iaa_pairs")
+
+
+def _require_complete(by_endpoint: dict[str, dict], what: str, stage: str) -> set:
+    """The keys any endpoint holds; raises `PipelineError` naming an endpoint
+    that lacks some of them."""
+    keys: set = set().union(*by_endpoint.values())
+    for name, records in by_endpoint.items():
+        if len(records) < len(keys):
+            raise PipelineError(
+                f"endpoint {name} has {what} for {len(records)} of {len(keys)} items; "
+                f"rerun {stage}"
+            )
+    return keys
 
 
 def _pair_kappa(labels_by_endpoint, a: str, b: str, keys) -> float:

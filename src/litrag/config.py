@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import logging
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Iterable, Optional
 
 import yaml
 
 from .errors import ConfigError
-from .footprint import GERMANY_INTENSITY_KG_PER_KWH, MEMORY_W_PER_GB, TREE_MONTH_KG, HardwareProfile
-from .gateway import ModelEndpoint
-from .retrieval import ChunkingConfig, TokenUnit
+from .footprint import GERMANY_INTENSITY_KG_PER_KWH, TREE_MONTH_KG, HardwareProfile
+from .gateway import DEFAULT_BACKOFF_SECONDS, DEFAULT_MAX_ATTEMPTS, ModelEndpoint
+from .retrieval import ChunkingConfig
+
+log = logging.getLogger(__name__)
 
 # The five hosted models the pipeline was designed around; base URLs and API
 # keys must be supplied in the config for live runs, the mock backend ignores
@@ -36,11 +39,20 @@ class PipelineConfig:
     hardware_profile: Optional[HardwareProfile] = None
     location_intensity: float = GERMANY_INTENSITY_KG_PER_KWH
     tree_month_constant: float = TREE_MONTH_KG
-    max_attempts: int = 3
-    backoff_seconds: float = 2.0
+    max_attempts: int = DEFAULT_MAX_ATTEMPTS
+    backoff_seconds: float = DEFAULT_BACKOFF_SECONDS
     reference_labels: Optional[str] = None  # per-endpoint categorical reference CSV
     voting_reference: Optional[str] = None  # voting-vs-human reference CSV
     cq_variable_mapping: dict[int, str] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        for key, low in (("retrieval_budget", 0), ("parallelism", 1), ("max_attempts", 1),
+                         ("backoff_seconds", 0)):
+            value = getattr(self, key)
+            if value < low:
+                raise ConfigError(f"config key {key} must be at least {low}, got {value}")
+        if self.tie_rule not in ("yes", "no"):
+            raise ConfigError(f"config key tie_rule must be 'yes' or 'no', got {self.tie_rule!r}")
 
     def endpoint(self, name: str) -> ModelEndpoint:
         for endpoint in self.endpoints:
@@ -58,8 +70,43 @@ def _default_endpoints() -> list[ModelEndpoint]:
     return [ModelEndpoint(name=name) for name in DEFAULT_ENDPOINT_NAMES]
 
 
+_REQUIRED: Any = object()
+
+
+def _reader(spec: Any, section: str, known: Iterable[str]) -> Callable[..., Any]:
+    """`_read` over the mapping ``spec``, which the config names ``section``;
+    each key of ``spec`` outside ``known`` is ignored with a warning."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key {section} must be a mapping")
+    prefix = f"{section}." if section else ""
+    for key in spec:
+        if key not in known:
+            log.warning("unknown config key %s%s ignored", prefix, key)
+
+    def _read(key: str, default: Any = _REQUIRED, kind: Optional[Callable] = None) -> Any:
+        """``spec[key]`` converted by ``kind``, by default the type of
+        ``default``, which stands in for an absent or null key."""
+        value = spec.get(key)
+        if value is None:
+            if default is _REQUIRED:
+                raise ConfigError(f"config key {prefix}{key} is required")
+            return default
+        try:
+            return (kind or type(default))(value)
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ConfigError(f"config key {prefix}{key}: cannot read {value!r}: {exc}") from exc
+
+    return _read
+
+
+def _question_variables(mapping: dict) -> dict[int, str]:
+    return {int(cq_id): str(variable) for cq_id, variable in mapping.items()}
+
+
 def load_config(path: Optional[str | Path]) -> PipelineConfig:
-    """Build a PipelineConfig from YAML; missing keys fall back to defaults."""
+    """Build a PipelineConfig from YAML; a missing key keeps its dataclass
+    default, a malformed one raises `ConfigError` and an unknown one is
+    ignored with a warning."""
     if path is None:
         return PipelineConfig(endpoints=_default_endpoints())
     try:
@@ -68,72 +115,71 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping")
+    read = _reader(data, "", {f.name for f in fields(PipelineConfig)})
 
     endpoints = []
-    for spec in data.get("endpoints", []):
+    for i, spec in enumerate(data.get("endpoints") or []):
+        read_endpoint = _reader(spec, f"endpoints[{i}]", {f.name for f in fields(ModelEndpoint)})
         try:
             endpoints.append(
                 ModelEndpoint(
-                    name=spec["name"],
-                    base_url=spec.get("base_url", ""),
-                    model_id=spec.get("model_id", ""),
-                    temperature=float(spec.get("temperature", 0.0)),
-                    max_response_words=int(spec.get("max_response_words", 400)),
-                    api_key_env=spec.get("api_key_env", ""),
-                    rate_limit_per_min=spec.get("rate_limit_per_min"),
+                    name=read_endpoint("name", kind=str),
+                    base_url=read_endpoint("base_url", ModelEndpoint.base_url),
+                    model_id=read_endpoint("model_id", ModelEndpoint.model_id),
+                    temperature=read_endpoint("temperature", ModelEndpoint.temperature),
+                    api_key_env=read_endpoint("api_key_env", ModelEndpoint.api_key_env),
+                    rate_limit_per_min=read_endpoint(
+                        "rate_limit_per_min", ModelEndpoint.rate_limit_per_min, int
+                    ),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad endpoint entry {spec!r}: {exc}") from exc
     if not endpoints:
         endpoints = _default_endpoints()
 
-    chunking_spec = data.get("chunking", {})
+    known = ("chunk_size", "chunk_overlap", "token_unit")
+    read_chunking = _reader(data.get("chunking") or {}, "chunking", known)
     try:
         chunking = ChunkingConfig(
-            chunk_size=int(chunking_spec.get("chunk_size", 1000)),
-            overlap=int(chunking_spec.get("chunk_overlap", 50)),
-            token_unit=TokenUnit(chunking_spec.get("token_unit", "whitespace-word")),
+            chunk_size=read_chunking("chunk_size", ChunkingConfig.chunk_size),
+            overlap=read_chunking("chunk_overlap", ChunkingConfig.overlap),
+            token_unit=read_chunking("token_unit", ChunkingConfig.token_unit),
         )
     except ValueError as exc:
         raise ConfigError(f"bad chunking config: {exc}") from exc
 
     profile = None
-    profile_spec = data.get("hardware_profile")
-    if profile_spec:
+    if data.get("hardware_profile"):
+        read_profile = _reader(
+            data["hardware_profile"], "hardware_profile", {f.name for f in fields(HardwareProfile)}
+        )
         try:
             profile = HardwareProfile(
-                name=profile_spec.get("name", "default"),
-                cores=int(profile_spec["cores"]),
-                power_per_core=float(profile_spec["power_per_core"]),
-                usage=float(profile_spec.get("usage", 1.0)),
-                memory_gb=float(profile_spec.get("memory_gb", 0.0)),
-                memory_power=float(profile_spec.get("memory_power", MEMORY_W_PER_GB)),
-                pue=float(profile_spec.get("pue", 1.0)),
+                name=read_profile("name", "default"),
+                cores=read_profile("cores", kind=int),
+                power_per_core=read_profile("power_per_core", kind=float),
+                usage=read_profile("usage", HardwareProfile.usage),
+                memory_gb=read_profile("memory_gb", HardwareProfile.memory_gb),
+                memory_power=read_profile("memory_power", HardwareProfile.memory_power),
+                pue=read_profile("pue", HardwareProfile.pue),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad hardware profile: {exc}") from exc
 
-    mapping = {}
-    for key, value in (data.get("cq_variable_mapping") or {}).items():
-        mapping[int(key)] = str(value)
-
-    config = PipelineConfig(
+    return PipelineConfig(
         endpoints=endpoints,
         chunking=chunking,
-        retrieval_budget=int(data.get("retrieval_budget", 1200)),
-        parallelism=int(data.get("parallelism", 4)),
-        tie_rule=data.get("tie_rule", "no"),
-        filter_endpoint=data.get("filter_endpoint", endpoints[0].name),
+        retrieval_budget=read("retrieval_budget", PipelineConfig.retrieval_budget),
+        parallelism=read("parallelism", PipelineConfig.parallelism),
+        tie_rule=read("tie_rule", PipelineConfig.tie_rule),
+        filter_endpoint=read("filter_endpoint", endpoints[0].name),
         hardware_profile=profile,
-        location_intensity=float(data.get("location_intensity", GERMANY_INTENSITY_KG_PER_KWH)),
-        tree_month_constant=float(data.get("tree_month_constant", TREE_MONTH_KG)),
-        max_attempts=int(data.get("max_attempts", 3)),
-        backoff_seconds=float(data.get("backoff_seconds", 2.0)),
-        reference_labels=data.get("reference_labels"),
-        voting_reference=data.get("voting_reference"),
-        cq_variable_mapping=mapping,
+        location_intensity=read("location_intensity", PipelineConfig.location_intensity),
+        tree_month_constant=read("tree_month_constant", PipelineConfig.tree_month_constant),
+        max_attempts=read("max_attempts", PipelineConfig.max_attempts),
+        backoff_seconds=read("backoff_seconds", PipelineConfig.backoff_seconds),
+        reference_labels=read("reference_labels", PipelineConfig.reference_labels, str),
+        voting_reference=read("voting_reference", PipelineConfig.voting_reference, str),
+        cq_variable_mapping=read("cq_variable_mapping", {}, _question_variables),
     )
-    if config.tie_rule not in ("yes", "no"):
-        raise ConfigError(f"tie_rule must be 'yes' or 'no', got {config.tie_rule!r}")
-    return config

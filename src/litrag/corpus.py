@@ -9,13 +9,14 @@ offending entry so that a long export can be repaired by hand.
 
 from __future__ import annotations
 
-import enum
 import logging
 import os
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Sequence
+
+from .errors import PipelineError
 
 log = logging.getLogger(__name__)
 
@@ -48,7 +49,6 @@ class CitationRecord:
     title: str = ""
     year: Optional[int] = None
     venue: str = ""
-    raw_entry: str = ""
 
     def __post_init__(self) -> None:
         if not self.doi:
@@ -57,16 +57,10 @@ class CitationRecord:
             raise ValueError(f"year {self.year} outside [1900, 2100]")
 
 
-class TextSource(str, enum.Enum):
-    LOCAL_FILE = "local-file"
-    EXTERNAL_FETCH = "external-fetch"
-
-
 @dataclass(frozen=True)
 class PublicationRecord:
     citation: CitationRecord
     full_text: str
-    text_source: TextSource = TextSource.LOCAL_FILE
     word_count: int = -1
 
     def __post_init__(self) -> None:
@@ -77,16 +71,9 @@ class PublicationRecord:
             raise ValueError("word_count must equal the whitespace token count")
 
 
-class KeywordProvenance(str, enum.Enum):
-    LLM_EXTRACTED = "llm-extracted"
-    LLM_CONSOLIDATED = "llm-consolidated"
-    HUMAN_CURATED = "human-curated"
-
-
 @dataclass(frozen=True)
 class KeywordSet:
     keywords: tuple[str, ...]
-    provenance: KeywordProvenance
 
     def __post_init__(self) -> None:
         seen: set[str] = set()
@@ -111,10 +98,7 @@ class EntryError:
 
 @dataclass(frozen=True)
 class ParsedEntry:
-    entry_type: str
     key: str
-    fields: dict
-    raw: str
 
 
 @dataclass
@@ -235,12 +219,11 @@ def parse_bibliography(text: str) -> BibliographyParse:
             nxt = text.find("\n@", j)
             i = nxt + 1 if nxt >= 0 else n
             continue
-        raw = text[at:end]
         i = end
         if entry_type in _SKIP_ENTRY_TYPES:
             continue
         key, fields = _parse_fields(text[j + 1:end - 1])
-        entry = ParsedEntry(entry_type=entry_type, key=key, fields=fields, raw=raw)
+        entry = ParsedEntry(key=key)
         doi = normalize_doi(fields.get("doi", ""))
         if not doi:
             result.without_doi.append(entry)
@@ -261,7 +244,6 @@ def parse_bibliography(text: str) -> BibliographyParse:
                 title=_strip_braces(fields.get("title", "")),
                 year=year,
                 venue=_strip_braces(fields.get("journal", fields.get("booktitle", ""))),
-                raw_entry=raw,
             )
         )
     return result
@@ -307,7 +289,7 @@ class CorpusLoad:
     parse: BibliographyParse = field(default_factory=BibliographyParse)
 
 
-def _run_fetch_hook(fetch_command: str, doi: str, directory: Path) -> bool:
+def _run_fetch_hook(fetch_command: str, doi: str, directory: Path) -> None:
     """Invoke the external full-text fetcher; it inherits the environment
     (including ELSEVIER_API_KEY) and is expected to write <doi>.txt into
     the corpus directory."""
@@ -322,11 +304,9 @@ def _run_fetch_hook(fetch_command: str, doi: str, directory: Path) -> bool:
         )
     except (OSError, subprocess.TimeoutExpired) as exc:
         log.error("fetch hook failed for %s: %s", doi, exc)
-        return False
+        return
     if proc.returncode != 0:
         log.error("fetch hook exited %d for %s: %s", proc.returncode, doi, proc.stderr.strip())
-        return False
-    return True
 
 
 def load_corpus(
@@ -346,15 +326,16 @@ def load_corpus(
         if len(candidates) == 1:
             bib_path = candidates[0]
         else:
-            raise FileNotFoundError(f"no bibliography file found in {directory}")
+            raise PipelineError(
+                f"no bibliography in {directory}: expected {bibliography} or exactly one "
+                f".bib file, found {len(candidates)}"
+            )
     parse = parse_bibliography(bib_path.read_text(encoding="utf-8", errors="replace"))
     load = CorpusLoad(parse=parse)
     for citation in dedupe_by_doi(parse.records):
         text_path = directory / doi_to_filename(citation.doi)
-        source = TextSource.LOCAL_FILE
         if not text_path.is_file() and fetch_command:
-            if _run_fetch_hook(fetch_command, citation.doi, directory):
-                source = TextSource.EXTERNAL_FETCH
+            _run_fetch_hook(fetch_command, citation.doi, directory)
         if not text_path.is_file():
             load.skipped.append((citation.doi, "no full-text file"))
             continue
@@ -367,7 +348,5 @@ def load_corpus(
             log.warning("empty full text for %s, record excluded", citation.doi)
             load.skipped.append((citation.doi, "empty full text"))
             continue
-        load.publications.append(
-            PublicationRecord(citation=citation, full_text=full_text, text_source=source)
-        )
+        load.publications.append(PublicationRecord(citation=citation, full_text=full_text))
     return load

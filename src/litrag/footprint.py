@@ -9,7 +9,6 @@ configurable; the defaults are calibrated for Germany.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
 
 from .gateway import STAGES, TimingLog, dedupe_timing_logs, sum_runtime
 
@@ -41,11 +40,9 @@ class HardwareProfile:
 
 @dataclass(frozen=True)
 class EnergyEstimate:
-    runtime_h: float
     energy_kwh: float
     carbon_kg: float
     tree_months: float
-    intensity: float
 
 
 def estimate_energy(runtime_h: float, profile: HardwareProfile) -> float:
@@ -80,11 +77,9 @@ def estimate_footprint(
     energy = estimate_energy(runtime_h, profile)
     carbon = estimate_carbon(energy, intensity)
     return EnergyEstimate(
-        runtime_h=runtime_h,
         energy_kwh=energy,
         carbon_kg=carbon,
         tree_months=to_tree_months(carbon, tree_month_constant),
-        intensity=intensity,
     )
 
 
@@ -102,12 +97,11 @@ def footprint_from_log(
     profile: HardwareProfile,
     intensity: float = GERMANY_INTENSITY_KG_PER_KWH,
     tree_month_constant: float = TREE_MONTH_KG,
-    stages: Optional[Sequence[str]] = None,
 ) -> list[FootprintRow]:
     """Per-stage footprint rows from a (possibly re-run) timing log."""
     deduped = dedupe_timing_logs(timing)
     rows = []
-    for stage in stages or STAGES:
+    for stage in STAGES:
         runtime_h = sum_runtime(deduped, stage) / 3_600_000
         estimate = estimate_footprint(runtime_h, profile, intensity, tree_month_constant)
         rows.append(

@@ -31,7 +31,8 @@ STAGES = ("rag", "categorize", "filter", "keywords")
 
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_SECONDS = 2.0
-DEFAULT_MAX_IN_FLIGHT = 4
+# Requests one endpoint may have in flight at once, whatever the parallelism.
+MAX_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class ModelEndpoint:
     base_url: str = ""
     model_id: str = ""
     temperature: float = 0.0
-    max_response_words: int = 400
     api_key_env: str = ""
     rate_limit_per_min: Optional[int] = None
 
@@ -387,7 +387,6 @@ class LlmGateway:
         timing_log: Optional[TimingLog] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
-        max_in_flight: int = DEFAULT_MAX_IN_FLIGHT,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -395,7 +394,6 @@ class LlmGateway:
         self.timing_log = timing_log if timing_log is not None else TimingLog()
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
-        self.max_in_flight = max_in_flight
         self._sleep = sleep
         self._clock = clock
         self._states: dict[str, _EndpointState] = {}
@@ -411,7 +409,7 @@ class LlmGateway:
                         endpoint.rate_limit_per_min, clock=self._clock, sleep=self._sleep
                     )
                 state = _EndpointState(
-                    semaphore=threading.Semaphore(self.max_in_flight), limiter=limiter
+                    semaphore=threading.Semaphore(MAX_IN_FLIGHT), limiter=limiter
                 )
                 self._states[endpoint.name] = state
             return state

@@ -8,7 +8,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import prompts
-from .corpus import KeywordProvenance, KeywordSet
+from .corpus import KeywordSet
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
 
 log = logging.getLogger(__name__)
@@ -99,7 +99,7 @@ def load_curated(path: str | Path) -> KeywordSet:
         keywords.append(keyword)
     if not keywords:
         raise ValueError(f"curated keyword file {path} is empty")
-    return KeywordSet(keywords=tuple(keywords), provenance=KeywordProvenance.HUMAN_CURATED)
+    return KeywordSet(keywords=tuple(keywords))
 
 
 def save_keywords(path: str | Path, keywords: Sequence[str]) -> None:

@@ -1,4 +1,4 @@
-"""Registry of fixed prompt templates and their rendering.
+"""Fixed prompt templates and their rendering.
 
 Template bodies live as UTF-8 text files under ``litrag/templates`` with
 ``{name}`` placeholders. Rendering is a single-pass substitution: text coming
@@ -7,6 +7,7 @@ in through a binding is inserted literally and never re-expanded.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -59,34 +60,15 @@ def _load(template_id: str) -> PromptTemplate:
     return PromptTemplate(id=template_id, body=body, placeholders=tuple(names))
 
 
-class PromptRegistry:
-    """Immutable after construction; safe to share between threads."""
-
-    def __init__(self) -> None:
-        self._templates = {tid: _load(tid) for tid in _TEMPLATE_FILES}
-
-    def get(self, template_id: str) -> PromptTemplate:
-        try:
-            return self._templates[template_id]
-        except KeyError:
-            raise TemplateError(f"unknown template id {template_id!r}") from None
-
-    def render(self, template_id: str, bindings: Mapping[str, str]) -> str:
-        return self.get(template_id).render(bindings)
-
-    def ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self._templates))
-
-
-_default_registry: PromptRegistry | None = None
-
-
-def default_registry() -> PromptRegistry:
-    global _default_registry
-    if _default_registry is None:
-        _default_registry = PromptRegistry()
-    return _default_registry
+@functools.cache
+def default_registry() -> dict[str, PromptTemplate]:
+    """Every template by id, loaded once; callers must not modify it."""
+    return {tid: _load(tid) for tid in _TEMPLATE_FILES}
 
 
 def render(template_id: str, bindings: Mapping[str, str]) -> str:
-    return default_registry().render(template_id, bindings)
+    try:
+        template = default_registry()[template_id]
+    except KeyError:
+        raise TemplateError(f"unknown template id {template_id!r}") from None
+    return template.render(bindings)

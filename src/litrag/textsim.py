@@ -36,9 +36,8 @@ def term_counts(text: str) -> Counter[str]:
 class TfidfModel:
     """Idf table fitted over a fixed document collection."""
 
-    def __init__(self, idf: Mapping[str, float], n_docs: int):
+    def __init__(self, idf: Mapping[str, float]):
         self.idf = dict(idf)
-        self.n_docs = n_docs
 
     @classmethod
     def fit(cls, documents: Iterable[str]) -> "TfidfModel":
@@ -49,15 +48,15 @@ class TfidfModel:
         """Fit on documents given as their distinct terms, such as the keys
         of `term_counts`."""
         doc_freq: Counter[str] = Counter()
-        n_docs = 0
+        n = 0
         for terms in documents:
-            n_docs += 1
+            n += 1
             doc_freq.update(terms)
         idf = {
-            term: math.log((1 + n_docs) / (1 + df)) + 1.0
+            term: math.log((1 + n) / (1 + df)) + 1.0
             for term, df in doc_freq.items()
         }
-        return cls(idf, n_docs)
+        return cls(idf)
 
     def transform(self, text: str) -> Vector:
         return self.weigh(term_counts(text))

@@ -156,7 +156,7 @@ def filter_dl_publication(
     An unparseable judgment retains the publication; a failed request
     raises `GatewayError`.
     """
-    template = prompts.default_registry().get("dl-filter")
+    template = prompts.default_registry()["dl-filter"]
     query = next(
         line[len("Query: "):]
         for line in template.body.splitlines()

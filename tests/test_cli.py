@@ -81,6 +81,16 @@ class TestAsk:
         assert result.exit_code == 0, result.output
         store = tmp_path / "ws" / "answers" / "answers.jsonl"
         assert len(store.read_text(encoding="utf-8").splitlines()) == 3 * 28 * 2
+        for stage in ("categorize", "vote", "filter", "report"):
+            args = base_args(tmp_path / "ws")
+            if stage == "filter":
+                args += ["--corpus", str(mini_corpus_dir)]
+            result = invoke(stage, *args)
+            assert result.exit_code == 0, result.output
+        for table in ("similarity", "iaa_pairs"):
+            text = (tmp_path / "ws" / "reports" / f"{table}.csv").read_text(encoding="utf-8")
+            rows = list(csv.reader(text.splitlines()))[1:]
+            assert [row[0] for row in rows] == ["Llama 3 70B - Gemma 2 9B"]
 
     def test_no_resume_discards_verdicts_of_discarded_answers(self, tmp_path, mini_corpus_dir):
         mock = tmp_path / "mock"
@@ -238,6 +248,21 @@ class TestReportGolden:
         result = invoke("report", *base_args(tmp_path / "ws"))
         assert result.exit_code != 0
         assert "vote" in result.output
+
+    @pytest.mark.parametrize("store,marker,stage", [
+        ("answers/answers.jsonl", '"endpoint": "Mixtral 8x7B"', "ask"),
+        ("verdicts/verdicts.csv", ",Mixtral 8x7B,", "categorize"),
+    ])
+    def test_report_names_an_endpoint_missing_some_records(self, tmp_path, store, marker, stage):
+        workspace = golden_workspace(tmp_path / "ws")
+        lines = (workspace / store).read_bytes().splitlines(keepends=True)
+        dropped = next(i for i, line in enumerate(lines) if marker.encode() in line)
+        (workspace / store).write_bytes(b"".join(lines[:dropped] + lines[dropped + 1:]))
+        result = invoke("report", *base_args(workspace))
+        assert result.exit_code == 1
+        assert "Error: endpoint Mixtral 8x7B" in result.output
+        assert f"rerun {stage}" in result.output
+        assert "Traceback" not in result.output
 
 
 class TestEvaluate:
@@ -602,3 +627,13 @@ class TestIngest:
         ]
         skip = (workspace / "corpus" / "skip_report.csv").read_text(encoding="utf-8")
         assert skip.strip() == "doi,reason"
+
+    @pytest.mark.parametrize("stage", ["ingest", "ask", "filter"])
+    def test_corpus_without_bibliography_is_an_error(self, tmp_path, stage):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "10.1_a.txt").write_text("some words", encoding="utf-8")
+        result = invoke(stage, *base_args(tmp_path / "ws"), "--corpus", str(corpus))
+        assert result.exit_code == 1
+        assert "Error: no bibliography in" in result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback

@@ -1,0 +1,110 @@
+import logging
+import re
+
+import pytest
+import yaml
+from click.testing import CliRunner
+
+from litrag.cli import main
+from litrag.config import PipelineConfig, load_config
+from litrag.errors import ConfigError
+from litrag.footprint import HardwareProfile
+from litrag.retrieval import ChunkingConfig, TokenUnit
+from conftest import FIXTURES
+
+ENDPOINT = {"name": "Only Model"}
+
+
+def write(tmp_path, data):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump(data), encoding="utf-8")
+    return path
+
+
+def test_fixture_config_loads_without_warnings(caplog):
+    config = load_config(FIXTURES / "config.yaml")
+    assert caplog.records == []
+    assert len(config.endpoints) == 5
+    assert config.chunking == ChunkingConfig(chunk_size=120, overlap=20)
+    assert (config.retrieval_budget, config.parallelism, config.tie_rule) == (260, 4, "no")
+    assert config.filter_endpoint == "Llama 3.1 70B"
+    assert config.hardware_profile == HardwareProfile(
+        name="intel-xeon-platinum-9242", cores=48, power_per_core=7.2917, memory_gb=192
+    )
+
+
+def test_missing_keys_keep_the_dataclass_defaults(tmp_path):
+    config = load_config(write(tmp_path, {"endpoints": [ENDPOINT]}))
+    expected = PipelineConfig(endpoints=config.endpoints, filter_endpoint="Only Model")
+    assert config == expected
+
+
+def test_filter_endpoint_defaults():
+    assert load_config(None).filter_endpoint == "Llama 3.1 70B"
+
+
+@pytest.mark.parametrize("data,key", [
+    ({"parallelism": "four"}, "parallelism"),
+    ({"retrieval_budget": [1]}, "retrieval_budget"),
+    ({"backoff_seconds": "soon"}, "backoff_seconds"),
+    ({"cq_variable_mapping": {"x": "a"}}, "cq_variable_mapping"),
+    ({"cq_variable_mapping": "a"}, "cq_variable_mapping"),
+    ({"chunking": {"chunk_size": "big"}}, "chunking.chunk_size"),
+    ({"chunking": {"token_unit": "syllable"}}, "chunking.token_unit"),
+    ({"chunking": 5}, "chunking"),
+    ({"endpoints": [{"name": "M", "rate_limit_per_min": "many"}]},
+     "endpoints[0].rate_limit_per_min"),
+    ({"endpoints": [{"model_id": "m"}]}, "endpoints[0].name"),
+    ({"endpoints": ["M"]}, "endpoints[0]"),
+    ({"hardware_profile": {"cores": 4}}, "hardware_profile.power_per_core"),
+    ({"hardware_profile": {"cores": "four", "power_per_core": 1}}, "hardware_profile.cores"),
+])
+def test_malformed_value_names_its_key(tmp_path, data, key):
+    with pytest.raises(ConfigError) as error:
+        load_config(write(tmp_path, data))
+    assert re.match(rf"config key {re.escape(key)}[: ]", str(error.value))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_attempts", 0),
+    ("parallelism", 0),
+    ("retrieval_budget", -1),
+    ("backoff_seconds", -0.5),
+    ("tie_rule", "maybe"),
+])
+def test_out_of_range_value_rejected(tmp_path, key, value):
+    with pytest.raises(ConfigError, match=key):
+        load_config(write(tmp_path, {key: value}))
+
+
+def test_zero_budget_and_backoff_accepted(tmp_path):
+    config = load_config(write(tmp_path, {"retrieval_budget": 0, "backoff_seconds": 0}))
+    assert (config.retrieval_budget, config.backoff_seconds) == (0, 0.0)
+
+
+def test_unknown_keys_warn_once_each(tmp_path, caplog):
+    data = {
+        "paralellism": 8,
+        "endpoints": [{"name": "M", "max_response_words": 400}],
+        "chunking": {"overlap": 10},
+        "hardware_profile": {"cores": 2, "power_per_core": 5.0, "watts": 10},
+    }
+    with caplog.at_level(logging.WARNING, logger="litrag.config"):
+        config = load_config(write(tmp_path, data))
+    assert [r.getMessage() for r in caplog.records] == [
+        "unknown config key paralellism ignored",
+        "unknown config key endpoints[0].max_response_words ignored",
+        "unknown config key chunking.overlap ignored",
+        "unknown config key hardware_profile.watts ignored",
+    ]
+    assert config.parallelism == PipelineConfig.parallelism
+    assert config.chunking.overlap == ChunkingConfig.overlap
+    assert config.chunking.token_unit is TokenUnit.WHITESPACE_WORD
+
+
+def test_cli_reports_a_config_error_without_traceback(tmp_path):
+    path = write(tmp_path, {"max_attempts": 0})
+    result = CliRunner().invoke(main, ["vote", "--config", str(path),
+                                       "--workspace", str(tmp_path / "ws")])
+    assert result.exit_code == 1
+    assert "Error: config key max_attempts must be at least 1, got 0" in result.output

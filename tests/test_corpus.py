@@ -4,9 +4,7 @@ import pytest
 
 from litrag.corpus import (
     CitationRecord,
-    KeywordProvenance,
     KeywordSet,
-    TextSource,
     build_search_queries,
     dedupe_by_doi,
     doi_to_filename,
@@ -18,10 +16,7 @@ from conftest import N_UNIQUE_DOIS, build_bibliography, fixture_doi
 
 
 def make_keywords(n):
-    return KeywordSet(
-        keywords=tuple(f"keyword {i}" for i in range(n)),
-        provenance=KeywordProvenance.HUMAN_CURATED,
-    )
+    return KeywordSet(keywords=tuple(f"keyword {i}" for i in range(n)))
 
 
 class TestNormalizeDoi:
@@ -160,9 +155,7 @@ class TestBuildSearchQueries:
 
     def test_empty_keyword_set_rejected(self):
         with pytest.raises(ValueError):
-            build_search_queries(
-                KeywordSet(keywords=(), provenance=KeywordProvenance.HUMAN_CURATED)
-            )
+            build_search_queries(KeywordSet(keywords=()))
 
     def test_concatenation_reproduces_keyword_order(self):
         keywords = make_keywords(23)
@@ -174,11 +167,11 @@ class TestBuildSearchQueries:
 class TestKeywordSetInvariants:
     def test_rejects_case_insensitive_duplicates(self):
         with pytest.raises(ValueError):
-            KeywordSet(keywords=("cnn", "cnn"), provenance=KeywordProvenance.LLM_EXTRACTED)
+            KeywordSet(keywords=("cnn", "cnn"))
 
     def test_rejects_unstripped(self):
         with pytest.raises(ValueError):
-            KeywordSet(keywords=(" cnn",), provenance=KeywordProvenance.LLM_EXTRACTED)
+            KeywordSet(keywords=(" cnn",))
 
 
 class TestLoadCorpus:
@@ -186,7 +179,6 @@ class TestLoadCorpus:
         load = load_corpus(mini_corpus_dir)
         assert len(load.publications) == 3
         assert load.skipped == []
-        assert all(p.text_source is TextSource.LOCAL_FILE for p in load.publications)
         assert all(p.word_count == len(p.full_text.split()) for p in load.publications)
 
     def test_missing_text_goes_to_skip_report(self, tmp_path):
@@ -222,7 +214,7 @@ class TestLoadCorpus:
         hook.chmod(0o755)
         load = load_corpus(tmp_path, fetch_command=str(hook))
         assert len(load.publications) == 1
-        assert load.publications[0].text_source is TextSource.EXTERNAL_FETCH
+        assert load.publications[0].full_text == "fetched text for 10.1/a\n"
 
     def test_duplicate_dois_collapse(self, tmp_path):
         (tmp_path / "bibliography.bib").write_text(

@@ -1,7 +1,6 @@
 import pytest
 
 from litrag import prompts
-from litrag.corpus import KeywordProvenance
 from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
 from litrag.keywords import (
     CONSOLIDATION_QUERY,
@@ -136,7 +135,6 @@ class TestLoadCurated:
             keywords = load_curated(path)
         assert len(keywords) == 25
         assert "convolutional neural network" in keywords.keywords
-        assert keywords.provenance is KeywordProvenance.HUMAN_CURATED
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "curated.txt"

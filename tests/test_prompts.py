@@ -75,7 +75,7 @@ class TestRender:
         assert "Response: (Yes or No)" in template.body
 
     def test_registry_lists_all_templates(self):
-        assert prompts.default_registry().ids() == (
+        assert tuple(sorted(prompts.default_registry())) == (
             "categorical-conversion", "cq-answering", "dl-filter", "keyword-extraction",
         )
 
