@@ -164,6 +164,8 @@ def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -
         writer.writerow(["doi", "reason"])
         for doi, reason in load.skipped:
             writer.writerow([doi, reason])
+    for error in load.parse.errors:
+        click.echo(f"{load.bibliography.name}: byte {error.offset}: {error.message}", err=True)
     click.echo(
         f"ingest: {len(load.publications)} publication(s), "
         f"{len(load.skipped)} skipped, {len(load.parse.errors)} parse error(s)"

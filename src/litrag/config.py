@@ -91,12 +91,21 @@ def _reader(spec: Any, section: str, known: Iterable[str]) -> Callable[..., Any]
             if default is _REQUIRED:
                 raise ConfigError(f"config key {prefix}{key} is required")
             return default
+        convert = kind or type(default)
         try:
-            return (kind or type(default))(value)
+            return (_integer if convert is int else convert)(value)
         except (AttributeError, TypeError, ValueError) as exc:
             raise ConfigError(f"config key {prefix}{key}: cannot read {value!r}: {exc}") from exc
 
     return _read
+
+
+def _integer(value: Any) -> int:
+    """``int(value)``, refusing a boolean and a float with a fractional part,
+    which ``int`` would turn into 0/1 or truncate."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError("not an integer")
+    return int(value)
 
 
 def _question_variables(mapping: dict) -> dict[int, str]:
@@ -120,6 +129,12 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
     endpoints = []
     for i, spec in enumerate(data.get("endpoints") or []):
         read_endpoint = _reader(spec, f"endpoints[{i}]", {f.name for f in fields(ModelEndpoint)})
+        # absent or null means no limit; 0 is not a way to say so
+        rate_limit = read_endpoint("rate_limit_per_min", ModelEndpoint.rate_limit_per_min, int)
+        if rate_limit is not None and rate_limit < 1:
+            raise ConfigError(
+                f"config key endpoints[{i}].rate_limit_per_min must be at least 1, got {rate_limit}"
+            )
         try:
             endpoints.append(
                 ModelEndpoint(
@@ -128,9 +143,7 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
                     model_id=read_endpoint("model_id", ModelEndpoint.model_id),
                     temperature=read_endpoint("temperature", ModelEndpoint.temperature),
                     api_key_env=read_endpoint("api_key_env", ModelEndpoint.api_key_env),
-                    rate_limit_per_min=read_endpoint(
-                        "rate_limit_per_min", ModelEndpoint.rate_limit_per_min, int
-                    ),
+                    rate_limit_per_min=rate_limit,
                 )
             )
         except ValueError as exc:

@@ -284,6 +284,7 @@ def build_search_queries(
 
 @dataclass
 class CorpusLoad:
+    bibliography: Path  # the .bib file the citations were parsed from
     publications: list[PublicationRecord] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)  # (doi, reason)
     parse: BibliographyParse = field(default_factory=BibliographyParse)
@@ -331,7 +332,7 @@ def load_corpus(
                 f".bib file, found {len(candidates)}"
             )
     parse = parse_bibliography(bib_path.read_text(encoding="utf-8", errors="replace"))
-    load = CorpusLoad(parse=parse)
+    load = CorpusLoad(bibliography=bib_path, parse=parse)
     for citation in dedupe_by_doi(parse.records):
         text_path = directory / doi_to_filename(citation.doi)
         if not text_path.is_file() and fetch_command:

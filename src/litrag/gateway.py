@@ -12,18 +12,20 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import os
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Protocol, Sequence
-
-import requests
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol, Sequence
 
 from . import appendlog
 from .errors import AuthenticationError, GatewayError
+
+if TYPE_CHECKING:
+    import requests
 
 log = logging.getLogger(__name__)
 
@@ -248,18 +250,21 @@ class Backend(Protocol):
 class HttpBackend:
     """Chat-completion wire format shared by common hosted inference providers.
 
-    Request body: model, messages=[{role, content}], temperature, and
-    optionally max_tokens. The first choice's message content is consumed.
-    The sub-400-word cap is carried by the prompt text, so responses are
-    never truncated locally.
+    Request body: model, messages=[{role, content}] and temperature. The
+    first choice's message content is consumed. The sub-400-word cap is
+    carried by the prompt text, so responses are never truncated locally.
+    `requests` is imported here rather than at module level, so a stage
+    that sends no HTTP request never loads it.
     """
 
     def __init__(self, timeout: float = 120.0, session: Optional[requests.Session] = None):
+        import requests
+
         self.timeout = timeout
         self.session = session or requests.Session()
 
     def send(self, endpoint: ModelEndpoint, request: ChatRequest) -> tuple[str, int]:
-        import os
+        import requests
 
         headers = {"Content-Type": "application/json"}
         if endpoint.api_key_env:

@@ -1,6 +1,8 @@
 import csv
 import os
 import shutil
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -637,3 +639,49 @@ class TestIngest:
         assert result.exit_code == 1
         assert "Error: no bibliography in" in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
+
+    def test_parse_errors_are_reported_with_their_byte_offset(self, tmp_path, mini_corpus_dir):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus_dir, corpus)
+        bib = corpus / "bibliography.bib"
+        # the comment's two-byte characters make the byte offset differ from
+        # the character offset
+        head = bib.read_bytes() + "\n% Müller & Grün, draft\n".encode("utf-8")
+        bib.write_bytes(head + b"@article{broken2024,\n  doi = {10.5555/eco.0004\n")
+        workspace = tmp_path / "ws"
+        result = invoke("ingest", *base_args(workspace), "--corpus", str(corpus))
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "ingest: 3 publication(s), 0 skipped, 1 parse error(s)\n"
+        assert result.stderr == (
+            f"bibliography.bib: byte {len(head)}: unbalanced braces in @article entry\n"
+        )
+        skip = (workspace / "corpus" / "skip_report.csv").read_text(encoding="utf-8")
+        assert skip.strip() == "doi,reason"
+
+
+def test_mock_stage_never_imports_requests(tmp_path, mini_corpus_dir):
+    # the pytest process has imported requests already, so look in a fresh one
+    code = (
+        "import sys\n"
+        "from litrag.cli import main\n"
+        "try:\n"
+        "    main(sys.argv[1:])\n"
+        "except SystemExit as exit:\n"
+        "    assert not exit.code, exit.code\n"
+        "print('requests' in sys.modules)\n"
+        "from litrag.gateway import HttpBackend\n"
+        "HttpBackend()\n"
+        "print('requests' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(cli.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "ask", *base_args(tmp_path / "ws"),
+         "--corpus", str(mini_corpus_dir)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "ask: 420 new answer(s), 0 already stored, 0 failed", "False", "True",
+    ]

@@ -54,6 +54,19 @@ def test_filter_endpoint_defaults():
     ({"chunking": 5}, "chunking"),
     ({"endpoints": [{"name": "M", "rate_limit_per_min": "many"}]},
      "endpoints[0].rate_limit_per_min"),
+    ({"endpoints": [{"name": "M"}, {"name": "N", "rate_limit_per_min": -1}]},
+     "endpoints[1].rate_limit_per_min"),
+    ({"endpoints": [{"name": "M", "rate_limit_per_min": 0}]},
+     "endpoints[0].rate_limit_per_min"),
+    ({"endpoints": [{"name": "M", "rate_limit_per_min": 2.5}]},
+     "endpoints[0].rate_limit_per_min"),
+    ({"parallelism": 4.7}, "parallelism"),
+    ({"parallelism": True}, "parallelism"),
+    ({"retrieval_budget": 1200.5}, "retrieval_budget"),
+    ({"max_attempts": 2.5}, "max_attempts"),
+    ({"chunking": {"chunk_size": 99.5}}, "chunking.chunk_size"),
+    ({"chunking": {"chunk_overlap": 0.5}}, "chunking.chunk_overlap"),
+    ({"hardware_profile": {"cores": 4.5, "power_per_core": 1}}, "hardware_profile.cores"),
     ({"endpoints": [{"model_id": "m"}]}, "endpoints[0].name"),
     ({"endpoints": ["M"]}, "endpoints[0]"),
     ({"hardware_profile": {"cores": 4}}, "hardware_profile.power_per_core"),
@@ -75,6 +88,15 @@ def test_malformed_value_names_its_key(tmp_path, data, key):
 def test_out_of_range_value_rejected(tmp_path, key, value):
     with pytest.raises(ConfigError, match=key):
         load_config(write(tmp_path, {key: value}))
+
+
+def test_integral_floats_and_absent_rate_limit_accepted(tmp_path):
+    data = {"parallelism": 2.0, "chunking": {"chunk_size": 100.0},
+            "endpoints": [{"name": "M", "rate_limit_per_min": 1}, {"name": "N"},
+                          {"name": "O", "rate_limit_per_min": None}]}
+    config = load_config(write(tmp_path, data))
+    assert (config.parallelism, config.chunking.chunk_size) == (2, 100)
+    assert [e.rate_limit_per_min for e in config.endpoints] == [1, None, None]
 
 
 def test_zero_budget_and_backoff_accepted(tmp_path):
@@ -108,3 +130,23 @@ def test_cli_reports_a_config_error_without_traceback(tmp_path):
                                        "--workspace", str(tmp_path / "ws")])
     assert result.exit_code == 1
     assert "Error: config key max_attempts must be at least 1, got 0" in result.output
+
+
+@pytest.mark.parametrize("data,message", [
+    ({"endpoints": [{"name": "M", "rate_limit_per_min": -1}]},
+     "config key endpoints[0].rate_limit_per_min must be at least 1, got -1"),
+    ({"endpoints": [{"name": "M", "rate_limit_per_min": 0}]},
+     "config key endpoints[0].rate_limit_per_min must be at least 1, got 0"),
+    ({"parallelism": 4.7}, "config key parallelism: cannot read 4.7: not an integer"),
+], ids=["negative-rate-limit", "zero-rate-limit", "fractional-parallelism"])
+@pytest.mark.parametrize("stage", ["ingest", "ask", "categorize", "vote", "filter",
+                                   "evaluate", "footprint", "report", "all"])
+def test_every_stage_reports_a_bad_value_without_traceback(tmp_path, data, message, stage):
+    needs_corpus = stage in ("ingest", "ask", "filter", "all")
+    corpus = ["--corpus", str(FIXTURES / "mini_corpus")] if needs_corpus else []
+    result = CliRunner().invoke(main, [stage, "--config", str(write(tmp_path, data)),
+                                       "--workspace", str(tmp_path / "ws"),
+                                       "--mock", str(FIXTURES / "mock_responses"), *corpus])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert f"Error: {message}" in result.output
