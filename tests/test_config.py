@@ -54,6 +54,10 @@ def test_filter_endpoint_defaults():
     ({"chunking": 5}, "chunking"),
     ({"endpoints": [{"name": "M", "rate_limit_per_min": "many"}]},
      "endpoints[0].rate_limit_per_min"),
+    ({"endpoints": [{"model_id": "m"}]}, "endpoints[0].name"),
+    ({"endpoints": ["M"]}, "endpoints[0]"),
+    ({"hardware_profile": {"cores": 4}}, "hardware_profile.power_per_core"),
+    ({"hardware_profile": {"cores": "four", "power_per_core": 1}}, "hardware_profile.cores"),
     ({"endpoints": [{"name": "M"}, {"name": "N", "rate_limit_per_min": -1}]},
      "endpoints[1].rate_limit_per_min"),
     ({"endpoints": [{"name": "M", "rate_limit_per_min": 0}]},
@@ -67,10 +71,6 @@ def test_filter_endpoint_defaults():
     ({"chunking": {"chunk_size": 99.5}}, "chunking.chunk_size"),
     ({"chunking": {"chunk_overlap": 0.5}}, "chunking.chunk_overlap"),
     ({"hardware_profile": {"cores": 4.5, "power_per_core": 1}}, "hardware_profile.cores"),
-    ({"endpoints": [{"model_id": "m"}]}, "endpoints[0].name"),
-    ({"endpoints": ["M"]}, "endpoints[0]"),
-    ({"hardware_profile": {"cores": 4}}, "hardware_profile.power_per_core"),
-    ({"hardware_profile": {"cores": "four", "power_per_core": 1}}, "hardware_profile.cores"),
 ])
 def test_malformed_value_names_its_key(tmp_path, data, key):
     with pytest.raises(ConfigError) as error:
