@@ -1,27 +1,32 @@
 """Subcommand CLI wiring the pipeline stages over a workspace directory.
 
 Every stage reads the artifacts of the previous stage from the workspace and
-writes its own; rerunning a stage on unchanged inputs is a no-op. The ``all``
-command chains the stages in order. With ``--mock <dir>`` the run is fully
-offline and deterministic.
+writes its own; rerunning a stage on unchanged inputs is a no-op. ``vote``,
+``footprint`` and ``report`` record a digest of their inputs and outputs in
+``logs/<stage>.digest.json`` and skip their work when neither changed. The
+``all`` command chains the stages in order. With ``--mock <dir>`` the run is
+fully offline and deterministic.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import hashlib
+import json
 import logging
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 import click
 
 from . import keywords as keywords_mod
 from . import metrics, reports, textsim
 from .config import PipelineConfig, load_config
-from .corpus import CorpusLoad, load_corpus
+from .corpus import load_corpus
 from .errors import ConfigError, MissingArtifactError, PipelineError
 from .extraction import (
     AnswerStore,
@@ -51,6 +56,10 @@ log = logging.getLogger(__name__)
 DEFAULT_PROFILE = HardwareProfile(
     name="intel-xeon-platinum-9242", cores=48, power_per_core=350 / 48, usage=1.0
 )
+
+# The package's own sources and data; every skip digest covers them, so an
+# edited or upgraded litrag never serves tables an older one wrote.
+PACKAGE_DIR = Path(__file__).resolve().parent
 
 SUBDIRS = ("corpus", "keywords", "answers", "verdicts", "votes", "filters", "reports", "logs")
 
@@ -144,15 +153,67 @@ def _require(path: Path, stage: str) -> Path:
     return path
 
 
-def _load_corpus_checked(corpus_dir: str, fetch_command: Optional[str] = None) -> CorpusLoad:
-    load = load_corpus(corpus_dir, fetch_command=fetch_command)
-    for doi, reason in load.skipped:
-        log.warning("skipped %s: %s", doi, reason)
-    return load
+def _file_sha256(path: Path) -> Optional[str]:
+    """The sha256 of a file's bytes, read a block at a time; None if it is missing."""
+    try:
+        fh = open(path, "rb")
+    except FileNotFoundError:
+        return None
+    digest = hashlib.sha256()
+    with fh:
+        while block := fh.read(1 << 16):
+            digest.update(block)
+    return digest.hexdigest()
+
+
+def _unless_unchanged(
+    ctx: RunContext,
+    stage: str,
+    inputs: Sequence[Path],
+    outputs: Sequence[Path],
+    run: Callable[[], str],
+) -> None:
+    """Call ``run``, which writes ``outputs`` and returns the stage's summary
+    line, and print that line.
+
+    ``logs/<stage>.digest.json`` records a digest of what the outputs depend
+    on (the stage, the config, the litrag sources and data files, which hold
+    the question list, and the bytes of ``inputs``), the sha256 of each
+    output and the summary. When that digest is unchanged and every output
+    still has its recorded sha256, ``run`` is skipped and the recorded
+    summary printed. An unreadable record runs it.
+    """
+    sources = sorted(PACKAGE_DIR.rglob("*.py")) + sorted(PACKAGE_DIR.rglob("*.txt"))
+    lines = [stage, repr(ctx.config)]
+    lines += [f"{p.relative_to(PACKAGE_DIR).as_posix()} {_file_sha256(p)}" for p in sources]
+    lines += [f"{p.name} {_file_sha256(p)}" for p in inputs]
+    key = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
+
+    def output_digests() -> dict[str, Optional[str]]:
+        return {p.relative_to(ctx.workspace.root).as_posix(): _file_sha256(p) for p in outputs}
+
+    record_path = ctx.workspace.path("logs", f"{stage}.digest.json")
+    try:
+        record = json.loads(record_path.read_bytes())
+        fresh = record["inputs"] == key and record["outputs"] == output_digests()
+        summary = record["summary"]
+    except (OSError, ValueError, LookupError, TypeError):
+        fresh = False
+    if not (fresh and isinstance(summary, str)):
+        summary = run()
+        record = {"inputs": key, "outputs": output_digests(), "summary": summary}
+        partial = record_path.with_name(record_path.name + ".tmp")
+        partial.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+        os.replace(partial, record_path)
+    click.echo(summary)
 
 
 def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -> None:
-    load = _load_corpus_checked(corpus_dir, fetch_command)
+    load = load_corpus(corpus_dir, fetch_command=fetch_command)
+    # the only stage that reports skipped citations; ask and filter reread the
+    # corpus without repeating them
+    for doi, reason in load.skipped:
+        log.warning("skipped %s: %s", doi, reason)
     with open(ctx.workspace.path("corpus", "citations.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["doi", "title", "year", "venue", "word_count"])
@@ -181,7 +242,7 @@ def _finish(stage: str, summary: str, result: RunResult) -> int:
 
 
 def _do_ask(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[list[str]]) -> int:
-    load = _load_corpus_checked(corpus_dir)
+    load = load_corpus(corpus_dir)
     questions = load_competency_questions()
     endpoints = ctx.config.select_endpoints(endpoint_names)
     with ctx.gateway() as gateway:
@@ -223,16 +284,19 @@ def _do_categorize(ctx: RunContext) -> int:
 
 
 def _do_vote(ctx: RunContext) -> None:
-    _require(ctx.workspace.verdicts, "categorize")
-    verdicts = VerdictStore(ctx.workspace.verdicts).load()
-    votes = vote_all(verdicts, tie_rule=ctx.config.tie_rule)
-    save_votes(ctx.workspace.votes, votes)
-    yes = sum(1 for v in votes if v.decision is Verdict.YES)
-    click.echo(f"vote: {len(votes)} decision(s), {yes} Yes")
+    verdicts = _require(ctx.workspace.verdicts, "categorize")
+
+    def run() -> str:
+        votes = vote_all(VerdictStore(verdicts).load(), tie_rule=ctx.config.tie_rule)
+        save_votes(ctx.workspace.votes, votes)
+        yes = sum(1 for v in votes if v.decision is Verdict.YES)
+        return f"vote: {len(votes)} decision(s), {yes} Yes"
+
+    _unless_unchanged(ctx, "vote", [verdicts], [ctx.workspace.votes], run)
 
 
 def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
-    load = _load_corpus_checked(corpus_dir)
+    load = load_corpus(corpus_dir)
     store = FilterStore(ctx.workspace.filters)
     existing = store.keys()
     pubs = sorted(load.publications, key=lambda p: p.citation.doi)
@@ -259,12 +323,38 @@ def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
     )
 
 
-def _read_reference_csv(path: str | Path) -> list[tuple[str, str, str]]:
-    rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append((row["doi"], row["variable"], row["label"]))
-    return rows
+def _read_reference_csv(path: str | Path, question_ids: bool) -> metrics.LabelSeries:
+    """The Yes/No labels of a reference CSV (doi, variable, label), keyed by
+    (doi, variable); with ``question_ids`` each variable is a question id.
+    A defect in the file is a `PipelineError` naming the file and the line."""
+    labels: dict[tuple, str] = {}
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.DictReader(fh)
+            for column in ("doi", "variable", "label"):
+                if column not in (reader.fieldnames or ()):
+                    raise PipelineError(f"{path}: no {column!r} column")
+            for row in reader:
+                where = f"{path}: line {reader.line_num}"
+                variable, label = row["variable"], row["label"]
+                if question_ids:
+                    try:
+                        variable = int(variable)
+                    except (TypeError, ValueError):
+                        raise PipelineError(
+                            f"{where}: variable {variable!r} is not a question id"
+                        ) from None
+                if label not in metrics.BINARY_LABELS:
+                    raise PipelineError(f"{where}: label {label!r} is neither Yes nor No")
+                key = (row["doi"], variable)
+                if key in labels:
+                    raise PipelineError(f"{where}: a second label for {key}")
+                labels[key] = label
+    except OSError as exc:
+        raise PipelineError(f"cannot read reference {path}: {exc}") from exc
+    if not labels:
+        raise PipelineError(f"{path}: no labels")
+    return metrics.LabelSeries(keys=tuple(labels), labels=tuple(labels.values()))
 
 
 def _verdict_label(verdict: Verdict) -> str:
@@ -284,11 +374,8 @@ def _do_evaluate(ctx: RunContext, reference: Optional[str], voting_reference: Op
     if reference is not None:
         _require(ctx.workspace.verdicts, "categorize")
         verdict_rows = VerdictStore(ctx.workspace.verdicts).load()
-        ref_rows = _read_reference_csv(reference)
-        ref_keys = [(doi, int(variable)) for doi, variable, _ in ref_rows]
-        ref_series = metrics.LabelSeries(
-            keys=tuple(ref_keys), labels=tuple(label for _, _, label in ref_rows)
-        )
+        ref_series = _read_reference_csv(reference, question_ids=True)
+        ref_keys = ref_series.keys
         stats = []
         for endpoint in ctx.config.endpoints:
             by_key = {
@@ -302,7 +389,7 @@ def _do_evaluate(ctx: RunContext, reference: Optional[str], voting_reference: Op
                     f"endpoint {endpoint.name} has no verdict for {missing[0]}"
                 )
             llm_series = metrics.LabelSeries(
-                keys=tuple(ref_keys),
+                keys=ref_keys,
                 labels=tuple(by_key[key] for key in ref_keys),
             )
             agree, total = metrics.agreement_counts(llm_series, ref_series)
@@ -316,14 +403,13 @@ def _do_evaluate(ctx: RunContext, reference: Optional[str], voting_reference: Op
         if not ctx.config.cq_variable_mapping:
             raise PipelineError("config key cq_variable_mapping is required for the voting comparison")
         votes = load_votes(ctx.workspace.votes)
-        ref_rows = _read_reference_csv(voting_reference)
-        ref_series = metrics.LabelSeries(
-            keys=tuple((doi, variable) for doi, variable, _ in ref_rows),
-            labels=tuple(label for _, _, label in ref_rows),
-        )
-        comparison = metrics.compare_with_reference(
-            ctx.config.cq_variable_mapping, votes, ref_series
-        )
+        ref_series = _read_reference_csv(voting_reference, question_ids=False)
+        try:
+            comparison = metrics.compare_with_reference(
+                ctx.config.cq_variable_mapping, votes, ref_series
+            )
+        except ValueError as exc:
+            raise PipelineError(f"voting comparison with {voting_reference}: {exc}") from exc
         header, rows = reports.reference_rows(comparison)
         reports.write_report(ctx.workspace.reports_dir, "reference_comparison", header, rows)
         wrote.append("reference_comparison")
@@ -331,23 +417,42 @@ def _do_evaluate(ctx: RunContext, reference: Optional[str], voting_reference: Op
 
 
 def _do_footprint(ctx: RunContext) -> None:
-    _require(ctx.workspace.timing, "ask")
-    timing = TimingLog.load_csv(ctx.workspace.timing)
-    profile = ctx.config.hardware_profile or DEFAULT_PROFILE
-    rows = footprint_from_log(
-        timing,
-        profile,
-        intensity=ctx.config.location_intensity,
-        tree_month_constant=ctx.config.tree_month_constant,
-    )
-    header, out = reports.footprint_rows(rows)
-    reports.write_report(ctx.workspace.reports_dir, "footprint", header, out)
-    click.echo(f"footprint: wrote footprint report for profile {profile.name}")
+    timing = _require(ctx.workspace.timing, "ask")
+
+    def run() -> str:
+        profile = ctx.config.hardware_profile or DEFAULT_PROFILE
+        rows = footprint_from_log(
+            TimingLog.load_csv(timing),
+            profile,
+            intensity=ctx.config.location_intensity,
+            tree_month_constant=ctx.config.tree_month_constant,
+        )
+        header, out = reports.footprint_rows(rows)
+        reports.write_report(ctx.workspace.reports_dir, "footprint", header, out)
+        return f"footprint: wrote footprint report for profile {profile.name}"
+
+    outputs = reports.report_files(ctx.workspace.reports_dir, "footprint")
+    _unless_unchanged(ctx, "footprint", [timing], outputs, run)
+
+
+REPORT_TABLES = ("coverage", "similarity", "iaa_pairs")
 
 
 def _do_report(ctx: RunContext) -> None:
-    _require(ctx.workspace.votes, "vote")
-    _require(ctx.workspace.filters, "filter")
+    inputs = [
+        _require(ctx.workspace.votes, "vote"),
+        _require(ctx.workspace.filters, "filter"),
+        _require(ctx.workspace.answers, "ask"),
+        _require(ctx.workspace.verdicts, "categorize"),
+    ]
+    outputs = [
+        path for name in REPORT_TABLES
+        for path in reports.report_files(ctx.workspace.reports_dir, name)
+    ]
+    _unless_unchanged(ctx, "report", inputs, outputs, lambda: _report(ctx))
+
+
+def _report(ctx: RunContext) -> str:
     votes = load_votes(ctx.workspace.votes)
     filters = {v.doi: v.is_dl_study for v in FilterStore(ctx.workspace.filters).load()}
     questions = {q.id: q.text for q in load_competency_questions()}
@@ -384,7 +489,6 @@ def _do_report(ctx: RunContext) -> None:
     header, rows = reports.pair_rows(similarity_before, similarity_after, "cosine_similarity")
     reports.write_report(ctx.workspace.reports_dir, "similarity", header, rows)
 
-    _require(ctx.workspace.verdicts, "categorize")
     verdict_rows = VerdictStore(ctx.workspace.verdicts).load()
     labels_by_endpoint = {
         name: {
@@ -407,7 +511,7 @@ def _do_report(ctx: RunContext) -> None:
                 row.append(reports.fmt4(_pair_kappa(labels_by_endpoint, a, b, kept_keys)))
             kappa_stats.append(row)
     reports.write_report(ctx.workspace.reports_dir, "iaa_pairs", header, kappa_stats)
-    click.echo("report: wrote coverage, similarity, iaa_pairs")
+    return f"report: wrote {', '.join(REPORT_TABLES)}"
 
 
 def _require_complete(by_endpoint: dict[str, dict], what: str, stage: str) -> set:

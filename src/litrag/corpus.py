@@ -346,7 +346,6 @@ def load_corpus(
             load.skipped.append((citation.doi, f"unreadable: {exc}"))
             continue
         if not full_text.strip():
-            log.warning("empty full text for %s, record excluded", citation.doi)
             load.skipped.append((citation.doi, "empty full text"))
             continue
         load.publications.append(PublicationRecord(citation=citation, full_text=full_text))

@@ -44,16 +44,22 @@ def render_aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> s
     return "\n".join(lines) + "\n"
 
 
+def report_files(directory: str | Path, name: str) -> tuple[Path, Path]:
+    """The CSV and the aligned text file `write_report` writes for ``name``."""
+    directory = Path(directory)
+    return directory / f"{name}.csv", directory / f"{name}.txt"
+
+
 def write_report(
     directory: str | Path,
     name: str,
     header: Sequence[str],
     rows: Sequence[Sequence[object]],
 ) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    (directory / f"{name}.csv").write_text(render_csv(header, rows), encoding="utf-8")
-    (directory / f"{name}.txt").write_text(render_aligned(header, rows), encoding="utf-8")
+    Path(directory).mkdir(parents=True, exist_ok=True)
+    csv_path, text_path = report_files(directory, name)
+    csv_path.write_text(render_csv(header, rows), encoding="utf-8")
+    text_path.write_text(render_aligned(header, rows), encoding="utf-8")
 
 
 def agreement_rows(

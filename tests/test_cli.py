@@ -318,6 +318,38 @@ class TestEvaluate:
         result = invoke("evaluate", *base_args(workspace))
         assert result.exit_code != 0
 
+    @pytest.mark.parametrize("option,text,error", [
+        ("--reference", "doi,variable,label\n10.5555/eco.0001,1,Yes\n10.5555/eco.0001,two,No\n",
+         "line 3: variable 'two' is not a question id"),
+        ("--reference", "doi,variable\n10.5555/eco.0001,1\n", "no 'label' column"),
+        ("--reference", "doi,variable,label\n10.5555/eco.0001,1,yes\n",
+         "line 2: label 'yes' is neither Yes nor No"),
+        ("--voting-reference", "doi,variable,label\n10.5555/eco.0001,Model architecture,Yes\n",
+         "no labels for variable 'Dataset'"),
+        ("--voting-reference",
+         "doi,variable,label\n10.5555/eco.0001,Model architecture,Yes\n10.9999/none,Dataset,No\n",
+         "no vote for (10.9999/none, cq 5)"),
+        ("--reference", "doi,variable,label\n10.5555/eco.0001,1,Yes\n10.5555/eco.0001,1,No\n",
+         "line 3: a second label for ('10.5555/eco.0001', 1)"),
+        ("--reference", "doi,variable,label\n", "no labels"),
+    ])
+    def test_a_defective_reference_is_an_error_naming_it(self, tmp_path, option, text, error):
+        workspace = golden_workspace(tmp_path / "ws")
+        reference = tmp_path / "reference.csv"
+        reference.write_text(text, encoding="utf-8")
+        config = self.config_with_mapping(tmp_path)
+        result = invoke("evaluate", *base_args(workspace, config=config), option, str(reference))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert "Error: " in result.output and error in result.output, result.output
+        assert str(reference) in result.output
+
+    def test_a_missing_reference_is_an_error(self, tmp_path):
+        workspace = golden_workspace(tmp_path / "ws")
+        result = invoke("evaluate", *base_args(workspace), "--reference", str(tmp_path / "none.csv"))
+        assert result.exit_code == 1, result.output
+        assert "Error: cannot read reference" in result.output
+
 
 class TestFootprint:
     def test_report_from_timing_log(self, tmp_path):
@@ -618,6 +650,169 @@ class TestAllChain:
             (GOLDEN / "answers.jsonl").read_bytes()
 
 
+# What each skippable stage writes, relative to the workspace; every file has
+# a committed golden.
+STAGE_OUTPUTS = {
+    "vote": ["votes/votes.csv"],
+    "footprint": ["reports/footprint.csv", "reports/footprint.txt"],
+    "report": [f"reports/{name}{suffix}" for name in ("coverage", "similarity", "iaa_pairs")
+               for suffix in (".csv", ".txt")],
+}
+PAST_NS = 10**18  # a fixed past mtime shows a rewrite at any clock resolution
+
+
+def golden_output(name: str) -> bytes:
+    return (GOLDEN / (name if name.startswith("reports/") else Path(name).name)).read_bytes()
+
+
+def flip_one_verdict(workspace: Path) -> bytes:
+    """Turn the first Yes verdict into No; the store's bytes before."""
+    path = workspace / "verdicts" / "verdicts.csv"
+    data = path.read_bytes()
+    yes = data.index(b",Yes\r\n")
+    path.write_bytes(data[:yes] + b",No\r\n" + data[yes + len(b",Yes\r\n"):])
+    return data
+
+
+@pytest.fixture(scope="module")
+def finished(tmp_path_factory, mini_corpus_dir):
+    """A workspace after `all`, and each stage's summary line."""
+    workspace = tmp_path_factory.mktemp("finished") / "ws"
+    result = invoke("all", *base_args(workspace), "--corpus", str(mini_corpus_dir))
+    assert result.exit_code == 0, result.output
+    return workspace, {line.split(":")[0]: line for line in result.stdout.splitlines()}
+
+
+@pytest.mark.parametrize("stage", sorted(STAGE_OUTPUTS))
+class TestSkipUnchanged:
+    def workspace(self, finished, tmp_path, stage) -> Path:
+        """A copy of the finished workspace with the stage's outputs at PAST_NS."""
+        workspace = tmp_path / "ws"
+        shutil.copytree(finished[0], workspace)
+        for name in STAGE_OUTPUTS[stage]:
+            os.utime(workspace / name, ns=(PAST_NS, PAST_NS))
+        return workspace
+
+    def rerun(self, workspace, stage, config=None):
+        result = invoke(stage, *base_args(workspace, config=config))
+        assert result.exit_code == 0, result.output
+        return result
+
+    def assert_golden(self, workspace, stage, rewritten):
+        for name in STAGE_OUTPUTS[stage]:
+            assert (workspace / name).read_bytes() == golden_output(name), name
+            assert ((workspace / name).stat().st_mtime_ns != PAST_NS) == rewritten, name
+
+    def test_unchanged_rerun_reads_no_input_and_rewrites_nothing(
+        self, finished, tmp_path, monkeypatch, stage
+    ):
+        workspace = self.workspace(finished, tmp_path, stage)
+
+        def no_read(*args):
+            raise AssertionError("an input was read")
+
+        for store in (AnswerStore, VerdictStore, FilterStore):
+            monkeypatch.setattr(store, "load", no_read)
+        monkeypatch.setattr(TimingLog, "load_csv", classmethod(no_read))
+        monkeypatch.setattr(cli, "load_votes", no_read)
+        result = self.rerun(workspace, stage)
+        assert result.stdout == finished[1][stage] + "\n"
+        self.assert_golden(workspace, stage, rewritten=False)
+
+    @pytest.mark.parametrize("change", ["delete", "edit", "truncate record", "garbage record"])
+    def test_a_missing_or_edited_file_is_regenerated(self, finished, tmp_path, stage, change):
+        workspace = self.workspace(finished, tmp_path, stage)
+        output = workspace / STAGE_OUTPUTS[stage][-1]
+        record = workspace / "logs" / f"{stage}.digest.json"
+        if change == "delete":
+            output.unlink()
+        elif change == "edit":
+            output.write_bytes(output.read_bytes() + b"edited\n")
+            os.utime(output, ns=(PAST_NS, PAST_NS))
+        elif change == "truncate record":
+            record.write_bytes(record.read_bytes()[:40])
+        else:
+            record.write_bytes(b"\xff\x00 not json")
+        result = self.rerun(workspace, stage)
+        assert result.stdout == finished[1][stage] + "\n"
+        self.assert_golden(workspace, stage, rewritten=True)
+
+    def test_a_changed_config_recomputes(self, finished, tmp_path, stage):
+        workspace = self.workspace(finished, tmp_path, stage)
+        # five voters never tie, so the outputs stay golden but are rewritten
+        self.rerun(workspace, stage, config=config_with(tmp_path, tie_rule="yes"))
+        self.assert_golden(workspace, stage, rewritten=True)
+
+    def test_an_edited_question_list_recomputes(self, finished, tmp_path, monkeypatch, stage):
+        workspace = self.workspace(finished, tmp_path, stage)
+        package = tmp_path / "litrag"
+        shutil.copytree(cli.PACKAGE_DIR, package, ignore=shutil.ignore_patterns("__pycache__"))
+        with open(package / "data" / "competency_questions.txt", "a", encoding="utf-8") as fh:
+            fh.write("29\tAn added question?\n")
+        monkeypatch.setattr(cli, "PACKAGE_DIR", package)
+        self.rerun(workspace, stage)
+        self.assert_golden(workspace, stage, rewritten=True)
+
+    def test_a_flipped_verdict_recomputes_what_reads_verdicts(self, finished, tmp_path, stage):
+        workspace = self.workspace(finished, tmp_path, stage)
+        verdicts = flip_one_verdict(workspace)
+        self.rerun(workspace, stage)
+        if stage == "footprint":
+            self.assert_golden(workspace, stage, rewritten=False)
+            return
+        # what the stage writes on the flipped store with no record to trust
+        fresh = tmp_path / "fresh"
+        shutil.copytree(workspace, fresh)
+        for name in STAGE_OUTPUTS[stage] + [f"logs/{stage}.digest.json"]:
+            (fresh / name).unlink()
+        self.rerun(fresh, stage)
+        produced = [(workspace / name).read_bytes() for name in STAGE_OUTPUTS[stage]]
+        assert produced == [(fresh / name).read_bytes() for name in STAGE_OUTPUTS[stage]]
+        assert produced != [golden_output(name) for name in STAGE_OUTPUTS[stage]]
+
+        (workspace / "verdicts" / "verdicts.csv").write_bytes(verdicts)
+        self.rerun(workspace, stage)
+        self.assert_golden(workspace, stage, rewritten=True)
+
+    def test_a_record_left_by_a_crash_before_it_was_written(self, finished, tmp_path, stage):
+        workspace = self.workspace(finished, tmp_path, stage)
+        record = workspace / "logs" / f"{stage}.digest.json"
+        old_record = record.read_bytes()
+        # a run on other inputs writes its outputs, then dies before its record
+        if stage == "footprint":
+            changed = workspace / "logs" / "timing.csv"
+            old_input = changed.read_bytes()
+            changed.write_bytes(b"".join(old_input.splitlines(keepends=True)[:100]))
+        else:
+            changed, old_input = workspace / "verdicts" / "verdicts.csv", flip_one_verdict(workspace)
+        self.rerun(workspace, stage)
+        assert any((workspace / name).read_bytes() != golden_output(name)
+                   for name in STAGE_OUTPUTS[stage])
+        record.write_bytes(old_record)
+        # back on the recorded inputs, the outputs no longer match the record
+        changed.write_bytes(old_input)
+        self.rerun(workspace, stage)
+        self.assert_golden(workspace, stage, rewritten=True)
+
+
+def test_all_after_a_resume_reproduces_the_goldens(tmp_path, finished, mini_corpus_dir):
+    workspace = tmp_path / "ws"
+    shutil.copytree(finished[0], workspace)
+    for name in STAGE_OUTPUTS["vote"] + STAGE_OUTPUTS["report"]:
+        os.utime(workspace / name, ns=(PAST_NS, PAST_NS))
+    for store, header in (("answers/answers.jsonl", 0), ("verdicts/verdicts.csv", 1)):
+        lines = (workspace / store).read_bytes().splitlines(keepends=True)
+        (workspace / store).write_bytes(b"".join(lines[:header] + lines[header::7]))
+    result = invoke("all", *base_args(workspace), "--corpus", str(mini_corpus_dir))
+    assert result.exit_code == 0, result.output
+    assert "categorize: 360 new verdict(s)" in result.output
+    for name in STAGE_OUTPUTS["vote"] + STAGE_OUTPUTS["footprint"] + STAGE_OUTPUTS["report"]:
+        assert (workspace / name).read_bytes() == golden_output(name), name
+    # the resumed stores are byte-identical again, so vote and report skipped
+    for name in STAGE_OUTPUTS["vote"] + STAGE_OUTPUTS["report"]:
+        assert (workspace / name).stat().st_mtime_ns == PAST_NS, name
+
+
 class TestIngest:
     def test_citations_and_skip_report(self, tmp_path, mini_corpus_dir):
         workspace = tmp_path / "ws"
@@ -639,6 +834,18 @@ class TestIngest:
         assert result.exit_code == 1
         assert "Error: no bibliography in" in result.output
         assert isinstance(result.exception, SystemExit)  # no traceback
+
+    @pytest.mark.parametrize("stage", ["ingest", "ask", "filter"])
+    def test_only_ingest_reports_skipped_citations(self, tmp_path, mini_corpus_dir, caplog, stage):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus_dir, corpus)
+        (corpus / "10.5555_eco.0002.txt").unlink()
+        result = invoke(stage, *base_args(tmp_path / "ws"), "--corpus", str(corpus))
+        assert result.exit_code == 0, result.output
+        skipped = [r.getMessage() for r in caplog.records if "skipped" in r.getMessage()]
+        assert skipped == (
+            ["skipped 10.5555/eco.0002: no full-text file"] if stage == "ingest" else []
+        )
 
     def test_parse_errors_are_reported_with_their_byte_offset(self, tmp_path, mini_corpus_dir):
         corpus = tmp_path / "corpus"
