@@ -1,11 +1,28 @@
 """Subcommand CLI wiring the pipeline stages over a workspace directory.
 
 Every stage reads the artifacts of the previous stage from the workspace and
-writes its own; rerunning a stage on unchanged inputs is a no-op. ``vote``,
-``footprint`` and ``report`` record a digest of their inputs and outputs in
-``logs/<stage>.digest.json`` and skip their work when neither changed. The
-``all`` command chains the stages in order. With ``--mock <dir>`` the run is
-fully offline and deterministic.
+writes its own; rerunning a stage on unchanged inputs is a no-op. ``ask``,
+``categorize``, ``vote``, ``filter``, ``footprint`` and ``report`` record a
+digest of their inputs and outputs in ``logs/<stage>.digest.json`` and skip
+their work when neither changed. Every digest covers the stage name, the
+config and the litrag sources and data (which hold the questions and the
+prompt templates), and then what the stage reads:
+
+* ``ask``: the selected endpoint names, the corpus and the backend;
+* ``categorize``: ``answers.jsonl`` and the backend;
+* ``filter``: the corpus and the backend;
+* ``vote``: ``verdicts.csv``; ``footprint``: ``timing.csv``;
+* ``report``: the vote, filter, answer and verdict stores.
+
+The corpus is covered as the stage loads it: the bibliography file and each
+publication's DOI and full text. The backend is the sha256 of each reply
+file of the ``--mock`` directory, or the mark of a live run. The outputs are
+the stage's store or report files. A run in which an item failed writes no
+record, so the next run makes its requests again; a deleted or edited
+output, such as a deleted store, also runs the stage. ``ingest``,
+``keywords`` and ``evaluate`` always run. The ``all`` command chains the
+stages in order. With ``--mock <dir>`` the run is fully offline and
+deterministic.
 """
 
 from __future__ import annotations
@@ -19,19 +36,18 @@ import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import click
 
 from . import keywords as keywords_mod
 from . import metrics, reports, textsim
 from .config import PipelineConfig, load_config
-from .corpus import load_corpus
+from .corpus import CorpusLoad, load_corpus
 from .errors import ConfigError, MissingArtifactError, PipelineError
 from .extraction import (
     AnswerStore,
     RunResult,
-    TextualAnswer,
     load_competency_questions,
     run_matrix,
     run_requests,
@@ -166,27 +182,59 @@ def _file_sha256(path: Path) -> Optional[str]:
     return digest.hexdigest()
 
 
+def _hashed(label: str, paths: Iterable[Path]) -> list[str]:
+    """One digest line per file: ``label/<name>`` and the sha256 of its bytes."""
+    return [f"{label}/{p.name} {_file_sha256(p)}" for p in paths]
+
+
+def _corpus_inputs(load: CorpusLoad) -> list[str]:
+    """The digest lines of the corpus as a stage reads it: the bibliography's
+    bytes and each publication's DOI and full text, so an edited text, an
+    edited bibliography and a new text for a skipped citation each count."""
+    lines = _hashed("corpus", [load.bibliography])
+    for pub in load.publications:
+        text = hashlib.sha256(pub.full_text.encode("utf-8")).hexdigest()
+        lines.append(f"text {pub.citation.doi} {text}")
+    return lines
+
+
+def _backend_inputs(ctx: RunContext) -> list[str]:
+    """The digest lines of the backend: each reply file the mock serves, or a live run."""
+    if ctx.mock_dir is None:
+        return ["backend live"]
+    return ["backend mock", *_hashed("mock", sorted(ctx.mock_dir.glob("*.txt")))]
+
+
+def _counts(stage: str, noun: str, new: int, stored: int, failed: int) -> str:
+    return f"{stage}: {new} new {noun}(s), {stored} already stored, {failed} failed"
+
+
 def _unless_unchanged(
     ctx: RunContext,
     stage: str,
-    inputs: Sequence[Path],
+    inputs: Sequence[str],
     outputs: Sequence[Path],
-    run: Callable[[], str],
-) -> None:
-    """Call ``run``, which writes ``outputs`` and returns the stage's summary
-    line, and print that line.
+    run: Callable[[], str | RunResult],
+    noun: str = "",
+) -> int:
+    """Call ``run``, which writes ``outputs``, print its summary line and
+    return the exit status. ``run`` returns that line, or, for a stage that
+    sends requests, its `RunResult`, printed as
+    ``<stage>: N new <noun>(s), M already stored, K failed`` with each failed
+    item after it on stderr.
 
     ``logs/<stage>.digest.json`` records a digest of what the outputs depend
     on (the stage, the config, the litrag sources and data files, which hold
-    the question list, and the bytes of ``inputs``), the sha256 of each
-    output and the summary. When that digest is unchanged and every output
-    still has its recorded sha256, ``run`` is skipped and the recorded
-    summary printed. An unreadable record runs it.
+    the question list, and the ``inputs`` lines), the sha256 of each output
+    and the line a rerun on unchanged inputs prints. When that digest is
+    unchanged and every output still has its recorded sha256, ``run`` is
+    skipped and the recorded line printed. An unreadable record runs it. A
+    run in which an item failed writes no record and exits 1.
     """
     sources = sorted(PACKAGE_DIR.rglob("*.py")) + sorted(PACKAGE_DIR.rglob("*.txt"))
     lines = [stage, repr(ctx.config)]
     lines += [f"{p.relative_to(PACKAGE_DIR).as_posix()} {_file_sha256(p)}" for p in sources]
-    lines += [f"{p.name} {_file_sha256(p)}" for p in inputs]
+    lines += inputs
     key = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def output_digests() -> dict[str, Optional[str]]:
@@ -199,13 +247,27 @@ def _unless_unchanged(
         summary = record["summary"]
     except (OSError, ValueError, LookupError, TypeError):
         fresh = False
-    if not (fresh and isinstance(summary, str)):
-        summary = run()
-        record = {"inputs": key, "outputs": output_digests(), "summary": summary}
-        partial = record_path.with_name(record_path.name + ".tmp")
-        partial.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-        os.replace(partial, record_path)
-    click.echo(summary)
+    if fresh and isinstance(summary, str):
+        click.echo(summary)
+        return 0
+
+    outcome = run()
+    if isinstance(outcome, RunResult):
+        click.echo(_counts(stage, noun, outcome.completed, outcome.skipped, len(outcome.failed)))
+        for *item, error in outcome.failed[:10]:
+            click.echo(f"  failed: {'|'.join(map(str, item))}: {error}", err=True)
+        if outcome.failed:
+            return 1
+        # what the body prints when it runs again on these inputs
+        summary = _counts(stage, noun, 0, outcome.completed + outcome.skipped, 0)
+    else:
+        summary = outcome
+        click.echo(summary)
+    record = {"inputs": key, "outputs": output_digests(), "summary": summary}
+    partial = record_path.with_name(record_path.name + ".tmp")
+    partial.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    os.replace(partial, record_path)
+    return 0
 
 
 def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -> None:
@@ -233,57 +295,51 @@ def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -
     )
 
 
-def _finish(stage: str, summary: str, result: RunResult) -> int:
-    """Print the stage summary and each failed item; the exit status."""
-    click.echo(f"{stage}: {summary}, {len(result.failed)} failed")
-    for *key, error in result.failed[:10]:
-        click.echo(f"  failed: {'|'.join(map(str, key))}: {error}", err=True)
-    return 1 if result.failed else 0
-
-
 def _do_ask(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[list[str]]) -> int:
     load = load_corpus(corpus_dir)
-    questions = load_competency_questions()
     endpoints = ctx.config.select_endpoints(endpoint_names)
-    with ctx.gateway() as gateway:
-        result = run_matrix(
-            load.publications,
-            questions,
-            endpoints,
-            gateway,
-            AnswerStore(ctx.workspace.answers),
-            chunking=ctx.config.chunking,
-            budget=ctx.config.retrieval_budget,
-            parallelism=ctx.config.parallelism,
-        )
-    return _finish(
-        "ask", f"{result.completed} new answer(s), {result.skipped} already stored", result
-    )
 
+    def run() -> RunResult:
+        with ctx.gateway() as gateway:
+            return run_matrix(
+                load.publications,
+                load_competency_questions(),
+                endpoints,
+                gateway,
+                AnswerStore(ctx.workspace.answers),
+                chunking=ctx.config.chunking,
+                budget=ctx.config.retrieval_budget,
+                parallelism=ctx.config.parallelism,
+            )
 
-def _load_answers(ctx: RunContext) -> list[TextualAnswer]:
-    return AnswerStore(_require(ctx.workspace.answers, "ask")).load()
+    inputs = [f"endpoints {json.dumps([e.name for e in endpoints])}"]
+    inputs += _corpus_inputs(load) + _backend_inputs(ctx)
+    return _unless_unchanged(ctx, "ask", inputs, [ctx.workspace.answers], run, noun="answer")
 
 
 def _do_categorize(ctx: RunContext) -> int:
-    answers = _load_answers(ctx)
-    questions = {q.id: q for q in load_competency_questions()}
-    endpoints = {e.name: e for e in ctx.config.endpoints}
-    with ctx.gateway() as gateway:
-        result = run_conversions(
-            answers,
-            questions,
-            endpoints,
-            gateway,
-            VerdictStore(ctx.workspace.verdicts),
-            parallelism=ctx.config.parallelism,
-        )
-    return _finish(
-        "categorize", f"{result.completed} new verdict(s), {result.skipped} already stored", result
+    answers = _require(ctx.workspace.answers, "ask")
+
+    def run() -> RunResult:
+        questions = {q.id: q for q in load_competency_questions()}
+        endpoints = {e.name: e for e in ctx.config.endpoints}
+        with ctx.gateway() as gateway:
+            return run_conversions(
+                AnswerStore(answers).load(),
+                questions,
+                endpoints,
+                gateway,
+                VerdictStore(ctx.workspace.verdicts),
+                parallelism=ctx.config.parallelism,
+            )
+
+    inputs = _hashed("workspace", [answers]) + _backend_inputs(ctx)
+    return _unless_unchanged(
+        ctx, "categorize", inputs, [ctx.workspace.verdicts], run, noun="verdict"
     )
 
 
-def _do_vote(ctx: RunContext) -> None:
+def _do_vote(ctx: RunContext) -> int:
     verdicts = _require(ctx.workspace.verdicts, "categorize")
 
     def run() -> str:
@@ -292,35 +348,38 @@ def _do_vote(ctx: RunContext) -> None:
         yes = sum(1 for v in votes if v.decision is Verdict.YES)
         return f"vote: {len(votes)} decision(s), {yes} Yes"
 
-    _unless_unchanged(ctx, "vote", [verdicts], [ctx.workspace.votes], run)
+    inputs = _hashed("workspace", [verdicts])
+    return _unless_unchanged(ctx, "vote", inputs, [ctx.workspace.votes], run)
 
 
 def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
     load = load_corpus(corpus_dir)
-    store = FilterStore(ctx.workspace.filters)
-    existing = store.keys()
-    pubs = sorted(load.publications, key=lambda p: p.citation.doi)
-    pending = [pub for pub in pubs if pub.citation.doi not in existing]
-    result = RunResult(skipped=len(pubs) - len(pending))
-    endpoint = ctx.config.endpoint(ctx.config.filter_endpoint)
-    with ctx.gateway() as gateway:
-        run_requests(
-            [pending],
-            lambda pub: filter_dl_publication(
-                pub,
-                endpoint,
-                gateway,
-                chunking=ctx.config.chunking,
-                budget=ctx.config.retrieval_budget,
-            ),
-            lambda pub: (pub.citation.doi,),
-            store,
-            ctx.config.parallelism,
-            result,
-        )
-    return _finish(
-        "filter", f"{result.completed} new verdict(s), {result.skipped} already stored", result
-    )
+
+    def run() -> RunResult:
+        store = FilterStore(ctx.workspace.filters)
+        existing = store.keys()
+        pubs = sorted(load.publications, key=lambda p: p.citation.doi)
+        pending = [pub for pub in pubs if pub.citation.doi not in existing]
+        result = RunResult(skipped=len(pubs) - len(pending))
+        endpoint = ctx.config.endpoint(ctx.config.filter_endpoint)
+        with ctx.gateway() as gateway:
+            return run_requests(
+                [pending],
+                lambda pub: filter_dl_publication(
+                    pub,
+                    endpoint,
+                    gateway,
+                    chunking=ctx.config.chunking,
+                    budget=ctx.config.retrieval_budget,
+                ),
+                lambda pub: (pub.citation.doi,),
+                store,
+                ctx.config.parallelism,
+                result,
+            )
+
+    inputs = _corpus_inputs(load) + _backend_inputs(ctx)
+    return _unless_unchanged(ctx, "filter", inputs, [ctx.workspace.filters], run, noun="verdict")
 
 
 def _read_reference_csv(path: str | Path, question_ids: bool) -> metrics.LabelSeries:
@@ -416,7 +475,7 @@ def _do_evaluate(ctx: RunContext, reference: Optional[str], voting_reference: Op
     click.echo(f"evaluate: wrote {', '.join(wrote)}")
 
 
-def _do_footprint(ctx: RunContext) -> None:
+def _do_footprint(ctx: RunContext) -> int:
     timing = _require(ctx.workspace.timing, "ask")
 
     def run() -> str:
@@ -432,24 +491,24 @@ def _do_footprint(ctx: RunContext) -> None:
         return f"footprint: wrote footprint report for profile {profile.name}"
 
     outputs = reports.report_files(ctx.workspace.reports_dir, "footprint")
-    _unless_unchanged(ctx, "footprint", [timing], outputs, run)
+    return _unless_unchanged(ctx, "footprint", _hashed("workspace", [timing]), outputs, run)
 
 
 REPORT_TABLES = ("coverage", "similarity", "iaa_pairs")
 
 
-def _do_report(ctx: RunContext) -> None:
-    inputs = [
+def _do_report(ctx: RunContext) -> int:
+    inputs = _hashed("workspace", [
         _require(ctx.workspace.votes, "vote"),
         _require(ctx.workspace.filters, "filter"),
         _require(ctx.workspace.answers, "ask"),
         _require(ctx.workspace.verdicts, "categorize"),
-    ]
+    ])
     outputs = [
         path for name in REPORT_TABLES
         for path in reports.report_files(ctx.workspace.reports_dir, name)
     ]
-    _unless_unchanged(ctx, "report", inputs, outputs, lambda: _report(ctx))
+    return _unless_unchanged(ctx, "report", inputs, outputs, lambda: _report(ctx))
 
 
 def _report(ctx: RunContext) -> str:
@@ -461,7 +520,7 @@ def _report(ctx: RunContext) -> str:
     header, rows = reports.coverage_rows(coverage, questions)
     reports.write_report(ctx.workspace.reports_dir, "coverage", header, rows)
 
-    answers = _load_answers(ctx)
+    answers = AnswerStore(ctx.workspace.answers).load()
     # compare the configured endpoints that answered, such as after `ask --endpoints`
     answered = {a.endpoint for a in answers}
     endpoint_names = [e.name for e in ctx.config.endpoints if e.name in answered]

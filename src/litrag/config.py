@@ -114,12 +114,15 @@ def _question_variables(mapping: dict) -> dict[int, str]:
 
 def load_config(path: Optional[str | Path]) -> PipelineConfig:
     """Build a PipelineConfig from YAML; a missing key keeps its dataclass
-    default, a malformed one raises `ConfigError` and an unknown one is
-    ignored with a warning."""
+    default, a malformed one, or a ``filter_endpoint`` that names no
+    configured endpoint, raises `ConfigError` and an unknown one is ignored
+    with a warning."""
     if path is None:
         return PipelineConfig(endpoints=_default_endpoints())
     try:
-        data = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+        text = Path(path).read_text(encoding="utf-8")
+        # libyaml's loader when PyYAML was built with it; the same config, faster
+        data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) or {}
     except (OSError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -180,13 +183,18 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"bad hardware profile: {exc}") from exc
 
+    filter_endpoint = read("filter_endpoint", endpoints[0].name)
+    if filter_endpoint not in {e.name for e in endpoints}:
+        raise ConfigError(
+            f"config key filter_endpoint: {filter_endpoint!r} names no configured endpoint"
+        )
     return PipelineConfig(
         endpoints=endpoints,
         chunking=chunking,
         retrieval_budget=read("retrieval_budget", PipelineConfig.retrieval_budget),
         parallelism=read("parallelism", PipelineConfig.parallelism),
         tie_rule=read("tie_rule", PipelineConfig.tie_rule),
-        filter_endpoint=read("filter_endpoint", endpoints[0].name),
+        filter_endpoint=filter_endpoint,
         hardware_profile=profile,
         location_intensity=read("location_intensity", PipelineConfig.location_intensity),
         tree_month_constant=read("tree_month_constant", PipelineConfig.tree_month_constant),

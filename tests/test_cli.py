@@ -12,6 +12,7 @@ import yaml
 from click.testing import CliRunner
 
 from litrag import cli, prompts
+from litrag.appendlog import RecordStore
 from litrag.cli import main
 from litrag.config import load_config
 from litrag.corpus import load_corpus
@@ -811,6 +812,133 @@ def test_all_after_a_resume_reproduces_the_goldens(tmp_path, finished, mini_corp
     # the resumed stores are byte-identical again, so vote and report skipped
     for name in STAGE_OUTPUTS["vote"] + STAGE_OUTPUTS["report"]:
         assert (workspace / name).stat().st_mtime_ns == PAST_NS, name
+
+
+# The store each stage that sends requests fills, relative to the workspace,
+# and the line it prints on the finished workspace.
+REQUEST_STORES = {
+    "ask": ("answers/answers.jsonl", "ask: 0 new answer(s), 420 already stored, 0 failed"),
+    "categorize": ("verdicts/verdicts.csv",
+                   "categorize: 0 new verdict(s), 420 already stored, 0 failed"),
+    "filter": ("filters/filters.csv", "filter: 0 new verdict(s), 3 already stored, 0 failed"),
+}
+# categorize reads answers, not the corpus
+CORPUS_CHANGES = ("edited text", "new text for a skipped citation", "edited bibliography")
+REQUEST_CHANGES = [
+    (stage, change)
+    for stage in REQUEST_STORES
+    for change in (*CORPUS_CHANGES, "added mock reply", "edited mock reply", "changed config",
+                   "changed endpoints", "deleted store", "edited store", "garbage record")
+    if change != "changed endpoints" or stage == "ask"  # only ask takes --endpoints
+]
+
+
+def no_store_read(self):
+    raise AssertionError("a store was read")
+
+
+class TestSkipUnchangedRequests:
+    """ask, categorize and filter skip on unchanged inputs and stores. Their
+    first run prints other counts than a rerun, hence a class of their own."""
+
+    def copies(self, finished, tmp_path) -> tuple[Path, Path, Path]:
+        """Copies of the finished workspace, the corpus and the mock replies."""
+        workspace, corpus, mock = tmp_path / "ws", tmp_path / "corpus", tmp_path / "mock"
+        shutil.copytree(finished[0], workspace)
+        shutil.copytree(FIXTURES / "mini_corpus", corpus)
+        shutil.copytree(FIXTURES / "mock_responses", mock)
+        return workspace, corpus, mock
+
+    def invoke(self, stage, workspace, corpus, mock, *extra, config=None):
+        args = [stage, "--config", str(config or FIXTURES / "config.yaml"),
+                "--workspace", str(workspace), "--mock", str(mock)]
+        if stage != "categorize":
+            args += ["--corpus", str(corpus)]
+        return invoke(*args, *extra)
+
+    def assert_golden(self, workspace, stage):
+        name = REQUEST_STORES[stage][0]
+        assert (workspace / name).read_bytes() == (GOLDEN / Path(name).name).read_bytes(), name
+
+    @pytest.mark.parametrize("stage", sorted(REQUEST_STORES))
+    def test_unchanged_rerun_reads_no_store_and_rewrites_nothing(
+        self, finished, tmp_path, monkeypatch, stage
+    ):
+        workspace, corpus, mock = self.copies(finished, tmp_path)
+        store = workspace / REQUEST_STORES[stage][0]
+        os.utime(store, ns=(PAST_NS, PAST_NS))
+        # the line the body prints on these inputs, with no record to trust
+        fresh = tmp_path / "fresh"
+        shutil.copytree(workspace, fresh)
+        (fresh / "logs" / f"{stage}.digest.json").unlink()
+        body = self.invoke(stage, fresh, corpus, mock)
+        assert body.stdout == REQUEST_STORES[stage][1] + "\n"
+
+        monkeypatch.setattr(RecordStore, "load", no_store_read)
+        result = self.invoke(stage, workspace, corpus, mock)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == body.stdout
+        self.assert_golden(workspace, stage)
+        assert store.stat().st_mtime_ns == PAST_NS
+
+    @pytest.mark.parametrize("stage,change", REQUEST_CHANGES)
+    def test_a_change_runs_the_stage(self, finished, tmp_path, monkeypatch, stage, change):
+        workspace, corpus, mock = self.copies(finished, tmp_path)
+        store = workspace / REQUEST_STORES[stage][0]
+        config, extra = None, []
+        if change == "edited text":
+            with open(corpus / "10.5555_eco.0001.txt", "a", encoding="utf-8") as fh:
+                fh.write("An added closing sentence.\n")
+        elif change == "new text for a skipped citation":
+            text = corpus / "10.5555_eco.0002.txt"
+            held = text.read_bytes()
+            text.unlink()
+            # the record of a run on the corpus that lacks the text
+            assert self.invoke(stage, workspace, corpus, mock).exit_code == 0
+            text.write_bytes(held)
+        elif change == "edited bibliography":
+            bib = corpus / "bibliography.bib"
+            bib.write_text(bib.read_text(encoding="utf-8").replace(
+                "Seasonal water chemistry", "Seasonal ice and water chemistry"), encoding="utf-8")
+        elif change == "added mock reply":
+            (mock / f"{'0' * 64}.txt").write_text("An unused reply.", encoding="utf-8")
+        elif change == "edited mock reply":
+            reply = sorted(mock.glob("*.txt"))[0]
+            reply.write_bytes(reply.read_bytes() + b"\n")
+        elif change == "changed config":
+            config = config_with(tmp_path, tie_rule="yes")
+        elif change == "changed endpoints":
+            extra = ["--endpoints", "Llama 3 70B,Gemma 2 9B"]
+        elif change == "deleted store":
+            store.unlink()
+        elif change == "edited store":
+            store.write_bytes(b"".join(store.read_bytes().splitlines(keepends=True)[:-1]))
+        else:
+            (workspace / "logs" / f"{stage}.digest.json").write_bytes(b"\xff\x00 not json")
+
+        loads = []
+        load = RecordStore.load
+        with monkeypatch.context() as patch:
+            patch.setattr(RecordStore, "load", lambda self: loads.append(self) or load(self))
+            result = self.invoke(stage, workspace, corpus, mock, *extra, config=config)
+        assert result.exit_code == 0, result.output
+        assert bool(loads) == (stage != "categorize" or change not in CORPUS_CHANGES)
+        self.assert_golden(workspace, stage)
+        # the run left a record that the next one trusts
+        monkeypatch.setattr(RecordStore, "load", no_store_read)
+        rerun = self.invoke(stage, workspace, corpus, mock, *extra, config=config)
+        assert rerun.exit_code == 0, rerun.output
+        assert " 0 new " in rerun.stdout
+
+    def test_no_resume_refills_the_answer_store(self, finished, tmp_path):
+        workspace, corpus, mock = self.copies(finished, tmp_path)
+        result = self.invoke("ask", workspace, corpus, mock, "--no-resume")
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "ask: 420 new answer(s), 0 already stored, 0 failed\n"
+        self.assert_golden(workspace, "ask")
+        result = self.invoke("categorize", workspace, corpus, mock)
+        assert result.stdout == "categorize: 420 new verdict(s), 0 already stored, 0 failed\n"
+        self.assert_golden(workspace, "categorize")
 
 
 class TestIngest:

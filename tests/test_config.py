@@ -43,7 +43,7 @@ def test_filter_endpoint_defaults():
     assert load_config(None).filter_endpoint == "Llama 3.1 70B"
 
 
-@pytest.mark.parametrize("data,key", [
+MALFORMED = [
     ({"parallelism": "four"}, "parallelism"),
     ({"retrieval_budget": [1]}, "retrieval_budget"),
     ({"backoff_seconds": "soon"}, "backoff_seconds"),
@@ -71,11 +71,51 @@ def test_filter_endpoint_defaults():
     ({"chunking": {"chunk_size": 99.5}}, "chunking.chunk_size"),
     ({"chunking": {"chunk_overlap": 0.5}}, "chunking.chunk_overlap"),
     ({"hardware_profile": {"cores": 4.5, "power_per_core": 1}}, "hardware_profile.cores"),
-])
+    ({"filter_endpoint": "Llama 3.1 70b"}, "filter_endpoint"),
+]
+
+
+@pytest.mark.parametrize("data,key", MALFORMED)
 def test_malformed_value_names_its_key(tmp_path, data, key):
     with pytest.raises(ConfigError) as error:
         load_config(write(tmp_path, data))
     assert re.match(rf"config key {re.escape(key)}[: ]", str(error.value))
+
+
+@pytest.fixture
+def pure_python_yaml(monkeypatch):
+    """Hide libyaml's loader, as on a PyYAML built without it."""
+    monkeypatch.delattr(yaml, "CSafeLoader", raising=False)
+
+
+def test_pure_python_loader_gives_the_same_config(request):
+    with_libyaml = load_config(FIXTURES / "config.yaml")
+    request.getfixturevalue("pure_python_yaml")
+    assert load_config(FIXTURES / "config.yaml") == with_libyaml
+
+
+@pytest.mark.parametrize("data,key", MALFORMED)
+def test_pure_python_loader_names_the_same_key(tmp_path, request, data, key):
+    with pytest.raises(ConfigError) as with_libyaml:
+        load_config(write(tmp_path, data))
+    request.getfixturevalue("pure_python_yaml")
+    with pytest.raises(ConfigError) as pure:
+        load_config(write(tmp_path, data))
+    assert str(pure.value) == str(with_libyaml.value)
+    assert re.match(rf"config key {re.escape(key)}[: ]", str(pure.value))
+
+
+def test_a_filter_endpoint_that_names_no_endpoint_stops_all_before_any_request(tmp_path):
+    data = yaml.safe_load((FIXTURES / "config.yaml").read_text(encoding="utf-8"))
+    path = write(tmp_path, {**data, "filter_endpoint": "Llama 3.1 70b"})
+    workspace = tmp_path / "ws"
+    result = CliRunner().invoke(main, ["all", "--config", str(path), "--workspace", str(workspace),
+                                       "--mock", str(FIXTURES / "mock_responses"),
+                                       "--corpus", str(FIXTURES / "mini_corpus")])
+    assert result.exit_code == 1
+    assert result.output == ("Error: config key filter_endpoint: 'Llama 3.1 70b' "
+                             "names no configured endpoint\n")
+    assert not (workspace / "answers" / "answers.jsonl").exists()
 
 
 @pytest.mark.parametrize("key,value", [

@@ -3,8 +3,10 @@
 Random first-attempt faults on the fixture run's requests, and at most one
 endpoint whose credentials are rejected, go through `ask`, `categorize` and
 `filter` on the CLI. Each fault must end as a later successful retry or as
-exit 1 with nothing stored for its item; a healthy rerun then reaches the
-golden stores byte for byte.
+exit 1 with nothing stored for its item. A stage that failed leaves no skip
+record, so a healthy rerun stores each item that failed and reaches the
+golden stores byte for byte; its records then let a further rerun skip
+without reading a store.
 """
 
 import functools
@@ -16,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from litrag import cli, prompts
+from litrag.appendlog import RecordStore
 from litrag.config import load_config
 from litrag.corpus import load_corpus
 from litrag.errors import AuthenticationError
@@ -24,7 +27,7 @@ from litrag.gateway import ChatRequest, MockBackend
 from litrag.retrieval import DocumentIndex
 from litrag.voting import FilterStore, VerdictStore
 from conftest import FIXTURES
-from test_cli import GOLDEN, base_args, config_with, invoke
+from test_cli import GOLDEN, base_args, config_with, invoke, no_store_read
 
 CORPUS = FIXTURES / "mini_corpus"
 CONFIG = load_config(FIXTURES / "config.yaml")
@@ -93,17 +96,22 @@ def faults(stage: str, max_size: int) -> st.SearchStrategy[dict[str, int]]:
     )
 
 
-def run(workspace: Path, config: Path, backend: MockBackend) -> dict[str, int]:
-    statuses = {}
+def run(workspace: Path, config: Path, backend: MockBackend,
+        read_no_store: bool = False) -> tuple[dict[str, int], dict[str, str]]:
+    """Each stage's exit status and stdout; with ``read_no_store`` any store
+    read fails the stage."""
+    statuses, outputs = {}, {}
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(cli.MockBackend, "from_dir", classmethod(lambda cls, directory: backend))
+        if read_no_store:
+            patch.setattr(RecordStore, "load", no_store_read)
         for stage in STORES:
             corpus = [] if stage == "categorize" else ["--corpus", str(CORPUS)]
             result = invoke(stage, *base_args(workspace, config=config), *corpus)
             assert result.exception is None or isinstance(result.exception, SystemExit), \
                 result.output
-            statuses[stage] = result.exit_code
-    return statuses
+            statuses[stage], outputs[stage] = result.exit_code, result.stdout
+    return statuses, outputs
 
 
 @settings(max_examples=12, deadline=None, derandomize=True)
@@ -139,7 +147,7 @@ def test_every_fault_is_retried_or_reported_never_stored(ask, categorize, filter
     with tempfile.TemporaryDirectory() as directory:
         config = config_with(Path(directory), backoff_seconds=0)
         workspace = Path(directory) / "ws"
-        statuses = run(workspace, config, FaultyBackend(fail_first, rejected))
+        statuses, _ = run(workspace, config, FaultyBackend(fail_first, rejected))
         for stage, (store, sub, name) in STORES.items():
             assert statuses[stage] == (1 if expected_failed[stage] else 0), stage
             stored = set(store(workspace / sub / name).load())
@@ -148,7 +156,17 @@ def test_every_fault_is_retried_or_reported_never_stored(ask, categorize, filter
             # whatever was stored is what a healthy run stores
             assert stored <= set(store(GOLDEN / name).load()), stage
 
-        statuses = run(workspace, config, FaultyBackend({}, None))
+        # a stage that failed left no record, so the rerun requests what failed
+        statuses, outputs = run(workspace, config, FaultyBackend({}, None))
         assert statuses == {stage: 0 for stage in STORES}
+        for stage, noun in (("ask", "answer"), ("categorize", "verdict"), ("filter", "verdict")):
+            stored = len(expected_stored[stage])
+            new = len(all_keys[stage]) - stored
+            assert outputs[stage] == \
+                f"{stage}: {new} new {noun}(s), {stored} already stored, 0 failed\n", stage
         for _, sub, name in STORES.values():
             assert (workspace / sub / name).read_bytes() == (GOLDEN / name).read_bytes(), name
+
+        # the healthy run left records, so the next one reads no store
+        statuses, _ = run(workspace, config, FaultyBackend({}, None), read_no_store=True)
+        assert statuses == {stage: 0 for stage in STORES}
