@@ -20,9 +20,12 @@ file of the ``--mock`` directory, or the mark of a live run. The outputs are
 the stage's store or report files. A run in which an item failed writes no
 record, so the next run makes its requests again; a deleted or edited
 output, such as a deleted store, also runs the stage. ``ingest``,
-``keywords`` and ``evaluate`` always run. The ``all`` command chains the
-stages in order. With ``--mock <dir>`` the run is fully offline and
-deterministic.
+``keywords`` and ``evaluate`` always run. With ``--mock <dir>`` the run is
+fully offline and deterministic.
+
+Each subcommand is one function, registered with its options by `_command`.
+The ``all`` command calls the stage functions in order and stops at the first
+one that exits non-zero.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from . import keywords as keywords_mod
 from . import metrics, reports, textsim
 from .config import PipelineConfig, load_config
 from .corpus import CorpusLoad, load_corpus
-from .errors import ConfigError, MissingArtifactError, PipelineError
+from .errors import MissingArtifactError, PipelineError
 from .extraction import (
     AnswerStore,
     RunResult,
@@ -141,26 +144,56 @@ class RunContext:
             gateway.timing_log.append_csv(self.workspace.timing)
 
 
-def _common_options(fn):
-    fn = click.option("--config", "config_path", type=click.Path(), default=None,
-                      help="YAML config file.")(fn)
-    fn = click.option("--workspace", type=click.Path(), default="workspace",
-                      show_default=True, help="Artifact directory for this run.")(fn)
-    fn = click.option("--mock", "mock_dir", type=click.Path(), default=None,
-                      help="Directory of canned responses; enables the offline backend.")(fn)
-    return fn
-
-
-def _context(config_path, workspace, mock_dir) -> RunContext:
-    try:
-        config = load_config(config_path)
-    except ConfigError as exc:
-        raise click.ClickException(str(exc)) from exc
-    return RunContext(
-        config=config,
-        workspace=Workspace(Path(workspace)),
-        mock_dir=Path(mock_dir) if mock_dir is not None else None,
+@click.group()
+@click.option("--verbose", is_flag=True, help="Debug logging.")
+def main(verbose: bool) -> None:
+    """Extract deep-learning methodology reporting from a publication corpus
+    with an ensemble of LLM endpoints."""
+    logging.basicConfig(
+        level=logging.DEBUG if verbose else logging.WARNING,
+        format="%(levelname)s %(name)s: %(message)s",
     )
+
+
+# Every subcommand takes these first, in this order.
+SHARED_OPTIONS = (
+    click.option("--mock", "mock_dir", type=click.Path(), default=None,
+                 help="Directory of canned responses; enables the offline backend."),
+    click.option("--workspace", type=click.Path(), default="workspace",
+                 show_default=True, help="Artifact directory for this run."),
+    click.option("--config", "config_path", type=click.Path(), default=None,
+                 help="YAML config file."),
+)
+CORPUS_OPTION = click.option("--corpus", "corpus_dir", type=click.Path(exists=True), required=True)
+
+
+def _command(name: str, *options: Callable) -> Callable:
+    """Register ``fn(ctx, **options)`` as subcommand ``name``, with the
+    shared options and then ``options``; its docstring is the help. The
+    subcommand builds the `RunContext`, reports a `PipelineError` as
+    ``Error: ...`` with exit status 1, and exits with the status ``fn``
+    returns. ``fn`` itself is returned unchanged."""
+
+    def register(fn: Callable) -> Callable:
+        def command(config_path, workspace, mock_dir, **kwargs) -> None:
+            try:
+                ctx = RunContext(
+                    config=load_config(config_path),
+                    workspace=Workspace(Path(workspace)),
+                    mock_dir=Path(mock_dir) if mock_dir is not None else None,
+                )
+                status = fn(ctx, **kwargs)
+            except PipelineError as exc:
+                raise click.ClickException(str(exc)) from exc
+            if status:
+                click.get_current_context().exit(status)
+
+        for option in reversed((*SHARED_OPTIONS, *options)):
+            command = option(command)
+        main.command(name, help=fn.__doc__)(command)
+        return fn
+
+    return register
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -212,29 +245,33 @@ def _counts(stage: str, noun: str, new: int, stored: int, failed: int) -> str:
 def _unless_unchanged(
     ctx: RunContext,
     stage: str,
-    inputs: Sequence[str],
-    outputs: Sequence[Path],
     run: Callable[[], str | RunResult],
+    outputs: Sequence[Path],
+    requires: Sequence[tuple[Path, str]] = (),
+    inputs: Sequence[str] = (),
     noun: str = "",
 ) -> int:
     """Call ``run``, which writes ``outputs``, print its summary line and
     return the exit status. ``run`` returns that line, or, for a stage that
     sends requests, its `RunResult`, printed as
     ``<stage>: N new <noun>(s), M already stored, K failed`` with each failed
-    item after it on stderr.
+    item after it on stderr. ``requires`` pairs each workspace file the stage
+    reads with the stage that writes it; a missing one raises
+    `MissingArtifactError`.
 
     ``logs/<stage>.digest.json`` records a digest of what the outputs depend
     on (the stage, the config, the litrag sources and data files, which hold
-    the question list, and the ``inputs`` lines), the sha256 of each output
-    and the line a rerun on unchanged inputs prints. When that digest is
-    unchanged and every output still has its recorded sha256, ``run`` is
-    skipped and the recorded line printed. An unreadable record runs it. A
-    run in which an item failed writes no record and exits 1.
+    the question list, the ``requires`` files and the ``inputs`` lines), the
+    sha256 of each output and the line a rerun on unchanged inputs prints.
+    When that digest is unchanged and every output still has its recorded
+    sha256, ``run`` is skipped and the recorded line printed. An unreadable
+    record runs it. A run in which an item failed writes no record and exits 1.
     """
+    required = _hashed("workspace", [_require(path, writer) for path, writer in requires])
     sources = sorted(PACKAGE_DIR.rglob("*.py")) + sorted(PACKAGE_DIR.rglob("*.txt"))
     lines = [stage, repr(ctx.config)]
     lines += [f"{p.relative_to(PACKAGE_DIR).as_posix()} {_file_sha256(p)}" for p in sources]
-    lines += inputs
+    lines += required + list(inputs)
     key = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def output_digests() -> dict[str, Optional[str]]:
@@ -270,7 +307,14 @@ def _unless_unchanged(
     return 0
 
 
-def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -> None:
+@_command(
+    "ingest",
+    CORPUS_OPTION,
+    click.option("--fetch-command", default=None,
+                 help="External command invoked as CMD <doi> to fetch missing full texts."),
+)
+def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str] = None) -> None:
+    """Parse the bibliography, attach full texts, write the skip report."""
     load = load_corpus(corpus_dir, fetch_command=fetch_command)
     # the only stage that reports skipped citations; ask and filter reread the
     # corpus without repeating them
@@ -295,9 +339,26 @@ def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str]) -
     )
 
 
-def _do_ask(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[list[str]]) -> int:
+@_command(
+    "ask",
+    CORPUS_OPTION,
+    click.option("--endpoints", "endpoint_names", default=None,
+                 help="Comma-separated endpoint subset."),
+    click.option("--resume/--no-resume", default=True, show_default=True,
+                 help="Skip answers already in the store; --no-resume first deletes the "
+                      "answer and verdict stores."),
+)
+def _do_ask(
+    ctx: RunContext, corpus_dir: str, endpoint_names: Optional[str], resume: bool = True
+) -> int:
+    """Answer every question for every publication on every endpoint."""
+    names = endpoint_names.split(",") if endpoint_names else None
+    if not resume:
+        # verdicts were made from the answers being discarded
+        ctx.workspace.answers.unlink(missing_ok=True)
+        ctx.workspace.verdicts.unlink(missing_ok=True)
     load = load_corpus(corpus_dir)
-    endpoints = ctx.config.select_endpoints(endpoint_names)
+    endpoints = ctx.config.select_endpoints(names)
 
     def run() -> RunResult:
         with ctx.gateway() as gateway:
@@ -314,18 +375,19 @@ def _do_ask(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[list[str]
 
     inputs = [f"endpoints {json.dumps([e.name for e in endpoints])}"]
     inputs += _corpus_inputs(load) + _backend_inputs(ctx)
-    return _unless_unchanged(ctx, "ask", inputs, [ctx.workspace.answers], run, noun="answer")
+    return _unless_unchanged(ctx, "ask", run, [ctx.workspace.answers], inputs=inputs, noun="answer")
 
 
+@_command("categorize")
 def _do_categorize(ctx: RunContext) -> int:
-    answers = _require(ctx.workspace.answers, "ask")
+    """Convert stored textual answers into Yes/No verdicts."""
 
     def run() -> RunResult:
         questions = {q.id: q for q in load_competency_questions()}
         endpoints = {e.name: e for e in ctx.config.endpoints}
         with ctx.gateway() as gateway:
             return run_conversions(
-                AnswerStore(answers).load(),
+                AnswerStore(ctx.workspace.answers).load(),
                 questions,
                 endpoints,
                 gateway,
@@ -333,26 +395,30 @@ def _do_categorize(ctx: RunContext) -> int:
                 parallelism=ctx.config.parallelism,
             )
 
-    inputs = _hashed("workspace", [answers]) + _backend_inputs(ctx)
     return _unless_unchanged(
-        ctx, "categorize", inputs, [ctx.workspace.verdicts], run, noun="verdict"
+        ctx, "categorize", run, [ctx.workspace.verdicts],
+        requires=[(ctx.workspace.answers, "ask")], inputs=_backend_inputs(ctx), noun="verdict",
     )
 
 
+@_command("vote")
 def _do_vote(ctx: RunContext) -> int:
-    verdicts = _require(ctx.workspace.verdicts, "categorize")
+    """Aggregate per-endpoint verdicts with a hard majority vote."""
 
     def run() -> str:
-        votes = vote_all(VerdictStore(verdicts).load(), tie_rule=ctx.config.tie_rule)
+        votes = vote_all(VerdictStore(ctx.workspace.verdicts).load(), tie_rule=ctx.config.tie_rule)
         save_votes(ctx.workspace.votes, votes)
         yes = sum(1 for v in votes if v.decision is Verdict.YES)
         return f"vote: {len(votes)} decision(s), {yes} Yes"
 
-    inputs = _hashed("workspace", [verdicts])
-    return _unless_unchanged(ctx, "vote", inputs, [ctx.workspace.votes], run)
+    return _unless_unchanged(
+        ctx, "vote", run, [ctx.workspace.votes], requires=[(ctx.workspace.verdicts, "categorize")]
+    )
 
 
+@_command("filter", CORPUS_OPTION)
 def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
+    """Judge which publications actually describe a deep-learning study."""
     load = load_corpus(corpus_dir)
 
     def run() -> RunResult:
@@ -379,7 +445,9 @@ def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
             )
 
     inputs = _corpus_inputs(load) + _backend_inputs(ctx)
-    return _unless_unchanged(ctx, "filter", inputs, [ctx.workspace.filters], run, noun="verdict")
+    return _unless_unchanged(
+        ctx, "filter", run, [ctx.workspace.filters], inputs=inputs, noun="verdict"
+    )
 
 
 def _read_reference_csv(path: str | Path, question_ids: bool) -> metrics.LabelSeries:
@@ -421,7 +489,17 @@ def _verdict_label(verdict: Verdict) -> str:
     return "Yes" if verdict is Verdict.YES else "No"
 
 
-def _do_evaluate(ctx: RunContext, reference: Optional[str], voting_reference: Optional[str]) -> None:
+@_command(
+    "evaluate",
+    click.option("--reference", default=None,
+                 help="CSV (doi,variable,label) with variable = question id."),
+    click.option("--voting-reference", default=None,
+                 help="CSV (doi,variable,label) with reference variables for the vote comparison."),
+)
+def _do_evaluate(
+    ctx: RunContext, reference: Optional[str] = None, voting_reference: Optional[str] = None
+) -> None:
+    """Compare verdicts and vote decisions against human reference labels."""
     reference = reference or ctx.config.reference_labels
     voting_reference = voting_reference or ctx.config.voting_reference
     if reference is None and voting_reference is None:
@@ -475,13 +553,14 @@ def _do_evaluate(ctx: RunContext, reference: Optional[str], voting_reference: Op
     click.echo(f"evaluate: wrote {', '.join(wrote)}")
 
 
+@_command("footprint")
 def _do_footprint(ctx: RunContext) -> int:
-    timing = _require(ctx.workspace.timing, "ask")
+    """Estimate energy, carbon, and tree-months from the timing log."""
 
     def run() -> str:
         profile = ctx.config.hardware_profile or DEFAULT_PROFILE
         rows = footprint_from_log(
-            TimingLog.load_csv(timing),
+            TimingLog.load_csv(ctx.workspace.timing),
             profile,
             intensity=ctx.config.location_intensity,
             tree_month_constant=ctx.config.tree_month_constant,
@@ -491,24 +570,28 @@ def _do_footprint(ctx: RunContext) -> int:
         return f"footprint: wrote footprint report for profile {profile.name}"
 
     outputs = reports.report_files(ctx.workspace.reports_dir, "footprint")
-    return _unless_unchanged(ctx, "footprint", _hashed("workspace", [timing]), outputs, run)
+    return _unless_unchanged(
+        ctx, "footprint", run, outputs, requires=[(ctx.workspace.timing, "ask")]
+    )
 
 
 REPORT_TABLES = ("coverage", "similarity", "iaa_pairs")
 
 
+@_command("report")
 def _do_report(ctx: RunContext) -> int:
-    inputs = _hashed("workspace", [
-        _require(ctx.workspace.votes, "vote"),
-        _require(ctx.workspace.filters, "filter"),
-        _require(ctx.workspace.answers, "ask"),
-        _require(ctx.workspace.verdicts, "categorize"),
-    ])
+    """Write the coverage, similarity, and pairwise-agreement tables."""
+    requires = [
+        (ctx.workspace.votes, "vote"),
+        (ctx.workspace.filters, "filter"),
+        (ctx.workspace.answers, "ask"),
+        (ctx.workspace.verdicts, "categorize"),
+    ]
     outputs = [
         path for name in REPORT_TABLES
         for path in reports.report_files(ctx.workspace.reports_dir, name)
     ]
-    return _unless_unchanged(ctx, "report", inputs, outputs, lambda: _report(ctx))
+    return _unless_unchanged(ctx, "report", lambda: _report(ctx), outputs, requires=requires)
 
 
 def _report(ctx: RunContext) -> str:
@@ -596,174 +679,61 @@ def _pair_kappa(labels_by_endpoint, a: str, b: str, keys) -> float:
     return metrics.cohen_kappa(series_a, series_b)
 
 
-@click.group()
-@click.option("--verbose", is_flag=True, help="Debug logging.")
-def main(verbose: bool) -> None:
-    """Extract deep-learning methodology reporting from a publication corpus
-    with an ensemble of LLM endpoints."""
-    logging.basicConfig(
-        level=logging.DEBUG if verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-
-
-def _wrap(fn, *args, **kwargs) -> None:
-    """Run a stage; exit with the status it returns, or 1 on a PipelineError."""
-    try:
-        status = fn(*args, **kwargs)
-    except PipelineError as exc:
-        raise click.ClickException(str(exc)) from exc
-    if status:
-        click.get_current_context().exit(status)
-
-
-@main.command()
-@_common_options
-@click.option("--corpus", "corpus_dir", type=click.Path(exists=True), required=True)
-@click.option("--fetch-command", default=None,
-              help="External command invoked as CMD <doi> to fetch missing full texts.")
-def ingest(config_path, workspace, mock_dir, corpus_dir, fetch_command):
-    """Parse the bibliography, attach full texts, write the skip report."""
-    ctx = _context(config_path, workspace, mock_dir)
-    _wrap(_do_ingest, ctx, corpus_dir, fetch_command)
-
-
-@main.command("keywords")
-@_common_options
-@click.option("--abstracts", "abstracts_dir", type=click.Path(exists=True), required=True,
-              help="Directory of one UTF-8 .txt abstract per file.")
-@click.option("--endpoint", "endpoint_name", default=None,
-              help="Endpoint used for extraction and consolidation (default: first configured).")
-def keywords_cmd(config_path, workspace, mock_dir, abstracts_dir, endpoint_name):
+@_command(
+    "keywords",
+    click.option("--abstracts", "abstracts_dir", type=click.Path(exists=True), required=True,
+                 help="Directory of one UTF-8 .txt abstract per file."),
+    click.option("--endpoint", "endpoint_name", default=None,
+                 help="Endpoint used for extraction and consolidation "
+                      "(default: first configured)."),
+)
+def _do_keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str]) -> None:
     """Harvest keywords from abstracts, consolidate them, and report
     what human curation changed (if keywords/curated.txt exists)."""
-    ctx = _context(config_path, workspace, mock_dir)
-
-    def run() -> None:
-        endpoint = (
-            ctx.config.endpoint(endpoint_name) if endpoint_name else ctx.config.endpoints[0]
-        )
-        raw: list[str] = []
-        with ctx.gateway() as gateway:
-            for path in sorted(Path(abstracts_dir).glob("*.txt")):
-                raw.extend(
-                    keywords_mod.extract_keywords(
-                        path.read_text(encoding="utf-8"), endpoint, gateway, doc_id=path.stem
-                    )
-                )
-            keywords_mod.save_keywords(ctx.workspace.path("keywords", "raw.txt"), raw)
-            consolidated = keywords_mod.consolidate_keywords(raw, endpoint, gateway)
-        keywords_mod.save_keywords(ctx.workspace.path("keywords", "consolidated.txt"), consolidated)
-        click.echo(f"keywords: {len(raw)} raw, {len(consolidated)} consolidated")
-        curated_path = ctx.workspace.path("keywords", "curated.txt")
-        if curated_path.is_file():
-            curated = keywords_mod.load_curated(curated_path)
-            removed, added = keywords_mod.curation_diff(consolidated, curated.keywords)
-            click.echo(
-                f"curation: {len(curated)} kept, {len(removed)} removed, {len(added)} added"
+    endpoint = ctx.config.endpoint(endpoint_name) if endpoint_name else ctx.config.endpoints[0]
+    paths = sorted(Path(abstracts_dir).glob("*.txt"))
+    if not paths:
+        raise PipelineError(f"{abstracts_dir}: no .txt abstract")
+    raw: list[str] = []
+    with ctx.gateway() as gateway:
+        for path in paths:
+            abstract = path.read_text(encoding="utf-8")
+            if not abstract.strip():
+                raise PipelineError(f"{path}: abstract is empty")
+            raw.extend(keywords_mod.extract_keywords(abstract, endpoint, gateway, doc_id=path.stem))
+        if not raw:
+            raise PipelineError(
+                f"{abstracts_dir}: no reply carried a {keywords_mod.KEYWORD_MARKER!r} list"
             )
-
-    _wrap(run)
-
-
-@main.command()
-@_common_options
-@click.option("--corpus", "corpus_dir", type=click.Path(exists=True), required=True)
-@click.option("--endpoints", "endpoint_names", default=None,
-              help="Comma-separated endpoint subset.")
-@click.option("--resume/--no-resume", default=True, show_default=True,
-              help="Skip answers already in the store; --no-resume first deletes the "
-                   "answer and verdict stores.")
-def ask(config_path, workspace, mock_dir, corpus_dir, endpoint_names, resume):
-    """Answer every question for every publication on every endpoint."""
-    ctx = _context(config_path, workspace, mock_dir)
-    names = endpoint_names.split(",") if endpoint_names else None
-    if not resume:
-        # verdicts were made from the answers being discarded
-        ctx.workspace.answers.unlink(missing_ok=True)
-        ctx.workspace.verdicts.unlink(missing_ok=True)
-    _wrap(_do_ask, ctx, corpus_dir, names)
+        keywords_mod.save_keywords(ctx.workspace.path("keywords", "raw.txt"), raw)
+        consolidated = keywords_mod.consolidate_keywords(raw, endpoint, gateway)
+    keywords_mod.save_keywords(ctx.workspace.path("keywords", "consolidated.txt"), consolidated)
+    click.echo(f"keywords: {len(raw)} raw, {len(consolidated)} consolidated")
+    curated_path = ctx.workspace.path("keywords", "curated.txt")
+    if curated_path.is_file():
+        if not curated_path.read_text(encoding="utf-8").strip():
+            raise PipelineError(f"{curated_path}: curated keyword file is empty")
+        curated = keywords_mod.load_curated(curated_path)
+        removed, added = keywords_mod.curation_diff(consolidated, curated.keywords)
+        click.echo(f"curation: {len(curated)} kept, {len(removed)} removed, {len(added)} added")
 
 
-@main.command()
-@_common_options
-def categorize(config_path, workspace, mock_dir):
-    """Convert stored textual answers into Yes/No verdicts."""
-    ctx = _context(config_path, workspace, mock_dir)
-    _wrap(_do_categorize, ctx)
-
-
-@main.command()
-@_common_options
-def vote(config_path, workspace, mock_dir):
-    """Aggregate per-endpoint verdicts with a hard majority vote."""
-    ctx = _context(config_path, workspace, mock_dir)
-    _wrap(_do_vote, ctx)
-
-
-@main.command("filter")
-@_common_options
-@click.option("--corpus", "corpus_dir", type=click.Path(exists=True), required=True)
-def filter_cmd(config_path, workspace, mock_dir, corpus_dir):
-    """Judge which publications actually describe a deep-learning study."""
-    ctx = _context(config_path, workspace, mock_dir)
-    _wrap(_do_filter, ctx, corpus_dir)
-
-
-@main.command()
-@_common_options
-@click.option("--reference", default=None,
-              help="CSV (doi,variable,label) with variable = question id.")
-@click.option("--voting-reference", default=None,
-              help="CSV (doi,variable,label) with reference variables for the vote comparison.")
-def evaluate(config_path, workspace, mock_dir, reference, voting_reference):
-    """Compare verdicts and vote decisions against human reference labels."""
-    ctx = _context(config_path, workspace, mock_dir)
-    _wrap(_do_evaluate, ctx, reference, voting_reference)
-
-
-@main.command()
-@_common_options
-def footprint(config_path, workspace, mock_dir):
-    """Estimate energy, carbon, and tree-months from the timing log."""
-    ctx = _context(config_path, workspace, mock_dir)
-    _wrap(_do_footprint, ctx)
-
-
-@main.command()
-@_common_options
-def report(config_path, workspace, mock_dir):
-    """Write the coverage, similarity, and pairwise-agreement tables."""
-    ctx = _context(config_path, workspace, mock_dir)
-    _wrap(_do_report, ctx)
-
-
-@main.command("all")
-@_common_options
-@click.option("--corpus", "corpus_dir", type=click.Path(exists=True), required=True)
-@click.option("--endpoints", "endpoint_names", default=None)
-def run_all(config_path, workspace, mock_dir, corpus_dir, endpoint_names):
+@_command("all", CORPUS_OPTION, click.option("--endpoints", "endpoint_names", default=None))
+def _do_all(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[str]) -> int:
     """Run ingest, ask, categorize, vote, filter, evaluate (when references
     are configured), footprint, and report in order."""
-    ctx = _context(config_path, workspace, mock_dir)
-    names = endpoint_names.split(",") if endpoint_names else None
-
-    def run() -> int:
-        _do_ingest(ctx, corpus_dir, None)
-        status = _do_ask(ctx, corpus_dir, names) or _do_categorize(ctx)
-        if status:
-            return status
-        _do_vote(ctx)
-        status = _do_filter(ctx, corpus_dir)
-        if status:
-            return status
-        if ctx.config.reference_labels or ctx.config.voting_reference:
-            _do_evaluate(ctx, None, None)
-        _do_footprint(ctx)
-        _do_report(ctx)
-        return 0
-
-    _wrap(run)
+    references = ctx.config.reference_labels or ctx.config.voting_reference
+    # the first non-zero status stops the chain; ingest and evaluate return None
+    return (
+        _do_ingest(ctx, corpus_dir)
+        or _do_ask(ctx, corpus_dir, endpoint_names)
+        or _do_categorize(ctx)
+        or _do_vote(ctx)
+        or _do_filter(ctx, corpus_dir)
+        or (references and _do_evaluate(ctx))
+        or _do_footprint(ctx)
+        or _do_report(ctx)
+    )
 
 
 if __name__ == "__main__":

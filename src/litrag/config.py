@@ -151,8 +151,10 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
             )
         except ValueError as exc:
             raise ConfigError(f"bad endpoint entry {spec!r}: {exc}") from exc
-    if not endpoints:
-        endpoints = _default_endpoints()
+    # the first listed endpoint filters by default; with none listed, the
+    # default endpoints and filter endpoint apply, as without a config
+    filter_default = endpoints[0].name if endpoints else PipelineConfig.filter_endpoint
+    endpoints = endpoints or _default_endpoints()
 
     known = ("chunk_size", "chunk_overlap", "token_unit")
     read_chunking = _reader(data.get("chunking") or {}, "chunking", known)
@@ -183,7 +185,7 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         except ValueError as exc:
             raise ConfigError(f"bad hardware profile: {exc}") from exc
 
-    filter_endpoint = read("filter_endpoint", endpoints[0].name)
+    filter_endpoint = read("filter_endpoint", filter_default)
     if filter_endpoint not in {e.name for e in endpoints}:
         raise ConfigError(
             f"config key filter_endpoint: {filter_endpoint!r} names no configured endpoint"

@@ -605,6 +605,32 @@ class TestKeywordsCommand:
         assert (workspace / "keywords" / "consolidated.txt").is_file()
         assert "curation:" in result.output
 
+    @pytest.mark.parametrize("case, culprit", [
+        ("empty abstract", "abstracts/talk2.txt"),
+        ("no abstract", "abstracts"),
+        ("no keyword marker", "abstracts"),
+        ("empty curated list", "ws/keywords/curated.txt"),
+    ])
+    def test_a_bad_input_is_an_error_naming_it(self, tmp_path, monkeypatch, case, culprit):
+        abstracts = tmp_path / "abstracts"
+        abstracts.mkdir()
+        if case != "no abstract":
+            (abstracts / "talk1.txt").write_text("A transformer for bird calls.", encoding="utf-8")
+            (abstracts / "talk2.txt").write_text(
+                " \n" if case == "empty abstract" else "A CNN for camera traps.", encoding="utf-8"
+            )
+        if case == "no keyword marker":
+            monkeypatch.setattr(MockBackend, "_default_response",
+                                staticmethod(lambda request: "Answer:::\nnone\nAnswer:::"))
+        workspace = tmp_path / "ws"
+        (workspace / "keywords").mkdir(parents=True)
+        if case == "empty curated list":
+            (workspace / "keywords" / "curated.txt").write_text("\n  \n", encoding="utf-8")
+        result = invoke("keywords", *base_args(workspace), "--abstracts", str(abstracts))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.splitlines()[-1].startswith(f"Error: {tmp_path / culprit}: ")
+
 
 class TestAllChain:
     def test_all_reproduces_goldens(self, tmp_path, mini_corpus_dir):
@@ -1020,3 +1046,47 @@ def test_mock_stage_never_imports_requests(tmp_path, mini_corpus_dir):
     assert proc.stdout.splitlines() == [
         "ask: 420 new answer(s), 0 already stored, 0 failed", "False", "True",
     ]
+
+
+# The first help line and the options, in order, of `litrag` ("main") and of
+# each subcommand: an option's name and its default, or REQUIRED.
+REQUIRED = "required"
+SHARED_OPTIONS = [("--mock", None), ("--workspace", "workspace"), ("--config", None)]
+CORPUS_OPTION = ("--corpus", REQUIRED)
+CLI_SURFACE = {
+    "main": ("Extract deep-learning methodology reporting from a publication corpus",
+             [("--verbose", False)]),
+    "ingest": ("Parse the bibliography, attach full texts, write the skip report.",
+               [*SHARED_OPTIONS, CORPUS_OPTION, ("--fetch-command", None)]),
+    "keywords": ("Harvest keywords from abstracts, consolidate them, and report",
+                 [*SHARED_OPTIONS, ("--abstracts", REQUIRED), ("--endpoint", None)]),
+    "ask": ("Answer every question for every publication on every endpoint.",
+            [*SHARED_OPTIONS, CORPUS_OPTION, ("--endpoints", None),
+             ("--resume/--no-resume", True)]),
+    "categorize": ("Convert stored textual answers into Yes/No verdicts.", SHARED_OPTIONS),
+    "vote": ("Aggregate per-endpoint verdicts with a hard majority vote.", SHARED_OPTIONS),
+    "filter": ("Judge which publications actually describe a deep-learning study.",
+               [*SHARED_OPTIONS, CORPUS_OPTION]),
+    "evaluate": ("Compare verdicts and vote decisions against human reference labels.",
+                 [*SHARED_OPTIONS, ("--reference", None), ("--voting-reference", None)]),
+    "footprint": ("Estimate energy, carbon, and tree-months from the timing log.",
+                  SHARED_OPTIONS),
+    "report": ("Write the coverage, similarity, and pairwise-agreement tables.", SHARED_OPTIONS),
+    "all": ("Run ingest, ask, categorize, vote, filter, evaluate (when references",
+            [*SHARED_OPTIONS, CORPUS_OPTION, ("--endpoints", None)]),
+}
+
+
+def test_cli_has_exactly_the_listed_subcommands():
+    assert sorted(main.commands) == sorted(name for name in CLI_SURFACE if name != "main")
+
+
+@pytest.mark.parametrize("name", list(CLI_SURFACE))
+def test_cli_surface(name):
+    command = main if name == "main" else main.commands[name]
+    help_line, options = CLI_SURFACE[name]
+    assert command.help.splitlines()[0] == help_line
+    assert [
+        ("/".join(p.opts + p.secondary_opts), REQUIRED if p.required else p.default)
+        for p in command.params
+    ] == options

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import re
 
@@ -41,6 +42,14 @@ def test_missing_keys_keep_the_dataclass_defaults(tmp_path):
 
 def test_filter_endpoint_defaults():
     assert load_config(None).filter_endpoint == "Llama 3.1 70B"
+
+
+@pytest.mark.parametrize("data", [{}, {"parallelism": 2}])
+def test_a_config_that_lists_no_endpoint_loads_like_no_config(tmp_path, data):
+    # the default endpoints come with the default filter endpoint, not the first of them
+    config = load_config(write(tmp_path, data))
+    assert config.filter_endpoint == "Llama 3.1 70B"
+    assert config == dataclasses.replace(load_config(None), **data)
 
 
 MALFORMED = [
