@@ -35,7 +35,6 @@ import csv
 import hashlib
 import json
 import logging
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,7 +43,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence
 import click
 
 from . import keywords as keywords_mod
-from . import metrics, reports, textsim
+from . import appendlog, metrics, reports, textsim
 from .config import PipelineConfig, load_config
 from .corpus import CorpusLoad, load_corpus
 from .errors import MissingArtifactError, PipelineError
@@ -58,13 +57,13 @@ from .extraction import (
 from .footprint import HardwareProfile, footprint_from_log
 from .gateway import HttpBackend, LlmGateway, MockBackend, TimingLog
 from .voting import (
+    CategoricalAnswer,
     FilterStore,
     VerdictStore,
     Verdict,
+    VoteStore,
     filter_dl_publication,
-    load_votes,
     run_conversions,
-    save_votes,
     vote_all,
 )
 
@@ -157,8 +156,8 @@ def main(verbose: bool) -> None:
 
 # Every subcommand takes these first, in this order.
 SHARED_OPTIONS = (
-    click.option("--mock", "mock_dir", type=click.Path(), default=None,
-                 help="Directory of canned responses; enables the offline backend."),
+    click.option("--mock", "mock_dir", type=click.Path(exists=True, file_okay=False),
+                 default=None, help="Directory of canned responses; enables the offline backend."),
     click.option("--workspace", type=click.Path(), default="workspace",
                  show_default=True, help="Artifact directory for this run."),
     click.option("--config", "config_path", type=click.Path(), default=None,
@@ -301,9 +300,7 @@ def _unless_unchanged(
         summary = outcome
         click.echo(summary)
     record = {"inputs": key, "outputs": output_digests(), "summary": summary}
-    partial = record_path.with_name(record_path.name + ".tmp")
-    partial.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    os.replace(partial, record_path)
+    appendlog.replace_file(record_path, [json.dumps(record, indent=1) + "\n"])
     return 0
 
 
@@ -331,8 +328,11 @@ def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str] = 
         writer.writerow(["doi", "reason"])
         for doi, reason in load.skipped:
             writer.writerow([doi, reason])
-    for error in load.parse.errors:
-        click.echo(f"{load.bibliography.name}: byte {error.offset}: {error.message}", err=True)
+    # parse errors and entries without a DOI, in file order
+    problems = [(error.offset, error.message) for error in load.parse.errors]
+    problems += [(e.offset, f"entry {e.key} has no DOI") for e in load.parse.without_doi]
+    for offset, message in sorted(problems):
+        click.echo(f"{load.bibliography.name}: byte {offset}: {message}", err=True)
     click.echo(
         f"ingest: {len(load.publications)} publication(s), "
         f"{len(load.skipped)} skipped, {len(load.parse.errors)} parse error(s)"
@@ -407,7 +407,7 @@ def _do_vote(ctx: RunContext) -> int:
 
     def run() -> str:
         votes = vote_all(VerdictStore(ctx.workspace.verdicts).load(), tie_rule=ctx.config.tie_rule)
-        save_votes(ctx.workspace.votes, votes)
+        VoteStore(ctx.workspace.votes).write(votes)
         yes = sum(1 for v in votes if v.decision is Verdict.YES)
         return f"vote: {len(votes)} decision(s), {yes} Yes"
 
@@ -484,9 +484,16 @@ def _read_reference_csv(path: str | Path, question_ids: bool) -> metrics.LabelSe
     return metrics.LabelSeries(keys=tuple(labels), labels=tuple(labels.values()))
 
 
-def _verdict_label(verdict: Verdict) -> str:
-    # Unparseable collapses to No, matching the voting rule.
-    return "Yes" if verdict is Verdict.YES else "No"
+def _labels_by_endpoint(
+    verdicts: Iterable[CategoricalAnswer], names: Iterable[str]
+) -> dict[str, dict[tuple[str, int], str]]:
+    """``{endpoint: {(doi, cq_id): "Yes" or "No"}}`` for the named endpoints,
+    in one pass; Unparseable counts as No, matching the voting rule."""
+    labels: dict[str, dict[tuple[str, int], str]] = {name: {} for name in names}
+    for v in verdicts:
+        if v.endpoint in labels:
+            labels[v.endpoint][(v.doi, v.cq_id)] = "Yes" if v.verdict is Verdict.YES else "No"
+    return labels
 
 
 @_command(
@@ -510,16 +517,14 @@ def _do_evaluate(
     wrote = []
     if reference is not None:
         _require(ctx.workspace.verdicts, "categorize")
-        verdict_rows = VerdictStore(ctx.workspace.verdicts).load()
+        labels_by_endpoint = _labels_by_endpoint(
+            VerdictStore(ctx.workspace.verdicts).load(), [e.name for e in ctx.config.endpoints]
+        )
         ref_series = _read_reference_csv(reference, question_ids=True)
         ref_keys = ref_series.keys
         stats = []
         for endpoint in ctx.config.endpoints:
-            by_key = {
-                (v.doi, v.cq_id): _verdict_label(v.verdict)
-                for v in verdict_rows
-                if v.endpoint == endpoint.name
-            }
+            by_key = labels_by_endpoint[endpoint.name]
             missing = [key for key in ref_keys if key not in by_key]
             if missing:
                 raise PipelineError(
@@ -539,7 +544,7 @@ def _do_evaluate(
         _require(ctx.workspace.votes, "vote")
         if not ctx.config.cq_variable_mapping:
             raise PipelineError("config key cq_variable_mapping is required for the voting comparison")
-        votes = load_votes(ctx.workspace.votes)
+        votes = VoteStore(ctx.workspace.votes).load()
         ref_series = _read_reference_csv(voting_reference, question_ids=False)
         try:
             comparison = metrics.compare_with_reference(
@@ -595,7 +600,7 @@ def _do_report(ctx: RunContext) -> int:
 
 
 def _report(ctx: RunContext) -> str:
-    votes = load_votes(ctx.workspace.votes)
+    votes = VoteStore(ctx.workspace.votes).load()
     filters = {v.doi: v.is_dl_study for v in FilterStore(ctx.workspace.filters).load()}
     questions = {q.id: q.text for q in load_competency_questions()}
 
@@ -631,15 +636,9 @@ def _report(ctx: RunContext) -> str:
     header, rows = reports.pair_rows(similarity_before, similarity_after, "cosine_similarity")
     reports.write_report(ctx.workspace.reports_dir, "similarity", header, rows)
 
-    verdict_rows = VerdictStore(ctx.workspace.verdicts).load()
-    labels_by_endpoint = {
-        name: {
-            (v.doi, v.cq_id): _verdict_label(v.verdict)
-            for v in verdict_rows
-            if v.endpoint == name
-        }
-        for name in endpoint_names
-    }
+    labels_by_endpoint = _labels_by_endpoint(
+        VerdictStore(ctx.workspace.verdicts).load(), endpoint_names
+    )
     keys = sorted(_require_complete(labels_by_endpoint, "verdicts", "categorize"))
     kept_keys = [k for k in keys if k[0] in retained]
     # like the similarity table, drop the after-filtering column when the

@@ -99,6 +99,7 @@ class EntryError:
 @dataclass(frozen=True)
 class ParsedEntry:
     key: str
+    offset: int  # byte offset of the entry's '@' in the utf-8 encoded input
 
 
 @dataclass
@@ -106,10 +107,6 @@ class BibliographyParse:
     records: list[CitationRecord] = field(default_factory=list)
     without_doi: list[ParsedEntry] = field(default_factory=list)
     errors: list[EntryError] = field(default_factory=list)
-
-
-def _byte_offset(text: str, index: int) -> int:
-    return len(text[:index].encode("utf-8", errors="replace"))
 
 
 def _scan_balanced(text: str, start: int, open_ch: str, close_ch: str) -> int:
@@ -185,11 +182,20 @@ def parse_bibliography(text: str) -> BibliographyParse:
     """Parse concatenated BibTeX entries into citation records.
 
     Entries with a DOI become :class:`CitationRecord` (DOI normalized). Entries
-    without one are reported in ``without_doi``. Malformed entries (unbalanced
-    braces) produce an :class:`EntryError` with the byte offset and parsing
-    resumes at the next entry.
+    without one are reported in ``without_doi``, with the byte offset of their
+    '@'. Malformed entries (unbalanced braces) produce an :class:`EntryError`
+    with the byte offset and parsing resumes at the next entry.
     """
     result = BibliographyParse()
+    # entries are scanned in order, so each byte offset counts on from the last
+    counted, counted_bytes = 0, 0
+
+    def byte_offset(index: int) -> int:
+        nonlocal counted, counted_bytes
+        counted_bytes += len(text[counted:index].encode("utf-8", errors="replace"))
+        counted = index
+        return counted_bytes
+
     i = 0
     n = len(text)
     while i < n:
@@ -211,7 +217,7 @@ def parse_bibliography(text: str) -> BibliographyParse:
         if end < 0:
             result.errors.append(
                 EntryError(
-                    offset=_byte_offset(text, at),
+                    offset=byte_offset(at),
                     message=f"unbalanced braces in @{entry_type} entry",
                 )
             )
@@ -223,10 +229,9 @@ def parse_bibliography(text: str) -> BibliographyParse:
         if entry_type in _SKIP_ENTRY_TYPES:
             continue
         key, fields = _parse_fields(text[j + 1:end - 1])
-        entry = ParsedEntry(key=key)
         doi = normalize_doi(fields.get("doi", ""))
         if not doi:
-            result.without_doi.append(entry)
+            result.without_doi.append(ParsedEntry(key=key, offset=byte_offset(at)))
             continue
         year: Optional[int] = None
         year_raw = _strip_braces(fields.get("year", ""))

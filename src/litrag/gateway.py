@@ -9,6 +9,7 @@ offline runs and tests.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import logging
@@ -19,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol
 
 from . import appendlog
 from .errors import AuthenticationError, GatewayError
@@ -106,16 +107,10 @@ class TimingLog:
         return iter(self.entries())
 
     def append_csv(self, path: str | Path) -> None:
-        """Append this log's entries to the CSV at ``path`` in one open,
+        """Append this log's entries to the timing CSV at ``path`` in one open,
         writing the header to a new file."""
-        with appendlog.open_append(path, _parse_tail) as fh:
-            writer = csv.writer(fh)
-            if fh.tell() == 0:
-                writer.writerow(TIMING_HEADER)
-            for e in self.entries():
-                writer.writerow(
-                    [e.unique_id, e.doc_id, e.endpoint, e.stage, e.duration_ms, e.timestamp]
-                )
+        with contextlib.closing(TimingStore(path)) as store:
+            store.extend(self.entries())
 
     # The pipeline only appends; perfbench's tracer still probes this name.
     save_csv = append_csv
@@ -123,48 +118,42 @@ class TimingLog:
     @classmethod
     def load_csv(cls, path: str | Path) -> "TimingLog":
         """Read a timing CSV, dropping a final row cut short by a crash."""
-
-        def parse(lines: Iterator[str]) -> list[TimingEntry]:
-            rows = csv.reader(lines)
-            header = next(rows, None)
-            if header is not None and tuple(header) != TIMING_HEADER:
-                raise ValueError(f"{path}: expected header {','.join(TIMING_HEADER)}")
-            return [_timing_entry(row) for row in rows if row]
-
-        return cls(appendlog.read_records(path, parse, _parse_tail))
+        return cls(TimingStore(path).load())
 
 
-TIMING_HEADER = ("unique_id", "doi", "endpoint", "stage", "duration_ms", "timestamp_iso8601")
+class TimingStore(appendlog.RecordStore[TimingEntry]):
+    """CSV timing log, one row per completed request."""
 
-
-def _timing_entry(row: Sequence[str]) -> TimingEntry:
-    unique_id, doc_id, endpoint, stage, duration_ms, timestamp = row
-    if stage not in STAGES:
-        raise ValueError(f"unknown stage {stage!r}")
-    return TimingEntry(
-        unique_id=unique_id,
-        doc_id=doc_id,
-        endpoint=endpoint,
-        stage=stage,
-        duration_ms=int(duration_ms),
-        timestamp=timestamp,
+    header = appendlog.csv_line(
+        ("unique_id", "doi", "endpoint", "stage", "duration_ms", "timestamp_iso8601")
     )
 
+    def encode(self, e: TimingEntry) -> str:
+        return appendlog.csv_line(
+            (e.unique_id, e.doc_id, e.endpoint, e.stage, e.duration_ms, e.timestamp)
+        )
 
-def _parse_tail(line: bytes) -> Optional[TimingEntry]:
-    """The entry on an unterminated final row, or None if the write was cut short.
+    def parse(self, lines: Iterable[str]) -> list[TimingEntry]:
+        entries = []
+        for uid, doc_id, endpoint, stage, duration_ms, timestamp in filter(None, csv.reader(lines)):
+            if stage not in STAGES:
+                raise ValueError(f"unknown stage {stage!r}")
+            entries.append(TimingEntry(uid, doc_id, endpoint, stage, int(duration_ms), timestamp))
+        return entries
 
-    A row cut inside its timestamp still has six fields, so a whole entry is
-    one whose timestamp reads back exactly as `datetime.isoformat` wrote it.
-    """
-    try:
-        entry = _timing_entry(next(csv.reader([line.decode("utf-8")])))
-        written = datetime.fromisoformat(entry.timestamp)
-    except (UnicodeDecodeError, csv.Error, ValueError, StopIteration):
-        return None
-    if written.tzinfo is None or written.isoformat() != entry.timestamp:
-        return None
-    return entry
+    def parse_tail(self, line: bytes) -> Optional[TimingEntry]:
+        # A row cut inside its timestamp still has six fields, so a whole
+        # entry is one whose timestamp reads back exactly as
+        # `datetime.isoformat` wrote it.
+        entry = super().parse_tail(line)
+        if entry is None:
+            return None
+        try:
+            written = datetime.fromisoformat(entry.timestamp)
+        except ValueError:
+            return None
+        whole = written.tzinfo is not None and written.isoformat() == entry.timestamp
+        return entry if whole else None
 
 
 def dedupe_timing_logs(timing: TimingLog) -> TimingLog:

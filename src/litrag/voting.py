@@ -9,7 +9,6 @@ import logging
 # No pool runs in this module; the span tracer in perfbench/trace.py patches this name.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from . import appendlog, prompts
@@ -215,6 +214,23 @@ class FilterStore(appendlog.RecordStore[FilterVerdict]):
         ]
 
 
+class VoteStore(appendlog.RecordStore[VoteRecord]):
+    """CSV table of vote decisions: doi, cq_id, yes_count, no_count, decision."""
+
+    header = appendlog.csv_line(("doi", "cq_id", "yes_count", "no_count", "decision"))
+
+    def encode(self, vote: VoteRecord) -> str:
+        return appendlog.csv_line(
+            (vote.doi, vote.cq_id, vote.yes_count, vote.no_count, vote.decision.value)
+        )
+
+    def parse(self, lines: Iterable[str]) -> list[VoteRecord]:
+        return [
+            VoteRecord(doi, int(cq_id), int(yes_count), int(no_count), Verdict(decision))
+            for doi, cq_id, yes_count, no_count, decision in filter(None, csv.reader(lines))
+        ]
+
+
 def run_conversions(
     answers: Sequence[TextualAnswer],
     questions_by_id: Mapping[int, CompetencyQuestion],
@@ -251,29 +267,3 @@ def run_conversions(
     return run_requests(
         batches.values(), convert, lambda answer: answer.key, store, parallelism, result
     )
-
-
-def save_votes(path: str | Path, votes: Sequence[VoteRecord]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doi", "cq_id", "yes_count", "no_count", "decision"])
-        for vote in votes:
-            writer.writerow(
-                [vote.doi, vote.cq_id, vote.yes_count, vote.no_count, vote.decision.value]
-            )
-
-
-def load_votes(path: str | Path) -> list[VoteRecord]:
-    votes = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            votes.append(
-                VoteRecord(
-                    doi=row["doi"],
-                    cq_id=int(row["cq_id"]),
-                    yes_count=int(row["yes_count"]),
-                    no_count=int(row["no_count"]),
-                    decision=Verdict(row["decision"]),
-                )
-            )
-    return votes

@@ -20,7 +20,7 @@ from litrag.errors import AuthenticationError
 from litrag.extraction import AnswerStore, load_competency_questions
 from litrag.gateway import ChatRequest, MockBackend, TimingLog
 from litrag.retrieval import retrieve_context
-from litrag.voting import FilterStore, VerdictStore
+from litrag.voting import FilterStore, VerdictStore, VoteStore
 from conftest import FIXTURES
 
 GOLDEN = FIXTURES / "golden"
@@ -677,6 +677,59 @@ class TestAllChain:
             (GOLDEN / "answers.jsonl").read_bytes()
 
 
+class Interrupted(Exception):
+    """Stands in for a crash at one point of a store rewrite."""
+
+
+class TestInterruptedRewrite:
+    @pytest.mark.parametrize("point", ["encode", "replace"])
+    @pytest.mark.parametrize("stage, store, name, header", [
+        ("ask", AnswerStore, "answers/answers.jsonl", 0),
+        ("categorize", VerdictStore, "verdicts/verdicts.csv", 1),
+    ])
+    def test_an_interrupted_rewrite_keeps_every_record(
+        self, finished, tmp_path, mini_corpus_dir, monkeypatch, point, stage, store, name, header
+    ):
+        workspace = tmp_path / "ws"
+        shutil.copytree(finished[0], workspace)
+        path = workspace / name
+        # every record stored, but out of key order, so the stage rewrites the store
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:header] + lines[header:][::-1]))
+        corpus = ["--corpus", str(mini_corpus_dir)]
+        with monkeypatch.context() as patch:
+            if point == "encode":
+                encoded = []
+
+                def encode(self, record, _encode=store.encode):
+                    encoded.append(record)
+                    if len(encoded) > 40:
+                        raise Interrupted
+                    return _encode(self, record)
+
+                patch.setattr(store, "encode", encode)
+            else:
+                def replace(source, target, _replace=os.replace):
+                    if Path(target) == path:
+                        raise Interrupted
+                    _replace(source, target)
+
+                patch.setattr(os, "replace", replace)
+            result = invoke(stage, *base_args(workspace), *(corpus if stage == "ask" else []))
+        assert isinstance(result.exception, Interrupted), result.output
+        golden = store(GOLDEN / path.name).load()
+        assert sorted(store(path).load(), key=lambda record: record.key) == golden
+        assert not path.with_name(path.name + ".tmp").exists()
+
+        result = invoke("all", *base_args(workspace), *corpus)
+        assert result.exit_code == 0, result.output
+        assert "ask: 0 new answer(s), 420 already stored, 0 failed" in result.stdout
+        assert "categorize: 0 new verdict(s), 420 already stored, 0 failed" in result.stdout
+        for sub in ("answers/answers.jsonl", "verdicts/verdicts.csv", "votes/votes.csv",
+                    "filters/filters.csv"):
+            assert (workspace / sub).read_bytes() == golden_output(sub), sub
+
+
 # What each skippable stage writes, relative to the workspace; every file has
 # a committed golden.
 STAGE_OUTPUTS = {
@@ -741,7 +794,7 @@ class TestSkipUnchanged:
         for store in (AnswerStore, VerdictStore, FilterStore):
             monkeypatch.setattr(store, "load", no_read)
         monkeypatch.setattr(TimingLog, "load_csv", classmethod(no_read))
-        monkeypatch.setattr(cli, "load_votes", no_read)
+        monkeypatch.setattr(VoteStore, "load", no_read)
         result = self.rerun(workspace, stage)
         assert result.stdout == finished[1][stage] + "\n"
         self.assert_golden(workspace, stage, rewritten=False)
@@ -1018,6 +1071,47 @@ class TestIngest:
         )
         skip = (workspace / "corpus" / "skip_report.csv").read_text(encoding="utf-8")
         assert skip.strip() == "doi,reason"
+
+    def test_an_entry_without_a_doi_is_reported_with_its_byte_offset(
+        self, tmp_path, mini_corpus_dir
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus_dir, corpus)
+        bib = corpus / "bibliography.bib"
+        head = bib.read_bytes() + "\n% Müller & Grün, draft\n".encode("utf-8")
+        entry = b"@article{nodoi2020,\n  title = {No identifier},\n  year = {2020}\n}\n"
+        # a broken entry after it: the lines follow the file's order
+        bib.write_bytes(head + entry + b"@article{broken2024,\n  doi = {10.5555/eco.0004\n")
+        workspace = tmp_path / "ws"
+        result = invoke("ingest", *base_args(workspace), "--corpus", str(corpus))
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "ingest: 3 publication(s), 0 skipped, 1 parse error(s)\n"
+        assert result.stderr == (
+            f"bibliography.bib: byte {len(head)}: entry nodoi2020 has no DOI\n"
+            f"bibliography.bib: byte {len(head) + len(entry)}: "
+            "unbalanced braces in @article entry\n"
+        )
+        skip = (workspace / "corpus" / "skip_report.csv").read_text(encoding="utf-8")
+        assert skip.strip() == "doi,reason"
+
+
+@pytest.mark.parametrize("stage", ["ingest", "ask", "vote"])
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_a_mock_directory_that_does_not_exist_is_a_usage_error(
+    tmp_path, mini_corpus_dir, stage, kind
+):
+    mock = tmp_path / "no" / "such" / "dir"
+    if kind == "file":
+        mock = tmp_path / "replies.txt"
+        mock.write_text("a file, not a directory", encoding="utf-8")
+    corpus = ["--corpus", str(mini_corpus_dir)] if stage != "vote" else []
+    workspace = tmp_path / "ws"
+    result = invoke(stage, "--config", str(FIXTURES / "config.yaml"),
+                    "--workspace", str(workspace), "--mock", str(mock), *corpus)
+    assert result.exit_code == 2, result.output
+    assert "Invalid value for '--mock'" in result.stderr
+    assert str(mock) in result.stderr
+    assert not workspace.exists()
 
 
 def test_mock_stage_never_imports_requests(tmp_path, mini_corpus_dir):

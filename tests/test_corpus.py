@@ -78,6 +78,22 @@ class TestParseBibliography:
         result = parse_bibliography(text)
         assert result.errors[0].offset == len(prefix.encode("utf-8"))
 
+    def test_offsets_of_later_entries_count_utf8_bytes(self):
+        entries = [
+            "@article{first, title = {Müller}}\n",
+            "@article{ok, title = {Grün}, doi = {10.1/ok}}\n",
+            "@article{second, title = {Ærø}}\n",
+            "@article{broken, doi = {10.1/x\n",
+            "@article{third, title = {née}}\n",
+        ]
+        text = "".join(entries)
+        starts = [len("".join(entries[:k]).encode("utf-8")) for k in range(len(entries))]
+        result = parse_bibliography(text)
+        assert [(e.key, e.offset) for e in result.without_doi] == [
+            ("first", starts[0]), ("second", starts[2]), ("third", starts[4]),
+        ]
+        assert [e.offset for e in result.errors] == [starts[3]]
+
     def test_comment_and_string_blocks_skipped(self):
         text = (
             "@comment{ignore me}\n"

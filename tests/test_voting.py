@@ -13,12 +13,14 @@ from litrag.voting import (
     CategoricalAnswer,
     Verdict,
     VerdictStore,
+    VoteStore,
     filter_dl_publication,
     majority_vote,
     parse_categorical_response,
     to_categorical,
     vote_all,
 )
+from conftest import FIXTURES
 
 ENDPOINT = ModelEndpoint(name="Judge")
 CONFIG = ChunkingConfig(chunk_size=50, overlap=10)
@@ -297,6 +299,23 @@ class TestVerdictStore:
         assert VerdictStore(path).load() == kept + [extra]
         assert path.read_bytes().count(b"doi,cq_id") == 1
 
+    def test_extend_writes_the_header_once_and_write_replaces_the_file(self, tmp_path):
+        path = tmp_path / "verdicts.csv"
+        header = b"doi,cq_id,endpoint,verdict\r\n"
+        first = CategoricalAnswer("10.1/a", 1, "M", Verdict.NO)
+        second = CategoricalAnswer("10.1/b", 1, "M", Verdict.YES)
+        store = VerdictStore(path)
+        store.extend([])
+        assert path.read_bytes() == header
+        store.extend([first, second])
+        assert store.load() == [first, second]  # one flush per call
+        store.write([first])  # closes the file extend opened
+        assert path.read_bytes() == header + b"10.1/a,1,M,No\r\n"
+        store.append(second)  # reopens the new file
+        store.close()
+        assert VerdictStore(path).load() == [first, second]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["verdicts.csv"]
+
     def test_malformed_earlier_row_raises(self, tmp_path):
         path = tmp_path / "verdicts.csv"
         store = VerdictStore(path)
@@ -307,3 +326,21 @@ class TestVerdictStore:
         store.close()
         with pytest.raises(ValueError):
             store.load()
+
+
+class TestVoteStore:
+    def test_golden_votes_keep_their_bytes(self, tmp_path):
+        golden = FIXTURES / "golden" / "votes.csv"
+        votes = VoteStore(golden).load()
+        assert len(votes) == 84 and votes == sorted(votes, key=lambda v: (v.doi, v.cq_id))
+        path = tmp_path / "votes.csv"
+        path.write_bytes(b"a stale table")
+        VoteStore(path).write(votes)
+        assert path.read_bytes() == golden.read_bytes()
+
+    def test_malformed_row_raises(self, tmp_path):
+        path = tmp_path / "votes.csv"
+        path.write_bytes(b"doi,cq_id,yes_count,no_count,decision\r\n10.1/a,1,3,2,Maybe\r\n"
+                         b"10.1/a,2,3,2,Yes\r\n")
+        with pytest.raises(ValueError):
+            VoteStore(path).load()
