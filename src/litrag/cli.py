@@ -1,44 +1,34 @@
 """Subcommand CLI wiring the pipeline stages over a workspace directory.
 
-Every stage reads the artifacts of the previous stage from the workspace and
-writes its own; rerunning a stage on unchanged inputs is a no-op. ``ask``,
-``categorize``, ``vote``, ``filter``, ``footprint`` and ``report`` record a
-digest of their inputs and outputs in ``logs/<stage>.digest.json`` and skip
-their work when neither changed. Every digest covers the stage name, the
-config and the litrag sources and data (which hold the questions and the
-prompt templates), and then what the stage reads:
+The pipeline is one ordered table, `STAGES`. Each `Stage` entry declares a
+stage's options, the workspace files it requires (with the stage that writes
+each), the workspace files it outputs and its body. `_register` builds one
+subcommand per entry, and ``all`` runs the table in order and stops at the
+first stage that exits non-zero.
 
-* ``ask``: the selected endpoint names, the corpus and the backend;
-* ``categorize``: ``answers.jsonl`` and the backend;
-* ``filter``: the corpus and the backend;
-* ``vote``: ``verdicts.csv``; ``footprint``: ``timing.csv``;
-* ``report``: the vote, filter, answer and verdict stores.
-
-The corpus is covered as the stage loads it: the bibliography file and each
-publication's DOI and full text. The backend is the sha256 of each reply
-file of the ``--mock`` directory, or the mark of a live run. The outputs are
-the stage's store or report files. A run in which an item failed writes no
-record, so the next run makes its requests again; a deleted or edited
-output, such as a deleted store, also runs the stage. ``ingest``,
-``keywords`` and ``evaluate`` always run. With ``--mock <dir>`` the run is
-fully offline and deterministic.
-
-Each subcommand is one function, registered with its options by `_command`.
-The ``all`` command calls the stage functions in order and stops at the first
-one that exits non-zero.
+Each stage reads what earlier stages wrote to the workspace and writes its
+own. A stage with outputs keeps ``logs/<stage>.digest.json``: a digest of its
+inputs (the config, the litrag sources and data, its required files and the
+lines its body returns, such as the corpus and the backend), each output's
+sha256 and its summary line. While neither its inputs nor its outputs
+change, a rerun prints that line and does no work (`_unless_unchanged`).
+``ingest``, ``evaluate`` and ``keywords`` have no outputs and always run.
+With ``--mock <dir>`` the run is fully offline and deterministic.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import functools
 import hashlib
 import json
 import logging
 import sys
+import textwrap
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional
 
 import click
 
@@ -81,48 +71,24 @@ PACKAGE_DIR = Path(__file__).resolve().parent
 
 SUBDIRS = ("corpus", "keywords", "answers", "verdicts", "votes", "filters", "reports", "logs")
 
-
-@dataclass
-class Workspace:
-    root: Path
-
-    def __post_init__(self) -> None:
-        for sub in SUBDIRS:
-            (self.root / sub).mkdir(parents=True, exist_ok=True)
-
-    def path(self, *parts: str) -> Path:
-        return self.root.joinpath(*parts)
-
-    @property
-    def answers(self) -> Path:
-        return self.path("answers", "answers.jsonl")
-
-    @property
-    def verdicts(self) -> Path:
-        return self.path("verdicts", "verdicts.csv")
-
-    @property
-    def votes(self) -> Path:
-        return self.path("votes", "votes.csv")
-
-    @property
-    def filters(self) -> Path:
-        return self.path("filters", "filters.csv")
-
-    @property
-    def timing(self) -> Path:
-        return self.path("logs", "timing.csv")
-
-    @property
-    def reports_dir(self) -> Path:
-        return self.path("reports")
+# The workspace tables the stages pass on, relative to the workspace root.
+ANSWERS = Path("answers", "answers.jsonl")
+VERDICTS = Path("verdicts", "verdicts.csv")
+VOTES = Path("votes", "votes.csv")
+FILTERS = Path("filters", "filters.csv")
+TIMING = Path("logs", "timing.csv")
+REPORTS = Path("reports")
 
 
 @dataclass
 class RunContext:
     config: PipelineConfig
-    workspace: Workspace
+    workspace: Path
     mock_dir: Optional[Path]
+
+    def __post_init__(self) -> None:
+        for sub in SUBDIRS:
+            (self.workspace / sub).mkdir(parents=True, exist_ok=True)
 
     @contextlib.contextmanager
     def gateway(self) -> Iterator[LlmGateway]:
@@ -140,7 +106,27 @@ class RunContext:
         try:
             yield gateway
         finally:
-            gateway.timing_log.append_csv(self.workspace.timing)
+            gateway.timing_log.append_csv(self.workspace / TIMING)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage. ``body(ctx, **options)``, whose docstring is the
+    subcommand's help, makes the stage's own checks, loads what it must and
+    returns its digest lines and ``run``, which does the work: it writes
+    ``outputs`` and returns the summary line, or a `RunResult` if it sends
+    requests. ``requires`` pairs each workspace file the stage reads with the
+    stage that writes it. A stage without outputs always runs. ``in_all``
+    says whether ``all`` runs the stage on a config, and None leaves it out;
+    its docstring, if any, is that condition in ``all``'s help."""
+
+    name: str
+    body: Callable[..., tuple[list[str], Callable]]
+    options: tuple[Callable, ...] = ()
+    requires: tuple[tuple[Path, str], ...] = ()
+    outputs: tuple[Path, ...] = ()
+    noun: str = ""
+    in_all: Optional[Callable[[PipelineConfig], bool]] = lambda config: True
 
 
 @click.group()
@@ -164,35 +150,31 @@ SHARED_OPTIONS = (
                  help="YAML config file."),
 )
 CORPUS_OPTION = click.option("--corpus", "corpus_dir", type=click.Path(exists=True), required=True)
+ENDPOINTS_OPTION = click.option("--endpoints", "endpoint_names", default=None,
+                                help="Comma-separated endpoint subset.")
 
 
-def _command(name: str, *options: Callable) -> Callable:
-    """Register ``fn(ctx, **options)`` as subcommand ``name``, with the
-    shared options and then ``options``; its docstring is the help. The
-    subcommand builds the `RunContext`, reports a `PipelineError` as
-    ``Error: ...`` with exit status 1, and exits with the status ``fn``
-    returns. ``fn`` itself is returned unchanged."""
+def _register(name: str, help: str, options: Iterable[Callable], fn: Callable[..., int]) -> None:
+    """Register subcommand ``name``, with the shared options and then ``options``,
+    to call ``fn(ctx, **options)`` and exit with the status it returns; a
+    `PipelineError` is an ``Error: ...`` line and exit status 1."""
 
-    def register(fn: Callable) -> Callable:
-        def command(config_path, workspace, mock_dir, **kwargs) -> None:
-            try:
-                ctx = RunContext(
-                    config=load_config(config_path),
-                    workspace=Workspace(Path(workspace)),
-                    mock_dir=Path(mock_dir) if mock_dir is not None else None,
-                )
-                status = fn(ctx, **kwargs)
-            except PipelineError as exc:
-                raise click.ClickException(str(exc)) from exc
-            if status:
-                click.get_current_context().exit(status)
+    def command(config_path, workspace, mock_dir, **kwargs) -> None:
+        try:
+            ctx = RunContext(
+                config=load_config(config_path),
+                workspace=Path(workspace),
+                mock_dir=Path(mock_dir) if mock_dir is not None else None,
+            )
+            status = fn(ctx, **kwargs)
+        except PipelineError as exc:
+            raise click.ClickException(str(exc)) from exc
+        if status:
+            click.get_current_context().exit(status)
 
-        for option in reversed((*SHARED_OPTIONS, *options)):
-            command = option(command)
-        main.command(name, help=fn.__doc__)(command)
-        return fn
-
-    return register
+    for option in reversed((*SHARED_OPTIONS, *options)):
+        command = option(command)
+    main.command(name, help=help)(command)
 
 
 def _require(path: Path, stage: str) -> Path:
@@ -241,42 +223,41 @@ def _counts(stage: str, noun: str, new: int, stored: int, failed: int) -> str:
     return f"{stage}: {new} new {noun}(s), {stored} already stored, {failed} failed"
 
 
-def _unless_unchanged(
-    ctx: RunContext,
-    stage: str,
-    run: Callable[[], str | RunResult],
-    outputs: Sequence[Path],
-    requires: Sequence[tuple[Path, str]] = (),
-    inputs: Sequence[str] = (),
-    noun: str = "",
-) -> int:
-    """Call ``run``, which writes ``outputs``, print its summary line and
-    return the exit status. ``run`` returns that line, or, for a stage that
-    sends requests, its `RunResult`, printed as
-    ``<stage>: N new <noun>(s), M already stored, K failed`` with each failed
-    item after it on stderr. ``requires`` pairs each workspace file the stage
-    reads with the stage that writes it; a missing one raises
-    `MissingArtifactError`.
+def _run(stage: Stage, ctx: RunContext, **options) -> int:
+    """Run ``stage`` and return its exit status. A missing required file
+    raises `MissingArtifactError`; a stage with outputs runs `_unless_unchanged`."""
+    required = [_require(ctx.workspace / path, writer) for path, writer in stage.requires]
+    inputs, run = stage.body(ctx, **options)
+    if stage.outputs:
+        return _unless_unchanged(ctx, stage, run, _hashed("workspace", required) + inputs)
+    if summary := run():
+        click.echo(summary)
+    return 0
+
+
+def _unless_unchanged(ctx: RunContext, stage: Stage, run: Callable, inputs: list[str]) -> int:
+    """Call ``run``, print its summary line and return the exit status. A
+    `RunResult` is printed as ``<stage>: N new <noun>(s), M already stored,
+    K failed`` with each failed item after it on stderr.
 
     ``logs/<stage>.digest.json`` records a digest of what the outputs depend
     on (the stage, the config, the litrag sources and data files, which hold
-    the question list, the ``requires`` files and the ``inputs`` lines), the
-    sha256 of each output and the line a rerun on unchanged inputs prints.
+    the question list, and the ``inputs`` lines), the sha256 of each output
+    and the line a rerun on unchanged inputs prints.
     When that digest is unchanged and every output still has its recorded
     sha256, ``run`` is skipped and the recorded line printed. An unreadable
     record runs it. A run in which an item failed writes no record and exits 1.
     """
-    required = _hashed("workspace", [_require(path, writer) for path, writer in requires])
     sources = sorted(PACKAGE_DIR.rglob("*.py")) + sorted(PACKAGE_DIR.rglob("*.txt"))
-    lines = [stage, repr(ctx.config)]
+    lines = [stage.name, repr(ctx.config)]
     lines += [f"{p.relative_to(PACKAGE_DIR).as_posix()} {_file_sha256(p)}" for p in sources]
-    lines += required + list(inputs)
+    lines += inputs
     key = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def output_digests() -> dict[str, Optional[str]]:
-        return {p.relative_to(ctx.workspace.root).as_posix(): _file_sha256(p) for p in outputs}
+        return {p.as_posix(): _file_sha256(ctx.workspace / p) for p in stage.outputs}
 
-    record_path = ctx.workspace.path("logs", f"{stage}.digest.json")
+    record_path = ctx.workspace / "logs" / f"{stage.name}.digest.json"
     try:
         record = json.loads(record_path.read_bytes())
         fresh = record["inputs"] == key and record["outputs"] == output_digests()
@@ -289,13 +270,14 @@ def _unless_unchanged(
 
     outcome = run()
     if isinstance(outcome, RunResult):
-        click.echo(_counts(stage, noun, outcome.completed, outcome.skipped, len(outcome.failed)))
+        click.echo(_counts(stage.name, stage.noun, outcome.completed, outcome.skipped,
+                           len(outcome.failed)))
         for *item, error in outcome.failed[:10]:
             click.echo(f"  failed: {'|'.join(map(str, item))}: {error}", err=True)
         if outcome.failed:
             return 1
         # what the body prints when it runs again on these inputs
-        summary = _counts(stage, noun, 0, outcome.completed + outcome.skipped, 0)
+        summary = _counts(stage.name, stage.noun, 0, outcome.completed + outcome.skipped, 0)
     else:
         summary = outcome
         click.echo(summary)
@@ -304,59 +286,48 @@ def _unless_unchanged(
     return 0
 
 
-@_command(
-    "ingest",
-    CORPUS_OPTION,
-    click.option("--fetch-command", default=None,
-                 help="External command invoked as CMD <doi> to fetch missing full texts."),
-)
-def _do_ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str] = None) -> None:
+def _ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str] = None):
     """Parse the bibliography, attach full texts, write the skip report."""
     load = load_corpus(corpus_dir, fetch_command=fetch_command)
-    # the only stage that reports skipped citations; ask and filter reread the
-    # corpus without repeating them
-    for doi, reason in load.skipped:
-        log.warning("skipped %s: %s", doi, reason)
-    with open(ctx.workspace.path("corpus", "citations.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doi", "title", "year", "venue", "word_count"])
+
+    def run() -> str:
+        # the only stage that reports skipped citations; ask and filter reread
+        # the corpus without repeating them
+        for doi, reason in load.skipped:
+            log.warning("skipped %s: %s", doi, reason)
+        citations = []
         for pub in load.publications:
             c = pub.citation
-            writer.writerow([c.doi, c.title, c.year if c.year is not None else "", c.venue, pub.word_count])
-    with open(ctx.workspace.path("corpus", "skip_report.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doi", "reason"])
-        for doi, reason in load.skipped:
-            writer.writerow([doi, reason])
-    # parse errors and entries without a DOI, in file order
-    problems = [(error.offset, error.message) for error in load.parse.errors]
-    problems += [(e.offset, f"entry {e.key} has no DOI") for e in load.parse.without_doi]
-    for offset, message in sorted(problems):
-        click.echo(f"{load.bibliography.name}: byte {offset}: {message}", err=True)
-    click.echo(
-        f"ingest: {len(load.publications)} publication(s), "
-        f"{len(load.skipped)} skipped, {len(load.parse.errors)} parse error(s)"
-    )
+            citations.append([c.doi, c.title, c.year if c.year is not None else "", c.venue,
+                              pub.word_count])
+        for name, header, rows in (
+            ("citations.csv", ["doi", "title", "year", "venue", "word_count"], citations),
+            ("skip_report.csv", ["doi", "reason"], load.skipped),
+        ):
+            table = reports.render_csv(header, rows, lineterminator="\r\n")
+            appendlog.replace_file(ctx.workspace / "corpus" / name, [table])
+        # parse errors and entries without a DOI, in file order
+        problems = [(error.offset, error.message) for error in load.parse.errors]
+        problems += [(e.offset, f"entry {e.key} has no DOI") for e in load.parse.without_doi]
+        for offset, message in sorted(problems):
+            click.echo(f"{load.bibliography.name}: byte {offset}: {message}", err=True)
+        return (
+            f"ingest: {len(load.publications)} publication(s), "
+            f"{len(load.skipped)} skipped, {len(load.parse.errors)} parse error(s)"
+        )
+
+    return [], run
 
 
-@_command(
-    "ask",
-    CORPUS_OPTION,
-    click.option("--endpoints", "endpoint_names", default=None,
-                 help="Comma-separated endpoint subset."),
-    click.option("--resume/--no-resume", default=True, show_default=True,
-                 help="Skip answers already in the store; --no-resume first deletes the "
-                      "answer and verdict stores."),
-)
-def _do_ask(
-    ctx: RunContext, corpus_dir: str, endpoint_names: Optional[str], resume: bool = True
-) -> int:
+def _ask(
+    ctx: RunContext, corpus_dir: str, endpoint_names: Optional[str] = None, resume: bool = True
+):
     """Answer every question for every publication on every endpoint."""
     names = endpoint_names.split(",") if endpoint_names else None
     if not resume:
         # verdicts were made from the answers being discarded
-        ctx.workspace.answers.unlink(missing_ok=True)
-        ctx.workspace.verdicts.unlink(missing_ok=True)
+        (ctx.workspace / ANSWERS).unlink(missing_ok=True)
+        (ctx.workspace / VERDICTS).unlink(missing_ok=True)
     load = load_corpus(corpus_dir)
     endpoints = ctx.config.select_endpoints(names)
 
@@ -367,19 +338,17 @@ def _do_ask(
                 load_competency_questions(),
                 endpoints,
                 gateway,
-                AnswerStore(ctx.workspace.answers),
+                AnswerStore(ctx.workspace / ANSWERS),
                 chunking=ctx.config.chunking,
                 budget=ctx.config.retrieval_budget,
                 parallelism=ctx.config.parallelism,
             )
 
     inputs = [f"endpoints {json.dumps([e.name for e in endpoints])}"]
-    inputs += _corpus_inputs(load) + _backend_inputs(ctx)
-    return _unless_unchanged(ctx, "ask", run, [ctx.workspace.answers], inputs=inputs, noun="answer")
+    return inputs + _corpus_inputs(load) + _backend_inputs(ctx), run
 
 
-@_command("categorize")
-def _do_categorize(ctx: RunContext) -> int:
+def _categorize(ctx: RunContext):
     """Convert stored textual answers into Yes/No verdicts."""
 
     def run() -> RunResult:
@@ -387,42 +356,35 @@ def _do_categorize(ctx: RunContext) -> int:
         endpoints = {e.name: e for e in ctx.config.endpoints}
         with ctx.gateway() as gateway:
             return run_conversions(
-                AnswerStore(ctx.workspace.answers).load(),
+                AnswerStore(ctx.workspace / ANSWERS).load(),
                 questions,
                 endpoints,
                 gateway,
-                VerdictStore(ctx.workspace.verdicts),
+                VerdictStore(ctx.workspace / VERDICTS),
                 parallelism=ctx.config.parallelism,
             )
 
-    return _unless_unchanged(
-        ctx, "categorize", run, [ctx.workspace.verdicts],
-        requires=[(ctx.workspace.answers, "ask")], inputs=_backend_inputs(ctx), noun="verdict",
-    )
+    return _backend_inputs(ctx), run
 
 
-@_command("vote")
-def _do_vote(ctx: RunContext) -> int:
+def _vote(ctx: RunContext):
     """Aggregate per-endpoint verdicts with a hard majority vote."""
 
     def run() -> str:
-        votes = vote_all(VerdictStore(ctx.workspace.verdicts).load(), tie_rule=ctx.config.tie_rule)
-        VoteStore(ctx.workspace.votes).write(votes)
+        votes = vote_all(VerdictStore(ctx.workspace / VERDICTS).load(), tie_rule=ctx.config.tie_rule)
+        VoteStore(ctx.workspace / VOTES).write(votes)
         yes = sum(1 for v in votes if v.decision is Verdict.YES)
         return f"vote: {len(votes)} decision(s), {yes} Yes"
 
-    return _unless_unchanged(
-        ctx, "vote", run, [ctx.workspace.votes], requires=[(ctx.workspace.verdicts, "categorize")]
-    )
+    return [], run
 
 
-@_command("filter", CORPUS_OPTION)
-def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
+def _filter(ctx: RunContext, corpus_dir: str):
     """Judge which publications actually describe a deep-learning study."""
     load = load_corpus(corpus_dir)
 
     def run() -> RunResult:
-        store = FilterStore(ctx.workspace.filters)
+        store = FilterStore(ctx.workspace / FILTERS)
         existing = store.keys()
         pubs = sorted(load.publications, key=lambda p: p.citation.doi)
         pending = [pub for pub in pubs if pub.citation.doi not in existing]
@@ -444,10 +406,7 @@ def _do_filter(ctx: RunContext, corpus_dir: str) -> int:
                 result,
             )
 
-    inputs = _corpus_inputs(load) + _backend_inputs(ctx)
-    return _unless_unchanged(
-        ctx, "filter", run, [ctx.workspace.filters], inputs=inputs, noun="verdict"
-    )
+    return _corpus_inputs(load) + _backend_inputs(ctx), run
 
 
 def _read_reference_csv(path: str | Path, question_ids: bool) -> metrics.LabelSeries:
@@ -496,16 +455,14 @@ def _labels_by_endpoint(
     return labels
 
 
-@_command(
-    "evaluate",
-    click.option("--reference", default=None,
-                 help="CSV (doi,variable,label) with variable = question id."),
-    click.option("--voting-reference", default=None,
-                 help="CSV (doi,variable,label) with reference variables for the vote comparison."),
-)
-def _do_evaluate(
+def _references_configured(config: PipelineConfig) -> bool:
+    """when references are configured"""
+    return bool(config.reference_labels or config.voting_reference)
+
+
+def _evaluate(
     ctx: RunContext, reference: Optional[str] = None, voting_reference: Optional[str] = None
-) -> None:
+):
     """Compare verdicts and vote decisions against human reference labels."""
     reference = reference or ctx.config.reference_labels
     voting_reference = voting_reference or ctx.config.voting_reference
@@ -514,11 +471,17 @@ def _do_evaluate(
             "evaluate needs --reference and/or --voting-reference (or config keys "
             "reference_labels / voting_reference)"
         )
+    return [], functools.partial(_compare_with_references, ctx, reference, voting_reference)
+
+
+def _compare_with_references(
+    ctx: RunContext, reference: Optional[str], voting_reference: Optional[str]
+) -> str:
     wrote = []
     if reference is not None:
-        _require(ctx.workspace.verdicts, "categorize")
+        _require(ctx.workspace / VERDICTS, "categorize")
         labels_by_endpoint = _labels_by_endpoint(
-            VerdictStore(ctx.workspace.verdicts).load(), [e.name for e in ctx.config.endpoints]
+            VerdictStore(ctx.workspace / VERDICTS).load(), [e.name for e in ctx.config.endpoints]
         )
         ref_series = _read_reference_csv(reference, question_ids=True)
         ref_keys = ref_series.keys
@@ -538,13 +501,13 @@ def _do_evaluate(
             kappa = metrics.cohen_kappa(llm_series, ref_series)
             stats.append((endpoint.name, agree, total, kappa))
         header, rows = reports.agreement_rows(stats)
-        reports.write_report(ctx.workspace.reports_dir, "categorical_agreement", header, rows)
+        reports.write_report(ctx.workspace / REPORTS, "categorical_agreement", header, rows)
         wrote.append("categorical_agreement")
     if voting_reference is not None:
-        _require(ctx.workspace.votes, "vote")
+        _require(ctx.workspace / VOTES, "vote")
         if not ctx.config.cq_variable_mapping:
             raise PipelineError("config key cq_variable_mapping is required for the voting comparison")
-        votes = VoteStore(ctx.workspace.votes).load()
+        votes = VoteStore(ctx.workspace / VOTES).load()
         ref_series = _read_reference_csv(voting_reference, question_ids=False)
         try:
             comparison = metrics.compare_with_reference(
@@ -553,62 +516,48 @@ def _do_evaluate(
         except ValueError as exc:
             raise PipelineError(f"voting comparison with {voting_reference}: {exc}") from exc
         header, rows = reports.reference_rows(comparison)
-        reports.write_report(ctx.workspace.reports_dir, "reference_comparison", header, rows)
+        reports.write_report(ctx.workspace / REPORTS, "reference_comparison", header, rows)
         wrote.append("reference_comparison")
-    click.echo(f"evaluate: wrote {', '.join(wrote)}")
+    return f"evaluate: wrote {', '.join(wrote)}"
 
 
-@_command("footprint")
-def _do_footprint(ctx: RunContext) -> int:
+def _footprint(ctx: RunContext):
     """Estimate energy, carbon, and tree-months from the timing log."""
 
     def run() -> str:
         profile = ctx.config.hardware_profile or DEFAULT_PROFILE
         rows = footprint_from_log(
-            TimingLog.load_csv(ctx.workspace.timing),
+            TimingLog.load_csv(ctx.workspace / TIMING),
             profile,
             intensity=ctx.config.location_intensity,
             tree_month_constant=ctx.config.tree_month_constant,
         )
         header, out = reports.footprint_rows(rows)
-        reports.write_report(ctx.workspace.reports_dir, "footprint", header, out)
+        reports.write_report(ctx.workspace / REPORTS, "footprint", header, out)
         return f"footprint: wrote footprint report for profile {profile.name}"
 
-    outputs = reports.report_files(ctx.workspace.reports_dir, "footprint")
-    return _unless_unchanged(
-        ctx, "footprint", run, outputs, requires=[(ctx.workspace.timing, "ask")]
-    )
+    return [], run
 
 
 REPORT_TABLES = ("coverage", "similarity", "iaa_pairs")
 
 
-@_command("report")
-def _do_report(ctx: RunContext) -> int:
+def _report(ctx: RunContext):
     """Write the coverage, similarity, and pairwise-agreement tables."""
-    requires = [
-        (ctx.workspace.votes, "vote"),
-        (ctx.workspace.filters, "filter"),
-        (ctx.workspace.answers, "ask"),
-        (ctx.workspace.verdicts, "categorize"),
-    ]
-    outputs = [
-        path for name in REPORT_TABLES
-        for path in reports.report_files(ctx.workspace.reports_dir, name)
-    ]
-    return _unless_unchanged(ctx, "report", lambda: _report(ctx), outputs, requires=requires)
+    return [], functools.partial(_write_tables, ctx)
 
 
-def _report(ctx: RunContext) -> str:
-    votes = VoteStore(ctx.workspace.votes).load()
-    filters = {v.doi: v.is_dl_study for v in FilterStore(ctx.workspace.filters).load()}
+def _write_tables(ctx: RunContext) -> str:
+    reports_dir = ctx.workspace / REPORTS
+    votes = VoteStore(ctx.workspace / VOTES).load()
+    filters = {v.doi: v.is_dl_study for v in FilterStore(ctx.workspace / FILTERS).load()}
     questions = {q.id: q.text for q in load_competency_questions()}
 
     coverage = metrics.per_cq_coverage(votes, filters)
     header, rows = reports.coverage_rows(coverage, questions)
-    reports.write_report(ctx.workspace.reports_dir, "coverage", header, rows)
+    reports.write_report(reports_dir, "coverage", header, rows)
 
-    answers = AnswerStore(ctx.workspace.answers).load()
+    answers = AnswerStore(ctx.workspace / ANSWERS).load()
     # compare the configured endpoints that answered, such as after `ask --endpoints`
     answered = {a.endpoint for a in answers}
     endpoint_names = [e.name for e in ctx.config.endpoints if e.name in answered]
@@ -634,10 +583,10 @@ def _report(ctx: RunContext) -> str:
         else None
     )
     header, rows = reports.pair_rows(similarity_before, similarity_after, "cosine_similarity")
-    reports.write_report(ctx.workspace.reports_dir, "similarity", header, rows)
+    reports.write_report(reports_dir, "similarity", header, rows)
 
     labels_by_endpoint = _labels_by_endpoint(
-        VerdictStore(ctx.workspace.verdicts).load(), endpoint_names
+        VerdictStore(ctx.workspace / VERDICTS).load(), endpoint_names
     )
     keys = sorted(_require_complete(labels_by_endpoint, "verdicts", "categorize"))
     kept_keys = [k for k in keys if k[0] in retained]
@@ -651,7 +600,7 @@ def _report(ctx: RunContext) -> str:
             if kept_keys:
                 row.append(reports.fmt4(_pair_kappa(labels_by_endpoint, a, b, kept_keys)))
             kappa_stats.append(row)
-    reports.write_report(ctx.workspace.reports_dir, "iaa_pairs", header, kappa_stats)
+    reports.write_report(reports_dir, "iaa_pairs", header, kappa_stats)
     return f"report: wrote {', '.join(REPORT_TABLES)}"
 
 
@@ -678,61 +627,106 @@ def _pair_kappa(labels_by_endpoint, a: str, b: str, keys) -> float:
     return metrics.cohen_kappa(series_a, series_b)
 
 
-@_command(
-    "keywords",
-    click.option("--abstracts", "abstracts_dir", type=click.Path(exists=True), required=True,
-                 help="Directory of one UTF-8 .txt abstract per file."),
-    click.option("--endpoint", "endpoint_name", default=None,
-                 help="Endpoint used for extraction and consolidation "
-                      "(default: first configured)."),
-)
-def _do_keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str]) -> None:
+def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] = None):
     """Harvest keywords from abstracts, consolidate them, and report
     what human curation changed (if keywords/curated.txt exists)."""
     endpoint = ctx.config.endpoint(endpoint_name) if endpoint_name else ctx.config.endpoints[0]
     paths = sorted(Path(abstracts_dir).glob("*.txt"))
     if not paths:
         raise PipelineError(f"{abstracts_dir}: no .txt abstract")
-    raw: list[str] = []
-    with ctx.gateway() as gateway:
-        for path in paths:
-            abstract = path.read_text(encoding="utf-8")
-            if not abstract.strip():
-                raise PipelineError(f"{path}: abstract is empty")
-            raw.extend(keywords_mod.extract_keywords(abstract, endpoint, gateway, doc_id=path.stem))
-        if not raw:
-            raise PipelineError(
-                f"{abstracts_dir}: no reply carried a {keywords_mod.KEYWORD_MARKER!r} list"
-            )
-        keywords_mod.save_keywords(ctx.workspace.path("keywords", "raw.txt"), raw)
-        consolidated = keywords_mod.consolidate_keywords(raw, endpoint, gateway)
-    keywords_mod.save_keywords(ctx.workspace.path("keywords", "consolidated.txt"), consolidated)
-    click.echo(f"keywords: {len(raw)} raw, {len(consolidated)} consolidated")
-    curated_path = ctx.workspace.path("keywords", "curated.txt")
-    if curated_path.is_file():
+
+    def run() -> Optional[str]:
+        raw: list[str] = []
+        with ctx.gateway() as gateway:
+            for path in paths:
+                abstract = path.read_text(encoding="utf-8")
+                if not abstract.strip():
+                    raise PipelineError(f"{path}: abstract is empty")
+                raw.extend(
+                    keywords_mod.extract_keywords(abstract, endpoint, gateway, doc_id=path.stem)
+                )
+            if not raw:
+                raise PipelineError(
+                    f"{abstracts_dir}: no reply carried a {keywords_mod.KEYWORD_MARKER!r} list"
+                )
+            keywords_mod.save_keywords(ctx.workspace / "keywords" / "raw.txt", raw)
+            consolidated = keywords_mod.consolidate_keywords(raw, endpoint, gateway)
+        keywords_mod.save_keywords(ctx.workspace / "keywords" / "consolidated.txt", consolidated)
+        click.echo(f"keywords: {len(raw)} raw, {len(consolidated)} consolidated")
+        curated_path = ctx.workspace / "keywords" / "curated.txt"
+        if not curated_path.is_file():
+            return None
         if not curated_path.read_text(encoding="utf-8").strip():
             raise PipelineError(f"{curated_path}: curated keyword file is empty")
         curated = keywords_mod.load_curated(curated_path)
         removed, added = keywords_mod.curation_diff(consolidated, curated.keywords)
-        click.echo(f"curation: {len(curated)} kept, {len(removed)} removed, {len(added)} added")
+        return f"curation: {len(curated)} kept, {len(removed)} removed, {len(added)} added"
+
+    return [], run
 
 
-@_command("all", CORPUS_OPTION, click.option("--endpoints", "endpoint_names", default=None))
-def _do_all(ctx: RunContext, corpus_dir: str, endpoint_names: Optional[str]) -> int:
-    """Run ingest, ask, categorize, vote, filter, evaluate (when references
-    are configured), footprint, and report in order."""
-    references = ctx.config.reference_labels or ctx.config.voting_reference
-    # the first non-zero status stops the chain; ingest and evaluate return None
-    return (
-        _do_ingest(ctx, corpus_dir)
-        or _do_ask(ctx, corpus_dir, endpoint_names)
-        or _do_categorize(ctx)
-        or _do_vote(ctx)
-        or _do_filter(ctx, corpus_dir)
-        or (references and _do_evaluate(ctx))
-        or _do_footprint(ctx)
-        or _do_report(ctx)
-    )
+# The pipeline, in the order `all` runs it.
+STAGES = (
+    Stage("ingest", _ingest, options=(
+        CORPUS_OPTION,
+        click.option("--fetch-command", default=None,
+                     help="External command invoked as CMD <doi> to fetch missing full texts."),
+    )),
+    Stage("ask", _ask, outputs=(ANSWERS,), noun="answer", options=(
+        CORPUS_OPTION,
+        ENDPOINTS_OPTION,
+        click.option("--resume/--no-resume", default=True, show_default=True,
+                     help="Skip answers already in the store; --no-resume first deletes the "
+                          "answer and verdict stores."),
+    )),
+    Stage("categorize", _categorize, requires=((ANSWERS, "ask"),), outputs=(VERDICTS,),
+          noun="verdict"),
+    Stage("vote", _vote, requires=((VERDICTS, "categorize"),), outputs=(VOTES,)),
+    Stage("filter", _filter, options=(CORPUS_OPTION,), outputs=(FILTERS,), noun="verdict"),
+    Stage("evaluate", _evaluate, in_all=_references_configured, options=(
+        click.option("--reference", default=None,
+                     help="CSV (doi,variable,label) with variable = question id."),
+        click.option("--voting-reference", default=None,
+                     help="CSV (doi,variable,label) with reference variables for the vote "
+                          "comparison."),
+    )),
+    Stage("footprint", _footprint, requires=((TIMING, "ask"),),
+          outputs=reports.report_files(REPORTS, "footprint")),
+    Stage("report", _report, requires=(
+        (VOTES, "vote"), (FILTERS, "filter"), (ANSWERS, "ask"), (VERDICTS, "categorize"),
+    ), outputs=reports.report_files(REPORTS, *REPORT_TABLES)),
+    Stage("keywords", _keywords, in_all=None, options=(
+        click.option("--abstracts", "abstracts_dir", type=click.Path(exists=True), required=True,
+                     help="Directory of one UTF-8 .txt abstract per file."),
+        click.option("--endpoint", "endpoint_name", default=None,
+                     help="Endpoint used for extraction and consolidation "
+                          "(default: first configured)."),
+    )),
+)
+
+# The options of `all`, by parameter name; it passes each to the stages that take it.
+ALL_OPTIONS = {"corpus_dir": CORPUS_OPTION, "endpoint_names": ENDPOINTS_OPTION}
+
+
+def _run_all(ctx: RunContext, **options) -> int:
+    for stage in STAGES:
+        if stage.in_all and stage.in_all(ctx.config):
+            passed = {k: v for k, v in options.items() if ALL_OPTIONS[k] in stage.options}
+            if status := _run(stage, ctx, **passed):
+                return status
+    return 0
+
+
+def _all_help() -> str:
+    """The stages ``all`` runs, in order, filled like a docstring; click rewraps it."""
+    steps = [f"{s.name} ({s.in_all.__doc__})" if s.in_all.__doc__ else s.name
+             for s in STAGES if s.in_all]
+    return textwrap.fill(f"Run {', '.join(steps[:-1])}, and {steps[-1]} in order.")
+
+
+for _stage in STAGES:
+    _register(_stage.name, _stage.body.__doc__, _stage.options, functools.partial(_run, _stage))
+_register("all", _all_help(), ALL_OPTIONS.values(), _run_all)
 
 
 if __name__ == "__main__":

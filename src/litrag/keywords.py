@@ -8,6 +8,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import prompts
+from .appendlog import replace_file
 from .corpus import KeywordSet
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
 
@@ -103,7 +104,7 @@ def load_curated(path: str | Path) -> KeywordSet:
 
 
 def save_keywords(path: str | Path, keywords: Sequence[str]) -> None:
-    Path(path).write_text("\n".join(keywords) + "\n", encoding="utf-8")
+    replace_file(Path(path), ["\n".join(keywords) + "\n"])
 
 
 def curation_diff(consolidated: Sequence[str], curated: Sequence[str]) -> tuple[list[str], list[str]]:

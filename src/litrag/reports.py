@@ -7,6 +7,7 @@ import io
 from pathlib import Path
 from typing import Mapping, Sequence
 
+from .appendlog import replace_file
 from .footprint import FootprintRow
 from .metrics import CoverageTable, ReferenceComparison, SimilarityMatrix
 
@@ -24,9 +25,11 @@ def fmt2(value: float) -> str:
     return f"{value:.2f}"
 
 
-def render_csv(header: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
+def render_csv(
+    header: Sequence[str], rows: Sequence[Sequence[object]], lineterminator: str = "\n"
+) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
+    writer = csv.writer(buffer, lineterminator=lineterminator)
     writer.writerow(header)
     for row in rows:
         writer.writerow(list(row))
@@ -44,10 +47,9 @@ def render_aligned(header: Sequence[str], rows: Sequence[Sequence[object]]) -> s
     return "\n".join(lines) + "\n"
 
 
-def report_files(directory: str | Path, name: str) -> tuple[Path, Path]:
-    """The CSV and the aligned text file `write_report` writes for ``name``."""
-    directory = Path(directory)
-    return directory / f"{name}.csv", directory / f"{name}.txt"
+def report_files(directory: str | Path, *names: str) -> tuple[Path, ...]:
+    """The CSV and the aligned text file `write_report` writes for each of ``names``."""
+    return tuple(Path(directory, name + suffix) for name in names for suffix in (".csv", ".txt"))
 
 
 def write_report(
@@ -58,8 +60,8 @@ def write_report(
 ) -> None:
     Path(directory).mkdir(parents=True, exist_ok=True)
     csv_path, text_path = report_files(directory, name)
-    csv_path.write_text(render_csv(header, rows), encoding="utf-8")
-    text_path.write_text(render_aligned(header, rows), encoding="utf-8")
+    replace_file(csv_path, [render_csv(header, rows)])
+    replace_file(text_path, [render_aligned(header, rows)])
 
 
 def agreement_rows(

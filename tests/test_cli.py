@@ -677,6 +677,56 @@ class TestAllChain:
             (GOLDEN / "answers.jsonl").read_bytes()
 
 
+# The stages `all` runs, in order, when no references are configured.
+ALL_ORDER = ["ingest", "ask", "categorize", "vote", "filter", "footprint", "report"]
+
+
+def summary_stages(stdout: str) -> list[str]:
+    return [line.split(":")[0] for line in stdout.splitlines()]
+
+
+class TestAllOrder:
+    def references_config(self, directory: Path, mapping: bool = True) -> Path:
+        cat_path, vote_path = TestEvaluate().make_reference_files(directory)
+        keys = {"reference_labels": str(cat_path), "voting_reference": str(vote_path)}
+        if mapping:
+            keys["cq_variable_mapping"] = {12: "Model architecture", 5: "Dataset"}
+        return config_with(directory, **keys)
+
+    def test_all_evaluates_when_references_are_configured(self, tmp_path, mini_corpus_dir):
+        workspace = tmp_path / "ws"
+        config = self.references_config(tmp_path)
+        result = invoke("all", *base_args(workspace, config=config),
+                        "--corpus", str(mini_corpus_dir))
+        assert result.exit_code == 0, result.output
+        assert summary_stages(result.stdout) == [*ALL_ORDER[:5], "evaluate", *ALL_ORDER[5:]]
+        assert "evaluate: wrote categorical_agreement, reference_comparison\n" in result.stdout
+        for name in ("categorical_agreement", "reference_comparison"):
+            for suffix in (".csv", ".txt"):
+                assert (workspace / "reports" / f"{name}{suffix}").is_file(), name
+
+    def test_all_without_references_does_not_evaluate(self, tmp_path, mini_corpus_dir):
+        workspace = tmp_path / "ws"
+        result = invoke("all", *base_args(workspace), "--corpus", str(mini_corpus_dir))
+        assert result.exit_code == 0, result.output
+        assert summary_stages(result.stdout) == ALL_ORDER
+        assert "evaluate:" not in result.output
+        assert not (workspace / "reports" / "categorical_agreement.csv").exists()
+
+    def test_a_failing_evaluate_stops_all(self, tmp_path, mini_corpus_dir):
+        workspace = tmp_path / "ws"
+        config = self.references_config(tmp_path, mapping=False)
+        result = invoke("all", *base_args(workspace, config=config),
+                        "--corpus", str(mini_corpus_dir))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not a traceback
+        assert result.output.splitlines()[-1] == (
+            "Error: config key cq_variable_mapping is required for the voting comparison"
+        )
+        assert summary_stages(result.stdout) == ALL_ORDER[:5]
+        assert not (workspace / "reports" / "footprint.csv").exists()
+
+
 class Interrupted(Exception):
     """Stands in for a crash at one point of a store rewrite."""
 
@@ -891,6 +941,37 @@ def test_all_after_a_resume_reproduces_the_goldens(tmp_path, finished, mini_corp
     # the resumed stores are byte-identical again, so vote and report skipped
     for name in STAGE_OUTPUTS["vote"] + STAGE_OUTPUTS["report"]:
         assert (workspace / name).stat().st_mtime_ns == PAST_NS, name
+
+
+def test_an_interrupted_report_keeps_the_previous_tables(
+    finished, tmp_path, monkeypatch
+):
+    workspace = tmp_path / "ws"
+    shutil.copytree(finished[0], workspace)
+    flip_one_verdict(workspace)  # so the report runs and would write other tables
+
+    def replace(source, target):
+        raise Interrupted
+
+    monkeypatch.setattr(os, "replace", replace)
+    result = invoke("report", *base_args(workspace))
+    assert isinstance(result.exception, Interrupted), result.output
+    for name in STAGE_OUTPUTS["report"]:
+        assert (workspace / name).read_bytes() == golden_output(name), name
+    assert not list((workspace / "reports").glob("*.tmp"))
+
+
+def test_every_required_file_is_written_by_an_earlier_stage():
+    order = [stage.name for stage in cli.STAGES]
+    for stage in cli.STAGES:
+        for path, writer in stage.requires:
+            assert order.index(writer) < order.index(stage.name), (stage.name, path)
+
+
+def test_all_records_a_digest_for_exactly_the_stages_with_outputs(finished):
+    recorded = sorted(path.name for path in (finished[0] / "logs").glob("*.digest.json"))
+    assert recorded == sorted(f"{stage.name}.digest.json" for stage in cli.STAGES if stage.outputs)
+    assert len(recorded) == 6
 
 
 # The store each stage that sends requests fills, relative to the workspace,
