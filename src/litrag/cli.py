@@ -7,13 +7,12 @@ subcommand per entry, and ``all`` runs the table in order and stops at the
 first stage that exits non-zero.
 
 Each stage reads what earlier stages wrote to the workspace and writes its
-own. A stage with outputs keeps ``logs/<stage>.digest.json``: a digest of its
-inputs (the config, the litrag sources and data, its required files and the
-lines its body returns, such as the corpus and the backend), each output's
-sha256 and its summary line. While neither its inputs nor its outputs
-change, a rerun prints that line and does no work (`_unless_unchanged`).
-``ingest``, ``evaluate`` and ``keywords`` have no outputs and always run.
-With ``--mock <dir>`` the run is fully offline and deterministic.
+own. Each keeps ``logs/<stage>.digest.json``: a digest of its inputs (the
+config, the litrag sources and data, its required files and the lines its
+body returns, such as the corpus and the backend), each output's sha256 and
+its summary. While neither its inputs nor its outputs change, a rerun prints
+that summary and does no work (`_unless_unchanged`). With ``--mock <dir>``
+the run is fully offline and deterministic.
 """
 
 from __future__ import annotations
@@ -76,6 +75,9 @@ ANSWERS = Path("answers", "answers.jsonl")
 VERDICTS = Path("verdicts", "verdicts.csv")
 VOTES = Path("votes", "votes.csv")
 FILTERS = Path("filters", "filters.csv")
+CITATIONS, SKIP_REPORT = Path("corpus", "citations.csv"), Path("corpus", "skip_report.csv")
+REPLIES, RAW_KEYWORDS = Path("keywords", "replies.jsonl"), Path("keywords", "raw.txt")
+CONSOLIDATED = Path("keywords", "consolidated.txt")
 TIMING = Path("logs", "timing.csv")
 REPORTS = Path("reports")
 
@@ -114,17 +116,17 @@ class Stage:
     """One pipeline stage. ``body(ctx, **options)``, whose docstring is the
     subcommand's help, makes the stage's own checks, loads what it must and
     returns its digest lines and ``run``, which does the work: it writes
-    ``outputs`` and returns the summary line, or a `RunResult` if it sends
+    ``outputs`` and returns its summary, or the `RunResult` of its
     requests. ``requires`` pairs each workspace file the stage reads with the
-    stage that writes it. A stage without outputs always runs. ``in_all``
-    says whether ``all`` runs the stage on a config, and None leaves it out;
-    its docstring, if any, is that condition in ``all``'s help."""
+    stage that writes it. ``in_all`` says whether ``all`` runs the stage on a
+    config, and None leaves it out; its docstring, if any, is that condition
+    in ``all``'s help."""
 
     name: str
     body: Callable[..., tuple[list[str], Callable]]
+    outputs: tuple[Path, ...]
     options: tuple[Callable, ...] = ()
     requires: tuple[tuple[Path, str], ...] = ()
-    outputs: tuple[Path, ...] = ()
     noun: str = ""
     in_all: Optional[Callable[[PipelineConfig], bool]] = lambda config: True
 
@@ -184,10 +186,10 @@ def _require(path: Path, stage: str) -> Path:
 
 
 def _file_sha256(path: Path) -> Optional[str]:
-    """The sha256 of a file's bytes, read a block at a time; None if it is missing."""
+    """The sha256 of a file's bytes, read a block at a time; None if it cannot be opened."""
     try:
         fh = open(path, "rb")
-    except FileNotFoundError:
+    except OSError:
         return None
     digest = hashlib.sha256()
     with fh:
@@ -224,28 +226,24 @@ def _counts(stage: str, noun: str, new: int, stored: int, failed: int) -> str:
 
 
 def _run(stage: Stage, ctx: RunContext, **options) -> int:
-    """Run ``stage`` and return its exit status. A missing required file
-    raises `MissingArtifactError`; a stage with outputs runs `_unless_unchanged`."""
+    """Call ``stage``'s body and run its work `_unless_unchanged`; return the
+    exit status. A missing required file raises `MissingArtifactError`."""
     required = [_require(ctx.workspace / path, writer) for path, writer in stage.requires]
     inputs, run = stage.body(ctx, **options)
-    if stage.outputs:
-        return _unless_unchanged(ctx, stage, run, _hashed("workspace", required) + inputs)
-    if summary := run():
-        click.echo(summary)
-    return 0
+    return _unless_unchanged(ctx, stage, run, _hashed("workspace", required) + inputs)
 
 
 def _unless_unchanged(ctx: RunContext, stage: Stage, run: Callable, inputs: list[str]) -> int:
-    """Call ``run``, print its summary line and return the exit status. A
+    """Call ``run``, print its summary and return the exit status. A
     `RunResult` is printed as ``<stage>: N new <noun>(s), M already stored,
     K failed`` with each failed item after it on stderr.
 
     ``logs/<stage>.digest.json`` records a digest of what the outputs depend
     on (the stage, the config, the litrag sources and data files, which hold
     the question list, and the ``inputs`` lines), the sha256 of each output
-    and the line a rerun on unchanged inputs prints.
+    and the summary a rerun on unchanged inputs prints.
     When that digest is unchanged and every output still has its recorded
-    sha256, ``run`` is skipped and the recorded line printed. An unreadable
+    sha256, ``run`` is skipped and the recorded summary printed. An unreadable
     record runs it. A run in which an item failed writes no record and exits 1.
     """
     sources = sorted(PACKAGE_DIR.rglob("*.py")) + sorted(PACKAGE_DIR.rglob("*.txt"))
@@ -289,34 +287,34 @@ def _unless_unchanged(ctx: RunContext, stage: Stage, run: Callable, inputs: list
 def _ingest(ctx: RunContext, corpus_dir: str, fetch_command: Optional[str] = None):
     """Parse the bibliography, attach full texts, write the skip report."""
     load = load_corpus(corpus_dir, fetch_command=fetch_command)
+    # reported also when the stage skips; ask and filter reread the corpus silently
+    for doi, reason in load.skipped:
+        log.warning("skipped %s: %s", doi, reason)
+    # parse errors and entries without a DOI, in file order
+    problems = [(error.offset, error.message) for error in load.parse.errors]
+    problems += [(e.offset, f"entry {e.key} has no DOI") for e in load.parse.without_doi]
+    for offset, message in sorted(problems):
+        click.echo(f"{load.bibliography.name}: byte {offset}: {message}", err=True)
 
     def run() -> str:
-        # the only stage that reports skipped citations; ask and filter reread
-        # the corpus without repeating them
-        for doi, reason in load.skipped:
-            log.warning("skipped %s: %s", doi, reason)
         citations = []
         for pub in load.publications:
             c = pub.citation
             citations.append([c.doi, c.title, c.year if c.year is not None else "", c.venue,
                               pub.word_count])
-        for name, header, rows in (
-            ("citations.csv", ["doi", "title", "year", "venue", "word_count"], citations),
-            ("skip_report.csv", ["doi", "reason"], load.skipped),
+        for path, header, rows in (
+            (CITATIONS, ["doi", "title", "year", "venue", "word_count"], citations),
+            (SKIP_REPORT, ["doi", "reason"], load.skipped),
         ):
             table = reports.render_csv(header, rows, lineterminator="\r\n")
-            appendlog.replace_file(ctx.workspace / "corpus" / name, [table])
-        # parse errors and entries without a DOI, in file order
-        problems = [(error.offset, error.message) for error in load.parse.errors]
-        problems += [(e.offset, f"entry {e.key} has no DOI") for e in load.parse.without_doi]
-        for offset, message in sorted(problems):
-            click.echo(f"{load.bibliography.name}: byte {offset}: {message}", err=True)
+            appendlog.replace_file(ctx.workspace / path, [table])
         return (
             f"ingest: {len(load.publications)} publication(s), "
             f"{len(load.skipped)} skipped, {len(load.parse.errors)} parse error(s)"
         )
 
-    return [], run
+    # a text that goes from missing to empty changes only its skip reason
+    return _corpus_inputs(load) + [f"skipped {doi} {reason}" for doi, reason in load.skipped], run
 
 
 def _ask(
@@ -471,15 +469,20 @@ def _evaluate(
             "evaluate needs --reference and/or --voting-reference (or config keys "
             "reference_labels / voting_reference)"
         )
-    return [], functools.partial(_compare_with_references, ctx, reference, voting_reference)
+    pairs = ((reference, VERDICTS, "categorize"), (voting_reference, VOTES, "vote"))
+    given = [(ref, _require(ctx.workspace / table, writer)) for ref, table, writer in pairs if ref]
+    if voting_reference and not ctx.config.cq_variable_mapping:
+        raise PipelineError("config key cq_variable_mapping is required for the voting comparison")
+    inputs = [f"reference {ref} {_file_sha256(Path(ref))}" for ref, _ in given]
+    inputs += _hashed("workspace", [table for _, table in given])
+    return inputs, functools.partial(_compare_with_references, ctx, reference, voting_reference)
 
 
 def _compare_with_references(
     ctx: RunContext, reference: Optional[str], voting_reference: Optional[str]
 ) -> str:
-    wrote = []
+    tables = {}
     if reference is not None:
-        _require(ctx.workspace / VERDICTS, "categorize")
         labels_by_endpoint = _labels_by_endpoint(
             VerdictStore(ctx.workspace / VERDICTS).load(), [e.name for e in ctx.config.endpoints]
         )
@@ -500,13 +503,8 @@ def _compare_with_references(
             agree, total = metrics.agreement_counts(llm_series, ref_series)
             kappa = metrics.cohen_kappa(llm_series, ref_series)
             stats.append((endpoint.name, agree, total, kappa))
-        header, rows = reports.agreement_rows(stats)
-        reports.write_report(ctx.workspace / REPORTS, "categorical_agreement", header, rows)
-        wrote.append("categorical_agreement")
+        tables["categorical_agreement"] = reports.agreement_rows(stats)
     if voting_reference is not None:
-        _require(ctx.workspace / VOTES, "vote")
-        if not ctx.config.cq_variable_mapping:
-            raise PipelineError("config key cq_variable_mapping is required for the voting comparison")
         votes = VoteStore(ctx.workspace / VOTES).load()
         ref_series = _read_reference_csv(voting_reference, question_ids=False)
         try:
@@ -515,10 +513,10 @@ def _compare_with_references(
             )
         except ValueError as exc:
             raise PipelineError(f"voting comparison with {voting_reference}: {exc}") from exc
-        header, rows = reports.reference_rows(comparison)
-        reports.write_report(ctx.workspace / REPORTS, "reference_comparison", header, rows)
-        wrote.append("reference_comparison")
-    return f"evaluate: wrote {', '.join(wrote)}"
+        tables["reference_comparison"] = reports.reference_rows(comparison)
+    for name, (header, rows) in tables.items():
+        reports.write_report(ctx.workspace / REPORTS, name, header, rows)
+    return f"evaluate: wrote {', '.join(tables)}"
 
 
 def _footprint(ctx: RunContext):
@@ -631,71 +629,84 @@ def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] 
     """Harvest keywords from abstracts, consolidate them, and report
     what human curation changed (if keywords/curated.txt exists)."""
     endpoint = ctx.config.endpoint(endpoint_name) if endpoint_name else ctx.config.endpoints[0]
-    paths = sorted(Path(abstracts_dir).glob("*.txt"))
-    if not paths:
+    abstracts = {p: p.read_text("utf-8") for p in sorted(Path(abstracts_dir).glob("*.txt"))}
+    if not abstracts:
         raise PipelineError(f"{abstracts_dir}: no .txt abstract")
+    for path, abstract in abstracts.items():
+        if not abstract.strip():
+            raise PipelineError(f"{path}: abstract is empty")
+    curated_path, curated = ctx.workspace / "keywords" / "curated.txt", None
+    if curated_path.is_file():
+        if not curated_path.read_text(encoding="utf-8").strip():
+            raise PipelineError(f"{curated_path}: curated keyword file is empty")
+        curated = keywords_mod.load_curated(curated_path)
 
-    def run() -> Optional[str]:
-        raw: list[str] = []
+    def run() -> RunResult | str:
+        store = keywords_mod.ReplyStore(ctx.workspace / REPLIES)
+        stored = store.keys()
+        pending = [path for path in abstracts if path.stem not in stored]
         with ctx.gateway() as gateway:
-            for path in paths:
-                abstract = path.read_text(encoding="utf-8")
-                if not abstract.strip():
-                    raise PipelineError(f"{path}: abstract is empty")
-                raw.extend(
-                    keywords_mod.extract_keywords(abstract, endpoint, gateway, doc_id=path.stem)
-                )
+            result = run_requests(
+                [pending],
+                lambda path: keywords_mod.KeywordReply(path.stem, keywords_mod.extract_keywords(
+                    abstracts[path], endpoint, gateway, doc_id=path.stem)),
+                lambda path: (path.name,), store, ctx.config.parallelism,
+                RunResult(skipped=len(abstracts) - len(pending)),
+            )
+            if result.failed:
+                return result
+            replies = {reply.stem: reply.keywords for reply in store.load()}
+            raw = [keyword for path in abstracts for keyword in replies[path.stem]]
             if not raw:
                 raise PipelineError(
                     f"{abstracts_dir}: no reply carried a {keywords_mod.KEYWORD_MARKER!r} list"
                 )
-            keywords_mod.save_keywords(ctx.workspace / "keywords" / "raw.txt", raw)
+            keywords_mod.save_keywords(ctx.workspace / RAW_KEYWORDS, raw)
             consolidated = keywords_mod.consolidate_keywords(raw, endpoint, gateway)
-        keywords_mod.save_keywords(ctx.workspace / "keywords" / "consolidated.txt", consolidated)
-        click.echo(f"keywords: {len(raw)} raw, {len(consolidated)} consolidated")
-        curated_path = ctx.workspace / "keywords" / "curated.txt"
-        if not curated_path.is_file():
-            return None
-        if not curated_path.read_text(encoding="utf-8").strip():
-            raise PipelineError(f"{curated_path}: curated keyword file is empty")
-        curated = keywords_mod.load_curated(curated_path)
-        removed, added = keywords_mod.curation_diff(consolidated, curated.keywords)
-        return f"curation: {len(curated)} kept, {len(removed)} removed, {len(added)} added"
+        keywords_mod.save_keywords(ctx.workspace / CONSOLIDATED, consolidated)
+        out = [f"keywords: {len(raw)} raw, {len(consolidated)} consolidated"]
+        if curated is not None:
+            removed, added = keywords_mod.curation_diff(consolidated, curated.keywords)
+            out.append(f"curation: {len(curated)} kept, {len(removed)} removed, {len(added)} added")
+        return "\n".join(out)
 
-    return [], run
+    inputs = [f"endpoint {endpoint.name}", *_hashed("abstract", abstracts)]
+    return inputs + _hashed("keywords", [curated_path]) + _backend_inputs(ctx), run
 
 
 # The pipeline, in the order `all` runs it.
 STAGES = (
-    Stage("ingest", _ingest, options=(
+    Stage("ingest", _ingest, (CITATIONS, SKIP_REPORT), options=(
         CORPUS_OPTION,
         click.option("--fetch-command", default=None,
                      help="External command invoked as CMD <doi> to fetch missing full texts."),
     )),
-    Stage("ask", _ask, outputs=(ANSWERS,), noun="answer", options=(
+    Stage("ask", _ask, (ANSWERS,), noun="answer", options=(
         CORPUS_OPTION,
         ENDPOINTS_OPTION,
         click.option("--resume/--no-resume", default=True, show_default=True,
                      help="Skip answers already in the store; --no-resume first deletes the "
                           "answer and verdict stores."),
     )),
-    Stage("categorize", _categorize, requires=((ANSWERS, "ask"),), outputs=(VERDICTS,),
-          noun="verdict"),
-    Stage("vote", _vote, requires=((VERDICTS, "categorize"),), outputs=(VOTES,)),
-    Stage("filter", _filter, options=(CORPUS_OPTION,), outputs=(FILTERS,), noun="verdict"),
-    Stage("evaluate", _evaluate, in_all=_references_configured, options=(
+    Stage("categorize", _categorize, (VERDICTS,), requires=((ANSWERS, "ask"),), noun="verdict"),
+    Stage("vote", _vote, (VOTES,), requires=((VERDICTS, "categorize"),)),
+    Stage("filter", _filter, (FILTERS,), options=(CORPUS_OPTION,), noun="verdict"),
+    Stage("evaluate", _evaluate,
+          reports.report_files(REPORTS, "categorical_agreement", "reference_comparison"),
+          in_all=_references_configured, options=(
         click.option("--reference", default=None,
                      help="CSV (doi,variable,label) with variable = question id."),
         click.option("--voting-reference", default=None,
                      help="CSV (doi,variable,label) with reference variables for the vote "
                           "comparison."),
     )),
-    Stage("footprint", _footprint, requires=((TIMING, "ask"),),
-          outputs=reports.report_files(REPORTS, "footprint")),
-    Stage("report", _report, requires=(
+    Stage("footprint", _footprint, reports.report_files(REPORTS, "footprint"),
+          requires=((TIMING, "ask"),)),
+    Stage("report", _report, reports.report_files(REPORTS, *REPORT_TABLES), requires=(
         (VOTES, "vote"), (FILTERS, "filter"), (ANSWERS, "ask"), (VERDICTS, "categorize"),
-    ), outputs=reports.report_files(REPORTS, *REPORT_TABLES)),
-    Stage("keywords", _keywords, in_all=None, options=(
+    )),
+    Stage("keywords", _keywords, (REPLIES, RAW_KEYWORDS, CONSOLIDATED), in_all=None,
+          noun="abstract", options=(
         click.option("--abstracts", "abstracts_dir", type=click.Path(exists=True), required=True,
                      help="Directory of one UTF-8 .txt abstract per file."),
         click.option("--endpoint", "endpoint_name", default=None,

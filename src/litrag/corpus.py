@@ -1,4 +1,4 @@
-"""Bibliography ingestion: BibTeX parsing, DOI dedup, search queries, corpus loading.
+"""Bibliography ingestion: BibTeX parsing, DOI dedup, corpus loading.
 
 The parser is deliberately small and forgiving. It recognises ``@type{key, ...}``
 entries with brace- or quote-delimited field values, skips ``@comment``,
@@ -263,28 +263,6 @@ def dedupe_by_doi(records: Sequence[CitationRecord]) -> list[CitationRecord]:
             seen.add(record.doi)
             unique.append(record)
     return unique
-
-
-def build_search_queries(
-    keywords: KeywordSet, max_connectors: int = 8, group_size: int = 5
-) -> list[str]:
-    """Partition keywords in order into OR-joined quoted query strings.
-
-    Each query holds at most ``group_size`` keywords, hence at most
-    ``group_size - 1`` boolean connectors; ``group_size`` may not exceed
-    ``max_connectors + 1``.
-    """
-    if len(keywords) == 0:
-        raise ValueError("keyword set is empty")
-    if not 1 <= group_size <= max_connectors + 1:
-        raise ValueError(
-            f"group_size {group_size} not in [1, max_connectors + 1 = {max_connectors + 1}]"
-        )
-    queries = []
-    for start in range(0, len(keywords.keywords), group_size):
-        group = keywords.keywords[start:start + group_size]
-        queries.append(" OR ".join(f'"{kw}"' for kw in group))
-    return queries
 
 
 @dataclass

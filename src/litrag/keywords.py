@@ -3,12 +3,14 @@ and loading of the human-curated list."""
 
 from __future__ import annotations
 
+import json
 import logging
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from . import prompts
-from .appendlog import replace_file
+from .appendlog import RecordStore, replace_file
 from .corpus import KeywordSet
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
 
@@ -20,6 +22,27 @@ CONSOLIDATION_QUERY = (
     "your task is to eliminate redundancies and non-deep-learning-related "
     "terms from the provided keyword list for the literature survey"
 )
+
+
+@dataclass(frozen=True)
+class KeywordReply:
+    stem: str
+    keywords: list[str]
+
+    @property
+    def key(self) -> str:
+        return self.stem
+
+
+class ReplyStore(RecordStore[KeywordReply]):
+    """JSONL store of the keywords extracted from each abstract, one JSON
+    object per line, keyed by the abstract's file stem."""
+
+    def encode(self, reply: KeywordReply) -> str:
+        return json.dumps(vars(reply), ensure_ascii=False) + "\n"
+
+    def parse(self, lines: Iterable[str]) -> list[KeywordReply]:
+        return [KeywordReply(**json.loads(line)) for line in lines if line.strip()]
 
 
 def parse_keyword_response(text: str) -> list[str]:

@@ -12,6 +12,7 @@ import yaml
 from click.testing import CliRunner
 
 from litrag import cli, prompts
+from litrag import keywords as keywords_mod
 from litrag.appendlog import RecordStore
 from litrag.cli import main
 from litrag.config import load_config
@@ -345,6 +346,41 @@ class TestEvaluate:
         assert "Error: " in result.output and error in result.output, result.output
         assert str(reference) in result.output
 
+    @pytest.mark.parametrize("case", ["no mapping", "defective voting reference"])
+    def test_a_failed_comparison_writes_no_report(self, tmp_path, case):
+        workspace = golden_workspace(tmp_path / "ws")
+        cat_path, vote_path = self.make_reference_files(tmp_path)
+        config = None
+        if case == "defective voting reference":
+            config = self.config_with_mapping(tmp_path)
+            vote_path.write_text("doi,variable,label\n10.5555/eco.0001,Dataset,Yes\n",
+                                 encoding="utf-8")
+        result = invoke("evaluate", *base_args(workspace, config=config),
+                        "--reference", str(cat_path), "--voting-reference", str(vote_path))
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines()[-1].startswith("Error: ")
+        assert not list((workspace / "reports").iterdir())
+
+    def test_an_edited_reference_reruns_and_an_unchanged_one_skips(self, tmp_path):
+        workspace = golden_workspace(tmp_path / "ws")
+        cat_path, vote_path = self.make_reference_files(tmp_path)
+        args = [*base_args(workspace, config=self.config_with_mapping(tmp_path)),
+                "--reference", str(cat_path), "--voting-reference", str(vote_path)]
+        assert invoke("evaluate", *args).exit_code == 0
+        report = workspace / "reports" / "reference_comparison.csv"
+        os.utime(report, ns=(PAST_NS, PAST_NS))
+        result = invoke("evaluate", *args)
+        assert result.stdout == "evaluate: wrote categorical_agreement, reference_comparison\n"
+        assert report.stat().st_mtime_ns == PAST_NS
+        # one label flipped, so one vote disagrees
+        header, first, *rest = vote_path.read_text(encoding="utf-8").splitlines()
+        doi, variable, label = first.split(",")
+        flipped = f"{doi},{variable},{'No' if label == 'Yes' else 'Yes'}"
+        vote_path.write_text("\n".join([header, flipped, *rest]) + "\n", encoding="utf-8")
+        result = invoke("evaluate", *args)
+        assert result.exit_code == 0, result.output
+        assert report.read_text(encoding="utf-8").splitlines()[-1] == "Total,5/6"
+
     def test_a_missing_reference_is_an_error(self, tmp_path):
         workspace = golden_workspace(tmp_path / "ws")
         result = invoke("evaluate", *base_args(workspace), "--reference", str(tmp_path / "none.csv"))
@@ -631,6 +667,109 @@ class TestKeywordsCommand:
         assert isinstance(result.exception, SystemExit)  # not a traceback
         assert result.output.splitlines()[-1].startswith(f"Error: {tmp_path / culprit}: ")
 
+    @pytest.mark.parametrize("case", ["empty abstract", "empty curated list"])
+    def test_a_bad_input_is_found_before_any_request(self, tmp_path, case):
+        abstracts = tmp_path / "abstracts"
+        abstracts.mkdir()
+        # sorted after a good abstract, so a stage that checks as it sends pays for that one
+        (abstracts / "talk1.txt").write_text("A transformer for bird calls.", encoding="utf-8")
+        (abstracts / "talk2.txt").write_text(
+            " \n" if case == "empty abstract" else "A CNN for camera traps.", encoding="utf-8"
+        )
+        workspace = tmp_path / "ws"
+        (workspace / "keywords").mkdir(parents=True)
+        if case == "empty curated list":
+            (workspace / "keywords" / "curated.txt").write_text("\n", encoding="utf-8")
+        result = invoke("keywords", *base_args(workspace), "--abstracts", str(abstracts))
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines()[-1].startswith("Error: ")
+        assert not (workspace / "logs" / "timing.csv").exists()  # no request was made
+        assert not (workspace / "keywords" / "replies.jsonl").exists()
+
+    def abstracts(self, directory: Path) -> Path:
+        abstracts = directory / "abstracts"
+        abstracts.mkdir()
+        for stem, text in (("talk1", "A convolutional neural network for species identification."),
+                           ("talk2", "A transformer pipeline for acoustic monitoring."),
+                           ("talk3", "Random forests and a recurrent network for bird song.")):
+            (abstracts / f"{stem}.txt").write_text(text, encoding="utf-8")
+        return abstracts
+
+    def test_an_unchanged_rerun_sends_nothing(self, tmp_path):
+        abstracts = self.abstracts(tmp_path)
+        workspace = tmp_path / "ws"
+        (workspace / "keywords").mkdir(parents=True)
+        curated = workspace / "keywords" / "curated.txt"
+        curated.write_text("neural network\n", encoding="utf-8")
+        args = [*base_args(workspace), "--abstracts", str(abstracts)]
+        first = invoke("keywords", *args)
+        assert first.exit_code == 0, first.output
+        assert first.stdout == "keywords: 6 raw, 2 consolidated\n" \
+            "curation: 1 kept, 1 removed, 0 added\n"
+        rerun = invoke("keywords", *args)
+        assert rerun.exit_code == 0, rerun.output
+        assert rerun.stdout == first.stdout
+        assert len(timing_rows(workspace)) == 4  # three extractions and a consolidation, once each
+        # an edited curated list re-sends only the consolidation
+        curated.write_text("neural network\ncnn\n", encoding="utf-8")
+        edited = invoke("keywords", *args)
+        assert edited.exit_code == 0, edited.output
+        assert edited.stdout.splitlines()[-1] == "curation: 2 kept, 1 removed, 1 added"
+        assert [row["doi"] for row in timing_rows(workspace)[4:]] == ["keywords"]
+
+    def test_a_failed_extraction_stores_nothing_and_a_rerun_sends_only_what_is_missing(
+        self, tmp_path, monkeypatch
+    ):
+        abstracts = self.abstracts(tmp_path)
+        config = config_with(tmp_path, backoff_seconds=0)
+        endpoint = load_config(config).endpoints[0]
+        failing = ChatRequest.create(endpoint, prompts.render("keyword-extraction", {
+            "query": prompts.KEYWORD_EXTRACTION_QUERY,
+            "context": (abstracts / "talk2.txt").read_text(encoding="utf-8"),
+        })).request_id
+        clean, workspace = tmp_path / "clean", tmp_path / "ws"
+        assert invoke("keywords", *base_args(clean, config=config),
+                      "--abstracts", str(abstracts)).exit_code == 0
+        args = [*base_args(workspace, config=config), "--abstracts", str(abstracts)]
+
+        def run(backend):
+            with monkeypatch.context() as patch:
+                patch.setattr(cli.MockBackend, "from_dir",
+                              classmethod(lambda cls, directory: backend))
+                return invoke("keywords", *args), backend.sent
+
+        result, _ = run(SendingBackend(fail_first={failing: 99}))
+        assert result.exit_code == 1, result.output
+        assert result.stdout == "keywords: 2 new abstract(s), 0 already stored, 1 failed\n"
+        assert "failed: talk2.txt: " in result.stderr
+        replies = keywords_mod.ReplyStore(workspace / "keywords" / "replies.jsonl")
+        assert replies.keys() == {"talk1", "talk3"}
+        assert not (workspace / "keywords" / "raw.txt").exists()
+        assert not (workspace / "logs" / "keywords.digest.json").exists()
+
+        result, sent = run(SendingBackend())
+        assert result.exit_code == 0, result.output
+        assert result.stdout == "keywords: 6 raw, 2 consolidated\n"
+        assert len(sent) == 2 and sent[0] == failing  # the missing extraction, then consolidation
+        result, sent = run(SendingBackend())
+        assert result.stdout == "keywords: 6 raw, 2 consolidated\n"
+        assert sent == []
+        for name in ("raw.txt", "consolidated.txt"):
+            assert (workspace / "keywords" / name).read_bytes() == \
+                (clean / "keywords" / name).read_bytes(), name
+
+
+class SendingBackend(MockBackend):
+    """Records the id of every request it is sent, in order."""
+
+    def __init__(self, **kwargs) -> None:
+        super().__init__(**kwargs)
+        self.sent: list[str] = []
+
+    def send(self, endpoint, request):
+        self.sent.append(request.request_id)
+        return super().send(endpoint, request)
+
 
 class TestAllChain:
     def test_all_reproduces_goldens(self, tmp_path, mini_corpus_dir):
@@ -712,6 +851,28 @@ class TestAllOrder:
         assert summary_stages(result.stdout) == ALL_ORDER
         assert "evaluate:" not in result.output
         assert not (workspace / "reports" / "categorical_agreement.csv").exists()
+
+    def test_a_noop_all_with_references_rewrites_no_file(
+        self, tmp_path, mini_corpus_dir, monkeypatch
+    ):
+        workspace = tmp_path / "ws"
+        args = [*base_args(workspace, config=self.references_config(tmp_path)),
+                "--corpus", str(mini_corpus_dir)]
+        first = invoke("all", *args)
+        assert first.exit_code == 0, first.output
+        files = sorted(path for path in workspace.rglob("*") if path.is_file())
+        for path in files:
+            os.utime(path, ns=(PAST_NS, PAST_NS))
+        before = {path: path.read_bytes() for path in files}
+        monkeypatch.setattr(RecordStore, "load", no_store_read)
+        result = invoke("all", *args)
+        assert result.exit_code == 0, result.output
+        assert summary_stages(result.stdout) == summary_stages(first.stdout)
+        assert "evaluate: wrote categorical_agreement, reference_comparison\n" in result.stdout
+        assert sorted(path for path in workspace.rglob("*") if path.is_file()) == files
+        for path in files:
+            assert path.read_bytes() == before[path], path
+            assert path.stat().st_mtime_ns == PAST_NS, path
 
     def test_a_failing_evaluate_stops_all(self, tmp_path, mini_corpus_dir):
         workspace = tmp_path / "ws"
@@ -970,8 +1131,10 @@ def test_every_required_file_is_written_by_an_earlier_stage():
 
 def test_all_records_a_digest_for_exactly_the_stages_with_outputs(finished):
     recorded = sorted(path.name for path in (finished[0] / "logs").glob("*.digest.json"))
-    assert recorded == sorted(f"{stage.name}.digest.json" for stage in cli.STAGES if stage.outputs)
-    assert len(recorded) == 6
+    assert all(stage.outputs for stage in cli.STAGES)
+    # the stages `all` runs without references
+    assert recorded == sorted(f"{name}.digest.json" for name in ALL_ORDER)
+    assert len(recorded) == 7
 
 
 # The store each stage that sends requests fills, relative to the workspace,
@@ -1152,6 +1315,52 @@ class TestIngest:
         )
         skip = (workspace / "corpus" / "skip_report.csv").read_text(encoding="utf-8")
         assert skip.strip() == "doi,reason"
+
+    def test_a_skipped_rerun_still_reports_the_bibliography_problems(
+        self, tmp_path, mini_corpus_dir, caplog
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus_dir, corpus)
+        (corpus / "10.5555_eco.0002.txt").unlink()
+        with open(corpus / "bibliography.bib", "a", encoding="utf-8") as fh:
+            fh.write("@article{broken2024,\n  doi = {10.5555/eco.0004\n")
+        workspace = tmp_path / "ws"
+        args = [*base_args(workspace), "--corpus", str(corpus)]
+        first = invoke("ingest", *args)
+        assert first.exit_code == 0, first.output
+        assert "unbalanced braces" in first.stderr
+        tables = [workspace / "corpus" / name for name in ("citations.csv", "skip_report.csv")]
+        for table in tables:
+            os.utime(table, ns=(PAST_NS, PAST_NS))
+        caplog.clear()
+        rerun = invoke("ingest", *args)
+        assert rerun.exit_code == 0, rerun.output
+        assert (rerun.stdout, rerun.stderr) == (first.stdout, first.stderr)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipped 10.5555/eco.0002: no full-text file"
+        ]
+        assert all(table.stat().st_mtime_ns == PAST_NS for table in tables)
+
+    def test_a_text_that_goes_from_missing_to_empty_updates_the_skip_report(
+        self, tmp_path, mini_corpus_dir
+    ):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus_dir, corpus)
+        text = corpus / "10.5555_eco.0002.txt"
+        text.unlink()
+        workspace = tmp_path / "ws"
+        args = [*base_args(workspace), "--corpus", str(corpus)]
+        skip_report = workspace / "corpus" / "skip_report.csv"
+        assert invoke("ingest", *args).exit_code == 0
+        assert skip_report.read_text(encoding="utf-8").splitlines()[1:] == [
+            "10.5555/eco.0002,no full-text file"
+        ]
+        text.write_text("", encoding="utf-8")
+        result = invoke("ingest", *args)
+        assert result.exit_code == 0, result.output
+        assert skip_report.read_text(encoding="utf-8").splitlines()[1:] == [
+            "10.5555/eco.0002,empty full text"
+        ]
 
     def test_an_entry_without_a_doi_is_reported_with_its_byte_offset(
         self, tmp_path, mini_corpus_dir

@@ -5,7 +5,6 @@ import pytest
 from litrag.corpus import (
     CitationRecord,
     KeywordSet,
-    build_search_queries,
     dedupe_by_doi,
     doi_to_filename,
     load_corpus,
@@ -13,10 +12,6 @@ from litrag.corpus import (
     parse_bibliography,
 )
 from conftest import N_UNIQUE_DOIS, build_bibliography, fixture_doi
-
-
-def make_keywords(n):
-    return KeywordSet(keywords=tuple(f"keyword {i}" for i in range(n)))
 
 
 class TestNormalizeDoi:
@@ -149,35 +144,6 @@ class TestDedupeByDoi:
             assert len(once) <= len(records)
             positions = [records.index(r) for r in once]
             assert positions == sorted(positions)
-
-
-class TestBuildSearchQueries:
-    def test_25_keywords_in_groups_of_5(self):
-        queries = build_search_queries(make_keywords(25), max_connectors=8, group_size=5)
-        assert len(queries) == 5
-        assert all(q.count(" OR ") == 4 for q in queries)
-
-    def test_single_keyword(self):
-        queries = build_search_queries(make_keywords(1))
-        assert queries == ['"keyword 0"']
-
-    def test_group_size_may_exceed_default(self):
-        queries = build_search_queries(make_keywords(10), max_connectors=8, group_size=9)
-        assert [q.count(" OR ") + 1 for q in queries] == [9, 1]
-
-    def test_group_size_above_connector_limit_rejected(self):
-        with pytest.raises(ValueError):
-            build_search_queries(make_keywords(10), max_connectors=8, group_size=10)
-
-    def test_empty_keyword_set_rejected(self):
-        with pytest.raises(ValueError):
-            build_search_queries(KeywordSet(keywords=()))
-
-    def test_concatenation_reproduces_keyword_order(self):
-        keywords = make_keywords(23)
-        queries = build_search_queries(keywords, group_size=4)
-        joined = " OR ".join(queries)
-        assert [part.strip('"') for part in joined.split(" OR ")] == list(keywords.keywords)
 
 
 class TestKeywordSetInvariants:
