@@ -632,9 +632,8 @@ def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] 
     abstracts = {p: p.read_text("utf-8") for p in sorted(Path(abstracts_dir).glob("*.txt"))}
     if not abstracts:
         raise PipelineError(f"{abstracts_dir}: no .txt abstract")
-    for path, abstract in abstracts.items():
-        if not abstract.strip():
-            raise PipelineError(f"{path}: abstract is empty")
+    if empty := [path for path, abstract in abstracts.items() if not abstract.strip()]:
+        raise PipelineError(f"{empty[0]}: abstract is empty")
     curated_path, curated = ctx.workspace / "keywords" / "curated.txt", None
     if curated_path.is_file():
         if not curated_path.read_text(encoding="utf-8").strip():
@@ -644,19 +643,20 @@ def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] 
     def run() -> RunResult | str:
         store = keywords_mod.ReplyStore(ctx.workspace / REPLIES)
         stored = store.keys()
-        pending = [path for path in abstracts if path.stem not in stored]
+        pending = [path for path in abstracts if (endpoint.name, path.stem) not in stored]
         with ctx.gateway() as gateway:
             result = run_requests(
                 [pending],
-                lambda path: keywords_mod.KeywordReply(path.stem, keywords_mod.extract_keywords(
-                    abstracts[path], endpoint, gateway, doc_id=path.stem)),
+                lambda path: keywords_mod.KeywordReply(
+                    endpoint.name, path.stem,
+                    keywords_mod.extract_keywords(abstracts[path], endpoint, gateway, path.stem)),
                 lambda path: (path.name,), store, ctx.config.parallelism,
                 RunResult(skipped=len(abstracts) - len(pending)),
             )
             if result.failed:
                 return result
-            replies = {reply.stem: reply.keywords for reply in store.load()}
-            raw = [keyword for path in abstracts for keyword in replies[path.stem]]
+            replies = {reply.key: reply.keywords for reply in store.load()}
+            raw = [kw for path in abstracts for kw in replies.get((endpoint.name, path.stem), [])]
             if not raw:
                 raise PipelineError(
                     f"{abstracts_dir}: no reply carried a {keywords_mod.KEYWORD_MARKER!r} list"

@@ -26,20 +26,21 @@ CONSOLIDATION_QUERY = (
 
 @dataclass(frozen=True)
 class KeywordReply:
+    endpoint: str
     stem: str
     keywords: list[str]
 
     @property
-    def key(self) -> str:
-        return self.stem
+    def key(self) -> tuple[str, str]:
+        return self.endpoint, self.stem
 
 
 class ReplyStore(RecordStore[KeywordReply]):
-    """JSONL store of the keywords extracted from each abstract, one JSON
-    object per line, keyed by the abstract's file stem."""
+    """JSONL store of the keywords an endpoint extracted from an abstract, keyed
+    by (endpoint, file stem); a reply without a keyword list is not stored."""
 
     def encode(self, reply: KeywordReply) -> str:
-        return json.dumps(vars(reply), ensure_ascii=False) + "\n"
+        return json.dumps(vars(reply), ensure_ascii=False) + "\n" if reply.keywords else ""
 
     def parse(self, lines: Iterable[str]) -> list[KeywordReply]:
         return [KeywordReply(**json.loads(line)) for line in lines if line.strip()]

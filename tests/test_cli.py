@@ -717,33 +717,41 @@ class TestKeywordsCommand:
         assert edited.stdout.splitlines()[-1] == "curation: 2 kept, 1 removed, 1 added"
         assert [row["doi"] for row in timing_rows(workspace)[4:]] == ["keywords"]
 
+    @staticmethod
+    def extraction_id(config: Path, abstract: Path, endpoint: int = 0) -> str:
+        return ChatRequest.create(load_config(config).endpoints[endpoint], prompts.render(
+            "keyword-extraction",
+            {"query": prompts.KEYWORD_EXTRACTION_QUERY,
+             "context": abstract.read_text(encoding="utf-8")},
+        )).request_id
+
+    @staticmethod
+    def run_with(monkeypatch, backend, *args):
+        """``keywords`` with ``args``, served by ``backend``; the result and what it sent."""
+        with monkeypatch.context() as patch:
+            patch.setattr(cli.MockBackend, "from_dir", classmethod(lambda cls, directory: backend))
+            return invoke("keywords", *args), backend.sent
+
     def test_a_failed_extraction_stores_nothing_and_a_rerun_sends_only_what_is_missing(
         self, tmp_path, monkeypatch
     ):
         abstracts = self.abstracts(tmp_path)
         config = config_with(tmp_path, backoff_seconds=0)
-        endpoint = load_config(config).endpoints[0]
-        failing = ChatRequest.create(endpoint, prompts.render("keyword-extraction", {
-            "query": prompts.KEYWORD_EXTRACTION_QUERY,
-            "context": (abstracts / "talk2.txt").read_text(encoding="utf-8"),
-        })).request_id
+        failing = self.extraction_id(config, abstracts / "talk2.txt")
         clean, workspace = tmp_path / "clean", tmp_path / "ws"
         assert invoke("keywords", *base_args(clean, config=config),
                       "--abstracts", str(abstracts)).exit_code == 0
         args = [*base_args(workspace, config=config), "--abstracts", str(abstracts)]
 
         def run(backend):
-            with monkeypatch.context() as patch:
-                patch.setattr(cli.MockBackend, "from_dir",
-                              classmethod(lambda cls, directory: backend))
-                return invoke("keywords", *args), backend.sent
+            return self.run_with(monkeypatch, backend, *args)
 
         result, _ = run(SendingBackend(fail_first={failing: 99}))
         assert result.exit_code == 1, result.output
         assert result.stdout == "keywords: 2 new abstract(s), 0 already stored, 1 failed\n"
         assert "failed: talk2.txt: " in result.stderr
         replies = keywords_mod.ReplyStore(workspace / "keywords" / "replies.jsonl")
-        assert replies.keys() == {"talk1", "talk3"}
+        assert replies.keys() == {("Llama 3 70B", "talk1"), ("Llama 3 70B", "talk3")}
         assert not (workspace / "keywords" / "raw.txt").exists()
         assert not (workspace / "logs" / "keywords.digest.json").exists()
 
@@ -757,6 +765,67 @@ class TestKeywordsCommand:
         for name in ("raw.txt", "consolidated.txt"):
             assert (workspace / "keywords" / name).read_bytes() == \
                 (clean / "keywords" / name).read_bytes(), name
+
+    def test_another_endpoint_extracts_every_abstract_itself(self, tmp_path, monkeypatch):
+        abstracts = self.abstracts(tmp_path)
+        config = FIXTURES / "config.yaml"
+        gemma = ["--endpoint", "Gemma 2 9B"]
+        clean, workspace = tmp_path / "clean", tmp_path / "ws"
+        assert invoke("keywords", *base_args(clean), "--abstracts", str(abstracts),
+                      *gemma).exit_code == 0
+        args = [*base_args(workspace), "--abstracts", str(abstracts)]
+        assert invoke("keywords", *args).exit_code == 0
+        first_raw = (workspace / "keywords" / "raw.txt").read_bytes()
+
+        result, sent = self.run_with(monkeypatch, SendingBackend(), *args, *gemma)
+        assert result.exit_code == 0, result.output
+        extractions = [self.extraction_id(config, abstracts / f"talk{i}.txt", endpoint=4)
+                       for i in (1, 2, 3)]
+        assert sent[:3] == extractions and len(sent) == 4  # three extractions, a consolidation
+        for name in ("raw.txt", "consolidated.txt"):
+            assert (workspace / "keywords" / name).read_bytes() == \
+                (clean / "keywords" / name).read_bytes(), name
+        # back to the first endpoint: its replies are still stored
+        result, sent = self.run_with(monkeypatch, SendingBackend(), *args)
+        assert result.exit_code == 0, result.output
+        assert len(sent) == 1  # the consolidation
+        assert (workspace / "keywords" / "raw.txt").read_bytes() == first_raw
+
+    def test_a_reply_without_a_keyword_list_is_not_stored(self, tmp_path, monkeypatch):
+        abstracts = self.abstracts(tmp_path)
+        config = FIXTURES / "config.yaml"
+        unmarked = self.extraction_id(config, abstracts / "talk2.txt")
+        clean, workspace = tmp_path / "clean", tmp_path / "ws"
+        assert invoke("keywords", *base_args(clean), "--abstracts", str(abstracts)).exit_code == 0
+        args = [*base_args(workspace), "--abstracts", str(abstracts)]
+
+        backend = SendingBackend(canned={unmarked: "Answer:::\nnone\nAnswer:::"})
+        result, _ = self.run_with(monkeypatch, backend, *args)
+        assert result.exit_code == 0, result.output
+        assert result.stdout.startswith("keywords: 4 raw, ")  # the other two abstracts
+        replies = keywords_mod.ReplyStore(workspace / "keywords" / "replies.jsonl")
+        assert {stem for _, stem in replies.keys()} == {"talk1", "talk3"}
+        # the next run of the stage asks that abstract again
+        (workspace / "logs" / "keywords.digest.json").unlink()
+        result, sent = self.run_with(monkeypatch, SendingBackend(), *args)
+        assert result.exit_code == 0, result.output
+        assert len(sent) == 2 and sent[0] == unmarked  # then the consolidation
+        for name in ("raw.txt", "consolidated.txt"):
+            assert (workspace / "keywords" / name).read_bytes() == \
+                (clean / "keywords" / name).read_bytes(), name
+
+    def test_replies_without_any_keyword_list_are_all_asked_again(self, tmp_path, monkeypatch):
+        abstracts = self.abstracts(tmp_path)
+        args = [*base_args(tmp_path / "ws"), "--abstracts", str(abstracts)]
+        with monkeypatch.context() as patch:
+            patch.setattr(MockBackend, "_default_response",
+                          staticmethod(lambda request: "Answer:::\nnone\nAnswer:::"))
+            result, sent = self.run_with(monkeypatch, SendingBackend(), *args)
+        assert result.exit_code == 1, result.output
+        assert len(sent) == 3 and "no reply carried" in result.output
+        result, sent = self.run_with(monkeypatch, SendingBackend(), *args)
+        assert result.exit_code == 0, result.output
+        assert len(sent) == 4  # every extraction again, then the consolidation
 
 
 class SendingBackend(MockBackend):
