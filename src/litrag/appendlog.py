@@ -56,7 +56,7 @@ class RecordStore(Generic[R]):
     replaces the whole file through `replace_file`. `keys` and
     `canonicalize` read each record's ``key``; `canonicalize` rewrites the
     file in key order, so a finished store is byte-identical whatever order
-    its records arrived in.
+    its records arrived in, and leaves a file already in that order alone.
 
     A subclass defines the line format: `header` (the file's first line,
     with its line end, or empty), `encode` (one record as a line, with its
@@ -140,7 +140,24 @@ class RecordStore(Generic[R]):
         return {record.key for record in self.load()}
 
     def canonicalize(self) -> None:
-        self.write(sorted(self.load(), key=lambda record: record.key))
+        """Close the file and rewrite it in key order, unless it already holds those bytes."""
+        self.close()
+        records = sorted(self.load(), key=lambda record: record.key)
+        if not self._holds(itertools.chain((self.header,), map(self.encode, records))):
+            self.write(records)
+
+    def _holds(self, lines: Iterable[str]) -> bool:
+        """Whether the file's bytes are ``lines`` in UTF-8, compared a line at a
+        time, so no copy of the whole file is made."""
+        try:
+            with open(self.path, "rb") as fh:
+                for line in lines:
+                    data = line.encode("utf-8")
+                    if fh.read(len(data)) != data:
+                        return False
+                return not fh.read(1)
+        except OSError:
+            return False
 
     def _open_append(self) -> TextIO:
         """The file opened for appending, its final line repaired and, when it

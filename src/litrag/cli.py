@@ -108,7 +108,7 @@ class RunContext:
         try:
             yield gateway
         finally:
-            gateway.timing_log.append_csv(self.workspace / TIMING)
+            gateway.timing_log.save_csv(self.workspace / TIMING)
 
 
 @dataclass(frozen=True)

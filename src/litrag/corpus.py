@@ -24,6 +24,9 @@ _DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")
 
 _SKIP_ENTRY_TYPES = {"comment", "string", "preamble"}
 
+# The corpus directory's bibliography; without it, its one .bib file is read.
+BIBLIOGRAPHY = "bibliography.bib"
+
 
 def normalize_doi(raw: str) -> str:
     """Lowercase a DOI and strip resolver/scheme prefixes."""
@@ -293,25 +296,21 @@ def _run_fetch_hook(fetch_command: str, doi: str, directory: Path) -> None:
         log.error("fetch hook exited %d for %s: %s", proc.returncode, doi, proc.stderr.strip())
 
 
-def load_corpus(
-    directory: str | Path,
-    bibliography: str = "bibliography.bib",
-    fetch_command: Optional[str] = None,
-) -> CorpusLoad:
+def load_corpus(directory: str | Path, fetch_command: Optional[str] = None) -> CorpusLoad:
     """Pair every deduplicated citation with its full-text file.
 
     Citations without a readable, non-empty text file end up in the skip
     report instead of the publication list.
     """
     directory = Path(directory)
-    bib_path = directory / bibliography
+    bib_path = directory / BIBLIOGRAPHY
     if not bib_path.is_file():
         candidates = sorted(directory.glob("*.bib"))
         if len(candidates) == 1:
             bib_path = candidates[0]
         else:
             raise PipelineError(
-                f"no bibliography in {directory}: expected {bibliography} or exactly one "
+                f"no bibliography in {directory}: expected {BIBLIOGRAPHY} or exactly one "
                 f".bib file, found {len(candidates)}"
             )
     parse = parse_bibliography(bib_path.read_text(encoding="utf-8", errors="replace"))

@@ -16,7 +16,9 @@ from . import appendlog, prompts
 from .corpus import PublicationRecord
 from .errors import GatewayError
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
-from .retrieval import ChunkingConfig, DocumentIndex, retrieve_context
+from .retrieval import ChunkingConfig, DocumentIndex
+# Not called in this module; the span tracer in perfbench/trace.py patches this name.
+from .retrieval import retrieve_context  # noqa: F401
 
 log = logging.getLogger(__name__)
 
@@ -95,12 +97,7 @@ class AnswerStore(appendlog.RecordStore[TextualAnswer]):
         return [TextualAnswer(**json.loads(line)) for line in lines if line.strip()]
 
 
-def _require_text(publication: PublicationRecord) -> None:
-    if not publication.full_text.strip():
-        raise ValueError(f"publication {publication.citation.doi} has empty text")
-
-
-def _ask(
+def answer_cq(
     publication: PublicationRecord,
     cq: CompetencyQuestion,
     endpoint: ModelEndpoint,
@@ -120,22 +117,6 @@ def _ask(
         clean_text=strip_answer_markers(response.text),
         duration_ms=response.duration_ms,
     )
-
-
-def answer_cq(
-    publication: PublicationRecord,
-    cq: CompetencyQuestion,
-    endpoint: ModelEndpoint,
-    gateway: LlmGateway,
-    chunking: ChunkingConfig,
-    budget: int = 1200,
-) -> TextualAnswer:
-    """Retrieve context for the question, prompt the endpoint, clean the reply."""
-    _require_text(publication)
-    context = retrieve_context(
-        publication.full_text, cq.text, chunking, budget, doc_id=publication.citation.doi
-    )
-    return _ask(publication, cq, endpoint, context.text, gateway)
 
 
 @dataclass
@@ -173,7 +154,8 @@ def run_requests(
     memory does not grow with the corpus. Records are appended on the
     calling thread as they arrive. An item whose call raises `GatewayError`
     is retried once after the last batch; if it fails again it goes into
-    ``result.failed`` and nothing is stored for it, so a resume retries it.
+    ``result.failed``, which is sorted by ``key``, and nothing is stored for
+    it, so a resume retries it.
     The store is closed when the run ends, also by an exception, and
     canonicalized when no item failed.
     """
@@ -213,6 +195,8 @@ def run_requests(
                 result.failed.append((*key(item), str(exc)))
     finally:
         store.close()
+    # in key order, not the order the pool finished them in
+    result.failed.sort(key=lambda failure: failure[:-1])
 
     if result.is_complete:
         store.canonicalize()
@@ -233,7 +217,8 @@ def _with_contexts(
 ) -> Iterator[_Item]:
     """Index the publication once and retrieve each question's context once,
     shared by every endpoint that still needs it."""
-    _require_text(publication)
+    if not publication.full_text.strip():
+        raise ValueError(f"publication {publication.citation.doi} has empty text")
     index = DocumentIndex(publication.full_text, chunking, doc_id=publication.citation.doi)
     contexts: dict[int, str] = {}
     for cq, endpoint in pending:
@@ -275,7 +260,7 @@ def run_matrix(
 
     return run_requests(
         (_with_contexts(pub, items, chunking, budget) for pub, items in pending),
-        lambda item: _ask(*item, gateway),
+        lambda item: answer_cq(*item, gateway),
         lambda item: (item[0].citation.doi, item[1].id, item[2].name),
         store,
         parallelism,

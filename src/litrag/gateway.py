@@ -106,14 +106,11 @@ class TimingLog:
     def __iter__(self) -> Iterator[TimingEntry]:
         return iter(self.entries())
 
-    def append_csv(self, path: str | Path) -> None:
+    def save_csv(self, path: str | Path) -> None:
         """Append this log's entries to the timing CSV at ``path`` in one open,
         writing the header to a new file."""
         with contextlib.closing(TimingStore(path)) as store:
             store.extend(self.entries())
-
-    # The pipeline only appends; perfbench's tracer still probes this name.
-    save_csv = append_csv
 
     @classmethod
     def load_csv(cls, path: str | Path) -> "TimingLog":

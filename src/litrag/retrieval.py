@@ -140,39 +140,27 @@ class DocumentIndex:
     """
 
     def __init__(self, text: str, config: ChunkingConfig, doc_id: str = "") -> None:
-        self._fit(chunk_document(text, config, doc_id=doc_id))
-
-    @classmethod
-    def from_chunks(cls, chunks: Sequence[Chunk]) -> "DocumentIndex":
-        index = cls.__new__(cls)
-        index._fit(chunks)
-        return index
-
-    def _fit(self, chunks: Sequence[Chunk]) -> None:
-        self.chunks = tuple(chunks)
+        self.chunks = tuple(chunk_document(text, config, doc_id=doc_id))
         self.model = textsim.TfidfModel.fit(chunk.text for chunk in self.chunks)
         self.vectors = [self.model.transform(chunk.text) for chunk in self.chunks]
         self.norms = [textsim.norm(vector) for vector in self.vectors]
-
-    def score(self, query: str) -> list[ChunkScore]:
-        """Cosine between the query's tf-idf vector and every chunk's."""
-        if not self.chunks:
-            raise ValueError("score requires at least one chunk")
-        query_vec = self.model.transform(query)
-        return [
-            ChunkScore(chunk_index=chunk.index, score=textsim.cosine(query_vec, vector, norm_v=norm))
-            for chunk, vector, norm in zip(self.chunks, self.vectors, self.norms)
-        ]
 
     def retrieve(self, query: str, budget: int) -> RetrievalContext:
         """Score, rank, and assemble the query's context."""
         if not self.chunks:
             return RetrievalContext(chunks=(), total_tokens=0, budget=budget)
-        return assemble_context(rank_scores(self.score(query)), self.chunks, budget)
+        return assemble_context(rank_scores(score_chunks(query, self)), self.chunks, budget)
 
 
-def score_chunks(query: str, chunks: Sequence[Chunk]) -> list[ChunkScore]:
-    return DocumentIndex.from_chunks(chunks).score(query)
+def score_chunks(query: str, index: DocumentIndex) -> list[ChunkScore]:
+    """Cosine between the query's tf-idf vector and every chunk's in ``index``."""
+    if not index.chunks:
+        raise ValueError("score requires at least one chunk")
+    query_vec = index.model.transform(query)
+    return [
+        ChunkScore(chunk_index=chunk.index, score=textsim.cosine(query_vec, vector, norm_v=norm))
+        for chunk, vector, norm in zip(index.chunks, index.vectors, index.norms)
+    ]
 
 
 def retrieve_context(

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from litrag import cli, prompts
+from litrag import cli, extraction, prompts, retrieval
 from litrag import keywords as keywords_mod
 from litrag.appendlog import RecordStore
 from litrag.cli import main
@@ -19,7 +19,7 @@ from litrag.config import load_config
 from litrag.corpus import load_corpus
 from litrag.errors import AuthenticationError
 from litrag.extraction import AnswerStore, load_competency_questions
-from litrag.gateway import ChatRequest, MockBackend, TimingLog
+from litrag.gateway import ChatRequest, MockBackend, TimingLog, TransientBackendError
 from litrag.retrieval import retrieve_context
 from litrag.voting import FilterStore, VerdictStore, VoteStore
 from conftest import FIXTURES
@@ -48,6 +48,11 @@ def config_with(directory: Path, **overrides) -> Path:
     path = directory / "config.yaml"
     path.write_text(yaml.safe_dump(data), encoding="utf-8")
     return path
+
+
+def csv_rows(path: Path) -> list[dict]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return list(csv.DictReader(fh))
 
 
 def golden_workspace(workspace: Path) -> Path:
@@ -167,7 +172,7 @@ class TestCategorize:
         invoke("ask", *args, "--corpus", str(mini_corpus_dir))
         result = invoke("categorize", *args)
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(open(workspace / "verdicts" / "verdicts.csv")))
+        rows = csv_rows(workspace / "verdicts" / "verdicts.csv")
         assert len(rows) == 420
         assert set(r["verdict"] for r in rows) <= {"Yes", "No", "Unparseable"}
         rerun = invoke("categorize", *args)
@@ -211,7 +216,7 @@ class TestVote:
                         writer.writerow([doi, cq, f"M{model}", "Yes"])
         result = invoke("vote", *base_args(workspace))
         assert result.exit_code == 0, result.output
-        rows = list(csv.DictReader(open(workspace / "votes" / "votes.csv")))
+        rows = csv_rows(workspace / "votes" / "votes.csv")
         assert len(rows) == 4
         assert all(row["decision"] == "Yes" for row in rows)
         assert all(row["yes_count"] == "5" for row in rows)
@@ -271,9 +276,9 @@ class TestReportGolden:
 
 class TestEvaluate:
     def make_reference_files(self, directory: Path):
-        votes = list(csv.DictReader(open(GOLDEN / "votes.csv")))
+        votes = csv_rows(GOLDEN / "votes.csv")
         decisions = {(r["doi"], int(r["cq_id"])): r["decision"] for r in votes}
-        verdicts = list(csv.DictReader(open(GOLDEN / "verdicts.csv")))
+        verdicts = csv_rows(GOLDEN / "verdicts.csv")
         # categorical reference over 2 questions x 3 pubs, half agreeing
         cat_path = directory / "categorical_reference.csv"
         with open(cat_path, "w", newline="") as fh:
@@ -394,11 +399,10 @@ class TestFootprint:
 
         workspace = tmp_path / "ws"
         (workspace / "logs").mkdir(parents=True)
-        build_timing_fixture().append_csv(workspace / "logs" / "timing.csv")
+        build_timing_fixture().save_csv(workspace / "logs" / "timing.csv")
         result = invoke("footprint", *base_args(workspace))
         assert result.exit_code == 0, result.output
-        rows = {r["stage"]: r for r in
-                csv.DictReader(open(workspace / "reports" / "footprint.csv"))}
+        rows = {r["stage"]: r for r in csv_rows(workspace / "reports" / "footprint.csv")}
         assert rows["rag"]["runtime_h"] == "264.25"
         # 264.25 h on 48 cores at 7.2917 W plus 192 GB of memory
         expected_kw = (48 * 7.2917 + 192 * 0.3725) / 1000
@@ -428,8 +432,7 @@ class CrashingBackend(MockBackend):
 
 
 def timing_rows(workspace: Path) -> list[dict]:
-    with open(workspace / "logs" / "timing.csv", encoding="utf-8", newline="") as fh:
-        return list(csv.DictReader(fh))
+    return csv_rows(workspace / "logs" / "timing.csv")
 
 
 class TestTimingLog:
@@ -506,7 +509,7 @@ class TestTimingLog:
     def test_no_worker_thread_writes_a_file(self, tmp_path, mini_corpus_dir, monkeypatch):
         writers = []
         for owner, name in ((AnswerStore, "append"), (VerdictStore, "append"),
-                            (TimingLog, "append_csv")):
+                            (TimingLog, "save_csv")):
             def record(self, *args, _write=getattr(owner, name)):
                 writers.append(threading.current_thread())
                 return _write(self, *args)
@@ -516,6 +519,27 @@ class TestTimingLog:
         assert result.exit_code == 0, result.output
         assert len(writers) == 420 + 420 + 3
         assert set(writers) == {threading.current_thread()}
+
+    def test_all_runs_the_names_a_tracer_patches(self, tmp_path, mini_corpus_dir, monkeypatch):
+        calls = {"answer_cq": [], "score_chunks": [], "save_csv": []}
+        for owner, name in ((extraction, "answer_cq"), (retrieval, "score_chunks"),
+                            (TimingLog, "save_csv")):
+            def record(*args, _calls=calls[name], _call=getattr(owner, name)):
+                _calls.append(args)
+                return _call(*args)
+
+            monkeypatch.setattr(owner, name, record)
+        result = invoke("all", *base_args(tmp_path / "ws"), "--corpus", str(mini_corpus_dir))
+        assert result.exit_code == 0, result.output
+        assert len(calls["answer_cq"]) == 420
+        template = prompts.default_registry()["dl-filter"]
+        query = next(line[len("Query: "):] for line in template.body.splitlines()
+                     if line.startswith("Query: "))
+        # 3 publications x 28 questions in ask, one query per publication in filter
+        assert Counter(args[0] == query for args in calls["score_chunks"]) == \
+            {False: 84, True: 3}
+        assert [{entry.stage for entry in timing} for timing, _ in calls["save_csv"]] == \
+            [{"rag"}, {"categorize"}, {"filter"}]
 
 
 class RejectingBackend(MockBackend):
@@ -535,7 +559,40 @@ class RejectingBackend(MockBackend):
         return super().send(endpoint, request)
 
 
+class QuestionFailingBackend(MockBackend):
+    """Fails every attempt of each request whose prompt holds ``text``."""
+
+    def __init__(self, text: str) -> None:
+        super().__init__()
+        self.text = text
+
+    def send(self, endpoint, request):
+        if self.text in request.prompt:
+            raise TransientBackendError("mock transient failure")
+        return super().send(endpoint, request)
+
+
 class TestFailedRequests:
+    def test_failed_items_are_reported_in_key_order(self, tmp_path, mini_corpus_dir, monkeypatch):
+        config = config_with(tmp_path, backoff_seconds=0)
+        cq = load_competency_questions()[0]
+        monkeypatch.setattr(cli.MockBackend, "from_dir", classmethod(
+            lambda cls, directory: QuestionFailingBackend(cq.text)))
+        reports = []
+        for run in range(2):
+            result = invoke("ask", *base_args(tmp_path / f"ws{run}", config=config),
+                            "--corpus", str(mini_corpus_dir))
+            assert result.exit_code == 1, result.output
+            assert "ask: 405 new answer(s), 0 already stored, 15 failed" in result.stdout
+            reports.append([line for line in result.stderr.splitlines()
+                            if line.startswith("  failed: ")])
+        dois = sorted(pub.citation.doi for pub in load_corpus(mini_corpus_dir).publications)
+        names = sorted(endpoint.name for endpoint in load_config(config).endpoints)
+        # the first 10 of the 15 failures, by (doi, question, endpoint)
+        expected = [f"{doi}|{cq.id}|{name}" for doi in dois for name in names][:10]
+        assert [line.split(": ")[1] for line in reports[0]] == expected
+        assert reports[1] == reports[0]
+
     def test_failed_requests_store_nothing_and_a_rerun_fills_them(
         self, tmp_path, mini_corpus_dir, monkeypatch
     ):
@@ -1322,6 +1379,25 @@ class TestSkipUnchangedRequests:
         assert rerun.exit_code == 0, rerun.output
         assert " 0 new " in rerun.stdout
 
+    @pytest.mark.parametrize("stage", sorted(REQUEST_STORES))
+    def test_a_run_that_stores_nothing_rewrites_no_store(
+        self, finished, tmp_path, monkeypatch, stage
+    ):
+        workspace, corpus, mock = self.copies(finished, tmp_path)
+        store = workspace / REQUEST_STORES[stage][0]
+        os.utime(store, ns=(PAST_NS, PAST_NS))
+        # a config change that no record depends on
+        config = config_with(tmp_path, tree_month_constant=1.0)
+        loads = []
+        load = RecordStore.load
+        monkeypatch.setattr(RecordStore, "load", lambda self: loads.append(self) or load(self))
+        result = self.invoke(stage, workspace, corpus, mock, config=config)
+        assert result.exit_code == 0, result.output
+        assert result.stdout == REQUEST_STORES[stage][1] + "\n"
+        assert loads  # the stage ran
+        self.assert_golden(workspace, stage)
+        assert store.stat().st_mtime_ns == PAST_NS
+
     def test_no_resume_refills_the_answer_store(self, finished, tmp_path):
         workspace, corpus, mock = self.copies(finished, tmp_path)
         result = self.invoke("ask", workspace, corpus, mock, "--no-resume")
@@ -1338,7 +1414,7 @@ class TestIngest:
         workspace = tmp_path / "ws"
         result = invoke("ingest", *base_args(workspace), "--corpus", str(mini_corpus_dir))
         assert result.exit_code == 0, result.output
-        citations = list(csv.DictReader(open(workspace / "corpus" / "citations.csv")))
+        citations = csv_rows(workspace / "corpus" / "citations.csv")
         assert [c["doi"] for c in citations] == [
             "10.5555/eco.0001", "10.5555/eco.0002", "10.5555/eco.0003",
         ]

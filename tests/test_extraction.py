@@ -15,7 +15,7 @@ from litrag.extraction import (
     strip_answer_markers,
 )
 from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
-from litrag.retrieval import ChunkingConfig
+from litrag.retrieval import ChunkingConfig, retrieve_context
 
 
 def make_pub(doi="10.1/a", text="A convolutional network was trained on labelled images."):
@@ -68,19 +68,20 @@ class TestCompetencyQuestions:
 class TestAnswerCq:
     CONFIG = ChunkingConfig(chunk_size=50, overlap=10)
 
+    def context(self, pub, cq, budget=1200):
+        return retrieve_context(pub.full_text, cq.text, self.CONFIG, budget,
+                                doc_id=pub.citation.doi).text
+
     def test_mock_answer_stored_clean(self):
         pub = make_pub()
         cq = CompetencyQuestion(id=1, text="What data formats are used?")
         endpoint = ModelEndpoint(name="M")
         # compute the exact prompt so a canned response can be registered
-        from litrag.retrieval import retrieve_context
-
-        context = retrieve_context(pub.full_text, cq.text, self.CONFIG, 1200,
-                                   doc_id=pub.citation.doi)
-        prompt = prompts.render("cq-answering", {"query": cq.text, "context": context.text})
+        context = self.context(pub, cq)
+        prompt = prompts.render("cq-answering", {"query": cq.text, "context": context})
         request = ChatRequest.create(endpoint, prompt)
         gateway = make_gateway(canned={request.request_id: "Helpful Answer:: Images."})
-        answer = answer_cq(pub, cq, endpoint, gateway, self.CONFIG, budget=1200)
+        answer = answer_cq(pub, cq, endpoint, context, gateway)
         assert answer.clean_text == "Images."
         assert answer.duration_ms >= 0
 
@@ -88,20 +89,22 @@ class TestAnswerCq:
         pub = make_pub()
         cq = CompetencyQuestion(id=2, text="Where is the code?")
         gateway = make_gateway()
-        answer = answer_cq(pub, cq, ModelEndpoint(name="M"), gateway, self.CONFIG, budget=0)
+        answer = answer_cq(pub, cq, ModelEndpoint(name="M"), self.context(pub, cq, budget=0),
+                           gateway)
         assert answer.clean_text  # the default mock still answers
 
-    def test_empty_publication_rejected(self):
+    def test_empty_publication_rejected(self, tmp_path):
         pub = PublicationRecord(citation=CitationRecord(doi="10.1/e"), full_text="  ")
         cq = CompetencyQuestion(id=1, text="q")
         with pytest.raises(ValueError):
-            answer_cq(pub, cq, ModelEndpoint(name="M"), make_gateway(), self.CONFIG)
+            run_matrix([pub], [cq], [ModelEndpoint(name="M")], make_gateway(),
+                       AnswerStore(tmp_path / "answers.jsonl"), self.CONFIG)
 
     def test_rag_stage_logged(self):
         pub = make_pub()
         cq = CompetencyQuestion(id=1, text="q")
         gateway = make_gateway()
-        answer_cq(pub, cq, ModelEndpoint(name="M"), gateway, self.CONFIG)
+        answer_cq(pub, cq, ModelEndpoint(name="M"), self.context(pub, cq), gateway)
         assert gateway.timing_log.entries()[0].stage == "rag"
 
 

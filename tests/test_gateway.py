@@ -267,16 +267,16 @@ class TestTimingCsvRoundTrip:
     def test_save_and_load(self, tmp_path):
         log = TimingLog([entry("a", 5, "2024-01-01T00:00:01+00:00")])
         path = tmp_path / "timing.csv"
-        log.append_csv(path)
+        log.save_csv(path)
         assert TimingLog.load_csv(path).entries() == log.entries()
 
     def test_append_writes_header_once(self, tmp_path):
         first = TimingLog([entry("a", 5, "2024-01-01T00:00:01+00:00")])
         second = TimingLog([entry("b", 7, "2024-01-01T00:00:02+00:00", stage="filter")])
         path = tmp_path / "timing.csv"
-        first.append_csv(path)
-        second.append_csv(path)
-        TimingLog().append_csv(path)
+        first.save_csv(path)
+        second.save_csv(path)
+        TimingLog().save_csv(path)
         assert path.read_bytes() == (
             b"unique_id,doi,endpoint,stage,duration_ms,timestamp_iso8601\r\n"
             b"a,doc,Test Model,rag,5,2024-01-01T00:00:01+00:00\r\n"
@@ -286,10 +286,10 @@ class TestTimingCsvRoundTrip:
 
     def test_malformed_earlier_row_raises(self, tmp_path):
         path = tmp_path / "timing.csv"
-        TimingLog([entry("a", 5, "2024-01-01T00:00:01+00:00")]).append_csv(path)
+        TimingLog([entry("a", 5, "2024-01-01T00:00:01+00:00")]).save_csv(path)
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.write("b,doc,Test Model,rag,oops,2024-01-01T00:00:02+00:00\r\n")
-        TimingLog([entry("c", 5, "2024-01-01T00:00:03+00:00")]).append_csv(path)
+        TimingLog([entry("c", 5, "2024-01-01T00:00:03+00:00")]).save_csv(path)
         with pytest.raises(ValueError):
             TimingLog.load_csv(path)
 

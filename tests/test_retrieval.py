@@ -82,36 +82,36 @@ class TestChunkDocument:
             assert all(c.length == size for c in chunks[:-1])
 
 
+def index_of(*texts):
+    """An index whose chunks are ``texts``, which have the same number of words."""
+    config = ChunkingConfig(chunk_size=len(texts[0].split()), overlap=0)
+    index = DocumentIndex(" ".join(texts), config, doc_id="d")
+    assert [chunk.text for chunk in index.chunks] == list(texts)
+    return index
+
+
 class TestScoreChunks:
     def test_identical_query_scores_one_and_ranks_first(self):
-        chunks = [
-            Chunk(doc_id="d", index=0, start=0, text="dogs eat meat", length=3),
-            Chunk(doc_id="d", index=1, start=3, text="cats drink milk", length=3),
-        ]
-        scores = score_chunks("dogs eat meat", chunks)
+        index = index_of("dogs eat meat", "cats drink milk")
+        scores = score_chunks("dogs eat meat", index)
         assert scores[0].score == pytest.approx(1.0, abs=1e-12)
         ranked = rank_scores(scores)
         assert ranked[0].chunk_index == 0
 
     def test_disjoint_vocabulary_scores_zero(self):
-        chunks = [Chunk(doc_id="d", index=0, start=0, text="alpha beta", length=2)]
-        scores = score_chunks("gamma delta", chunks)
+        scores = score_chunks("gamma delta", index_of("alpha beta"))
         assert scores[0].score == 0.0
 
     def test_hand_computed_ranking(self):
         # Oracle: tf*idf with idf = ln((1+N)/(1+df)) + 1 over the three chunks,
         # cosine computed from explicit arithmetic.
-        chunks = [
-            Chunk(doc_id="d", index=0, start=0, text="cats eat fish", length=3),
-            Chunk(doc_id="d", index=1, start=3, text="dogs eat meat", length=3),
-            Chunk(doc_id="d", index=2, start=6, text="birds sing songs", length=3),
-        ]
+        index = index_of("cats eat fish", "dogs eat meat", "birds sing songs")
         idf1 = math.log(4 / 2) + 1  # df = 1
         idf2 = math.log(4 / 3) + 1  # df = 2 ("eat")
         query_norm = math.sqrt(2 * idf1 ** 2)
         c0_norm = math.sqrt(2 * idf1 ** 2 + idf2 ** 2)
         expected_c0 = (2 * idf1 ** 2) / (query_norm * c0_norm)
-        scores = score_chunks("cats fish", chunks)
+        scores = score_chunks("cats fish", index)
         assert scores[0].score == pytest.approx(expected_c0, abs=1e-12)
         assert scores[1].score == 0.0
         assert scores[2].score == 0.0
@@ -119,7 +119,7 @@ class TestScoreChunks:
 
     def test_no_chunks_rejected(self):
         with pytest.raises(ValueError):
-            score_chunks("query", [])
+            score_chunks("query", DocumentIndex("", ChunkingConfig()))
 
     def test_rank_ties_broken_by_index(self):
         scores = [ChunkScore(2, 0.5), ChunkScore(0, 0.5), ChunkScore(1, 0.9)]
@@ -220,7 +220,7 @@ class TestDocumentIndex:
             scores, context = seed_retrieve(text, query, config, budget, "d")
             assert index.retrieve(query, budget) == context
             if scores:
-                assert index.score(query) == scores
+                assert score_chunks(query, index) == scores
 
 
 class TestTextsim:
