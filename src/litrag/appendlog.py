@@ -57,6 +57,9 @@ class RecordStore(Generic[R]):
     `canonicalize` read each record's ``key``; `canonicalize` rewrites the
     file in key order, so a finished store is byte-identical whatever order
     its records arrived in, and leaves a file already in that order alone.
+    After a `load` that found one whole record on each line, the store keeps
+    the records it read and those `extend` appends, so `canonicalize` need
+    not read the file again.
 
     A subclass defines the line format: `header` (the file's first line,
     with its line end, or empty), `encode` (one record as a line, with its
@@ -70,6 +73,9 @@ class RecordStore(Generic[R]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._fh: Optional[TextIO] = None
+        # the file's records in file order, each line as `encode` writes it,
+        # while they are known
+        self._records: Optional[list[R]] = None
 
     def encode(self, record: R) -> str:
         raise NotImplementedError
@@ -91,12 +97,18 @@ class RecordStore(Generic[R]):
         self.extend((record,))
 
     def extend(self, records: Iterable[R]) -> None:
+        records = list(records)
         lines = [self.encode(record) for record in records]
         with self._lock:
+            # unknown should the write fail
+            known, self._records = self._records, None
             if self._fh is None:
                 self._fh = self._open_append()
             self._fh.writelines(lines)
             self._fh.flush()
+            if known is not None:
+                known.extend(records)
+                self._records = known
 
     def close(self) -> None:
         """Close the file `extend` opened; a later `extend` reopens it."""
@@ -108,23 +120,31 @@ class RecordStore(Generic[R]):
     def write(self, records: Iterable[R]) -> None:
         """Replace the file with `header` and ``records``."""
         self.close()
+        self._records = None
         replace_file(self.path, itertools.chain((self.header,), map(self.encode, records)))
 
     def load(self) -> list[R]:
         if not self.path.is_file():
+            self._records = []
             return []
+        self._records = None
         tail = b""
+        lines = 0
 
         def whole_lines(fh: BinaryIO) -> Iterator[str]:
-            nonlocal tail
+            nonlocal tail, lines
             for line in fh:
                 if line.endswith(b"\n"):
+                    lines += 1
                     yield line.decode("utf-8")
                 else:
                     tail = line
 
         with open(self.path, "rb") as fh:
-            records = self._parse_file(whole_lines(fh))
+            header, records = self._parse_file(whole_lines(fh))
+        # no torn tail, and one record on each line after the header
+        if not tail and header == self.header and len(records) == lines - bool(self.header):
+            self._records = list(records)
         if tail:
             record = self.parse_tail(tail)
             if record is None:
@@ -140,8 +160,19 @@ class RecordStore(Generic[R]):
         return {record.key for record in self.load()}
 
     def canonicalize(self) -> None:
-        """Close the file and rewrite it in key order, unless it already holds those bytes."""
+        """Close the file and rewrite it in key order, unless it already holds
+        those bytes. When the store knows its records (see the class), it
+        reads nothing: a file whose records are already in key order is left
+        alone without being encoded again, and otherwise those records are
+        written in key order. Without them, the file is loaded, sorted and
+        compared with its encoding."""
         self.close()
+        # with none known, the path below also gives a missing file its header
+        if self._records:
+            keys = [record.key for record in self._records]
+            if any(a > b for a, b in zip(keys, keys[1:])):
+                self.write(sorted(self._records, key=lambda record: record.key))
+            return
         records = sorted(self.load(), key=lambda record: record.key)
         if not self._holds(itertools.chain((self.header,), map(self.encode, records))):
             self.write(records)
@@ -184,12 +215,15 @@ class RecordStore(Generic[R]):
             text.write(self.header)
         return text
 
-    def _parse_file(self, lines: Iterator[str]) -> list[R]:
+    def _parse_file(self, lines: Iterator[str]) -> tuple[Optional[str], list[R]]:
+        """The header line as read (empty for a format without one, None for a
+        file without lines) and the records after it."""
+        first: Optional[str] = ""
         if self.header:
             first = next(lines, None)
             if first is not None and first.rstrip("\r\n") != self.header.rstrip("\r\n"):
                 raise ValueError(f"{self.path}: expected header {self.header.rstrip()}")
-        return self.parse(lines)
+        return first, self.parse(lines)
 
 
 def csv_line(fields: Iterable[object]) -> str:

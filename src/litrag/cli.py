@@ -64,8 +64,9 @@ DEFAULT_PROFILE = HardwareProfile(
     name="intel-xeon-platinum-9242", cores=48, power_per_core=350 / 48, usage=1.0
 )
 
-# The package's own sources and data; every skip digest covers them, so an
-# edited or upgraded litrag never serves tables an older one wrote.
+# The package's own sources and data; every skip digest covers them
+# (`_package_digest`), so an edited or upgraded litrag never serves tables an
+# older one wrote.
 PACKAGE_DIR = Path(__file__).resolve().parent
 
 SUBDIRS = ("corpus", "keywords", "answers", "verdicts", "votes", "filters", "reports", "logs")
@@ -203,6 +204,15 @@ def _hashed(label: str, paths: Iterable[Path]) -> list[str]:
     return [f"{label}/{p.name} {_file_sha256(p)}" for p in paths]
 
 
+@functools.cache
+def _package_digest(package: Path) -> tuple[str, ...]:
+    """One digest line per source and data file of ``package``: its relative
+    path and sha256. Read once per process, like the prompt templates, so an
+    edit to the package counts from the next process on."""
+    files = sorted(package.rglob("*.py")) + sorted(package.rglob("*.txt"))
+    return tuple(f"{p.relative_to(package).as_posix()} {_file_sha256(p)}" for p in files)
+
+
 def _corpus_inputs(load: CorpusLoad) -> list[str]:
     """The digest lines of the corpus as a stage reads it: the bibliography's
     bytes and each publication's DOI and full text, so an edited text, an
@@ -240,16 +250,14 @@ def _unless_unchanged(ctx: RunContext, stage: Stage, run: Callable, inputs: list
 
     ``logs/<stage>.digest.json`` records a digest of what the outputs depend
     on (the stage, the config, the litrag sources and data files, which hold
-    the question list, and the ``inputs`` lines), the sha256 of each output
+    the question list, as `_package_digest` read them when this process first
+    needed them, and the ``inputs`` lines), the sha256 of each output
     and the summary a rerun on unchanged inputs prints.
     When that digest is unchanged and every output still has its recorded
     sha256, ``run`` is skipped and the recorded summary printed. An unreadable
     record runs it. A run in which an item failed writes no record and exits 1.
     """
-    sources = sorted(PACKAGE_DIR.rglob("*.py")) + sorted(PACKAGE_DIR.rglob("*.txt"))
-    lines = [stage.name, repr(ctx.config)]
-    lines += [f"{p.relative_to(PACKAGE_DIR).as_posix()} {_file_sha256(p)}" for p in sources]
-    lines += inputs
+    lines = [stage.name, repr(ctx.config), *_package_digest(PACKAGE_DIR), *inputs]
     key = hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
 
     def output_digests() -> dict[str, Optional[str]]:

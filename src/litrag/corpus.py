@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 import os
+import re
 import subprocess
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -20,7 +21,10 @@ from .errors import PipelineError
 
 log = logging.getLogger(__name__)
 
-_DOI_PREFIXES = ("https://doi.org/", "http://doi.org/", "doi.org/", "doi:")
+_DOI_PREFIXES = (
+    "https://doi.org/", "http://doi.org/", "doi.org/",
+    "https://dx.doi.org/", "http://dx.doi.org/", "dx.doi.org/", "doi:",
+)
 
 _SKIP_ENTRY_TYPES = {"comment", "string", "preamble"}
 
@@ -64,14 +68,11 @@ class CitationRecord:
 class PublicationRecord:
     citation: CitationRecord
     full_text: str
-    word_count: int = -1
 
-    def __post_init__(self) -> None:
-        expected = len(self.full_text.split())
-        if self.word_count == -1:
-            object.__setattr__(self, "word_count", expected)
-        elif self.word_count != expected:
-            raise ValueError("word_count must equal the whitespace token count")
+    @property
+    def word_count(self) -> int:
+        """The whitespace token count of the full text."""
+        return len(self.full_text.split())
 
 
 @dataclass(frozen=True)
@@ -112,17 +113,17 @@ class BibliographyParse:
     errors: list[EntryError] = field(default_factory=list)
 
 
-def _scan_balanced(text: str, start: int, open_ch: str, close_ch: str) -> int:
+# The delimiters `_scan_balanced` counts, by opening delimiter.
+_DELIMITERS = {"{": re.compile("[{}]"), "(": re.compile("[()]")}
+
+
+def _scan_balanced(text: str, start: int, open_ch: str) -> int:
     """Return the index just past the delimiter matching text[start], or -1."""
     depth = 0
-    for i in range(start, len(text)):
-        ch = text[i]
-        if ch == open_ch:
-            depth += 1
-        elif ch == close_ch:
-            depth -= 1
-            if depth == 0:
-                return i + 1
+    for match in _DELIMITERS[open_ch].finditer(text, start):
+        depth += 1 if match.group() == open_ch else -1
+        if depth == 0:
+            return match.end()
     return -1
 
 
@@ -152,7 +153,7 @@ def _parse_fields(body: str) -> tuple[str, dict]:
             break
         # field value: braced, quoted, or bare
         if body[i] == "{":
-            end = _scan_balanced(body, i, "{", "}")
+            end = _scan_balanced(body, i, "{")
             if end < 0:
                 break
             value = body[i + 1:end - 1]
@@ -214,9 +215,7 @@ def parse_bibliography(text: str) -> BibliographyParse:
         if j >= n or text[j] not in "{(" or not entry_type:
             i = at + 1
             continue
-        open_ch = text[j]
-        close_ch = "}" if open_ch == "{" else ")"
-        end = _scan_balanced(text, j, open_ch, close_ch)
+        end = _scan_balanced(text, j, text[j])
         if end < 0:
             result.errors.append(
                 EntryError(

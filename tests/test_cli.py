@@ -931,6 +931,21 @@ class TestAllChain:
                           ("filters", "filters.csv")):
             assert (workspace / sub / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
+    def test_all_hashes_each_package_file_once_per_process(
+        self, tmp_path, mini_corpus_dir, monkeypatch
+    ):
+        hashed = []
+        file_sha256 = cli._file_sha256
+        monkeypatch.setattr(cli, "_file_sha256", lambda path: hashed.append(path) or file_sha256(path))
+        cli._package_digest.cache_clear()  # as in a fresh process
+        package = sorted(cli.PACKAGE_DIR.rglob("*.py")) + sorted(cli.PACKAGE_DIR.rglob("*.txt"))
+        args = base_args(tmp_path / "ws") + ["--corpus", str(mini_corpus_dir)]
+        for reads in (package, []):
+            hashed.clear()
+            result = invoke("all", *args)
+            assert result.exit_code == 0, result.output
+            assert [path for path in hashed if cli.PACKAGE_DIR in path.parents] == reads
+
     def test_all_rerun_is_noop(self, tmp_path, mini_corpus_dir):
         workspace = tmp_path / "ws"
         args = base_args(workspace) + ["--corpus", str(mini_corpus_dir)]
@@ -1394,7 +1409,8 @@ class TestSkipUnchangedRequests:
         result = self.invoke(stage, workspace, corpus, mock, config=config)
         assert result.exit_code == 0, result.output
         assert result.stdout == REQUEST_STORES[stage][1] + "\n"
-        assert loads  # the stage ran
+        # the stage ran, and parsed its store once: its canonicalization reads nothing
+        assert [loaded.path for loaded in loads].count(store) == 1
         self.assert_golden(workspace, stage)
         assert store.stat().st_mtime_ns == PAST_NS
 

@@ -1,7 +1,11 @@
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from litrag import corpus
 from litrag.corpus import (
     CitationRecord,
     KeywordSet,
@@ -14,6 +18,42 @@ from litrag.corpus import (
 from conftest import N_UNIQUE_DOIS, build_bibliography, fixture_doi
 
 
+def per_character_scan_balanced(text: str, start: int, open_ch: str) -> int:
+    """The scanner `parse_bibliography` once used: one Python step per character."""
+    close_ch = "}" if open_ch == "{" else ")"
+    depth = 0
+    for i in range(start, len(text)):
+        ch = text[i]
+        if ch == open_ch:
+            depth += 1
+        elif ch == close_ch:
+            depth -= 1
+            if depth == 0:
+                return i + 1
+    return -1
+
+
+# Entries in braces and in parentheses, some left open, with nested braces
+# and non-ASCII text in their fields, between stray pieces of BibTeX.
+BIB_FIELDS = (
+    "doi = {10.1000/X}", 'doi = "10.1/q"', "doi = {https://dx.doi.org/10.1/{a}}", "doi = 10.2/b",
+    "title = {A {Nested {Deep}} Title}", "title = {Études (x}", "title = {日本語}",
+    "year = 2020", "year = {1850}", "journal = {Écologie}", "booktitle = (ü)", "note = {",
+)
+BIB_ENTRIES = st.builds(
+    lambda kind, delimiters, key, fields, closed: (
+        f"@{kind}{delimiters[0]}{key}, {', '.join(fields)}{delimiters[1] if closed else ''}\n"
+    ),
+    st.sampled_from(("article", "misc", "comment", "string", "Book ")),
+    st.sampled_from(("{}", "()")),
+    st.sampled_from(("k1", "key_2", "é")),
+    st.lists(st.sampled_from(BIB_FIELDS), max_size=4),
+    st.booleans(),
+)
+BIB_PIECES = st.sampled_from(("@", "@{", "{", "}", "(", ")", ",", "=", '"', " ", "\n@", "é", "日本"))
+BIBLIOGRAPHIES = st.lists(st.one_of(BIB_ENTRIES, BIB_PIECES), max_size=12).map("".join)
+
+
 class TestNormalizeDoi:
     @pytest.mark.parametrize(
         "raw,expected",
@@ -24,6 +64,9 @@ class TestNormalizeDoi:
             ("doi:10.1000/x", "10.1000/x"),
             ("DOI: 10.1000/X ", "10.1000/x"),
             ("doi.org/10.1000/x", "10.1000/x"),
+            ("https://dx.doi.org/10.1000/X", "10.1000/x"),
+            ("http://dx.doi.org/10.1000/x", "10.1000/x"),
+            ("dx.doi.org/10.1000/x", "10.1000/x"),
         ],
     )
     def test_prefixes_stripped(self, raw, expected):
@@ -114,6 +157,13 @@ class TestParseBibliography:
         for _ in range(300):
             junk = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 200)))
             parse_bibliography(junk)  # must not raise
+
+    @settings(max_examples=300, deadline=None)
+    @given(BIBLIOGRAPHIES)
+    def test_matches_the_per_character_scanner(self, text):
+        with mock.patch.object(corpus, "_scan_balanced", per_character_scan_balanced):
+            expected = parse_bibliography(text)
+        assert parse_bibliography(text) == expected
 
 
 class TestDedupeByDoi:
@@ -208,6 +258,18 @@ class TestLoadCorpus:
         load = load_corpus(tmp_path)
         assert len(load.publications) == 1
         assert load.publications[0].citation.title == "First"
+
+    def test_a_dx_resolver_doi_is_the_same_publication(self, tmp_path):
+        (tmp_path / "bibliography.bib").write_text(
+            "@article{a, doi = {10.1000/abc}, title = {First}}\n"
+            "@article{b, doi = {https://dx.doi.org/10.1000/ABC}, title = {Second}}\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "10.1000_abc.txt").write_text("the full text", encoding="utf-8")
+        load = load_corpus(tmp_path)
+        assert [p.citation.doi for p in load.publications] == ["10.1000/abc"]
+        assert load.publications[0].full_text == "the full text"
+        assert load.skipped == []
 
 
 def test_fixture_doi_shape():

@@ -276,6 +276,24 @@ class TestVerdictStore:
         assert [a.key for a in loaded] == sorted(a.key for a in loaded)
         assert loaded[0].verdict is Verdict.UNPARSEABLE
 
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"\r\n", b"\r\n\r\n", 2),
+        lambda data: data.replace(b"verdict\r\n", b"verdict\n"),
+        lambda data: data[:-2],
+    ], ids=["blank lines", "header line end", "unterminated last row"])
+    def test_a_store_in_key_order_but_not_as_written_is_rewritten(self, tmp_path, edit):
+        path = tmp_path / "verdicts.csv"
+        store = VerdictStore(path)
+        store.extend([CategoricalAnswer("10.1/a", 1, "M", Verdict.YES),
+                      CategoricalAnswer("10.1/a", 2, "M", Verdict.NO)])
+        store.close()
+        written = path.read_bytes()
+        path.write_bytes(edit(written))
+        store = VerdictStore(path)
+        assert len(store.keys()) == 2
+        store.canonicalize()
+        assert path.read_bytes() == written
+
     @pytest.mark.parametrize("cut, torn", [(-4, True), (-3, True), (-2, False), (-1, False)])
     def test_final_row_cut_by_a_crash(self, tmp_path, caplog, cut, torn):
         path = tmp_path / "verdicts.csv"
