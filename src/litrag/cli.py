@@ -390,26 +390,17 @@ def _filter(ctx: RunContext, corpus_dir: str):
     load = load_corpus(corpus_dir)
 
     def run() -> RunResult:
-        store = FilterStore(ctx.workspace / FILTERS)
-        existing = store.keys()
-        pubs = sorted(load.publications, key=lambda p: p.citation.doi)
-        pending = [pub for pub in pubs if pub.citation.doi not in existing]
-        result = RunResult(skipped=len(pubs) - len(pending))
         endpoint = ctx.config.endpoint(ctx.config.filter_endpoint)
         with ctx.gateway() as gateway:
             return run_requests(
-                [pending],
-                lambda pub: filter_dl_publication(
-                    pub,
-                    endpoint,
-                    gateway,
-                    chunking=ctx.config.chunking,
-                    budget=ctx.config.retrieval_budget,
-                ),
+                [sorted(load.publications, key=lambda p: p.citation.doi)],
                 lambda pub: (pub.citation.doi,),
-                store,
+                lambda pub: functools.partial(
+                    filter_dl_publication, pub, endpoint, gateway,
+                    chunking=ctx.config.chunking, budget=ctx.config.retrieval_budget,
+                ),
+                FilterStore(ctx.workspace / FILTERS),
                 ctx.config.parallelism,
-                result,
             )
 
     return _corpus_inputs(load) + _backend_inputs(ctx), run
@@ -650,16 +641,14 @@ def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] 
 
     def run() -> RunResult | str:
         store = keywords_mod.ReplyStore(ctx.workspace / REPLIES)
-        stored = store.keys()
-        pending = [path for path in abstracts if (endpoint.name, path.stem) not in stored]
         with ctx.gateway() as gateway:
             result = run_requests(
-                [pending],
-                lambda path: keywords_mod.KeywordReply(
+                [abstracts],
+                lambda path: (endpoint.name, path.stem),
+                lambda path: lambda: keywords_mod.KeywordReply(
                     endpoint.name, path.stem,
                     keywords_mod.extract_keywords(abstracts[path], endpoint, gateway, path.stem)),
-                lambda path: (path.name,), store, ctx.config.parallelism,
-                RunResult(skipped=len(abstracts) - len(pending)),
+                store, ctx.config.parallelism,
             )
             if result.failed:
                 return result

@@ -10,7 +10,7 @@ from concurrent.futures import Future, ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Optional, Sequence, TypeVar
 
 from . import appendlog, prompts
 from .corpus import PublicationRecord
@@ -139,57 +139,70 @@ R = TypeVar("R")
 
 def run_requests(
     batches: Iterable[Iterable[T]],
-    call: Callable[[T], R],
     key: Callable[[T], tuple],
+    call: Callable[[T], Callable[[], R]],
     store: appendlog.RecordStore[R],
     parallelism: int,
-    result: RunResult,
 ) -> RunResult:
-    """Make one request per item with ``call`` and append each record to
-    ``store``; ``key`` gives the fields that name an item in ``result.failed``.
+    """Make a request for each item whose record ``store`` lacks and append
+    each record to ``store``. ``key(item)`` is the key of the item's record;
+    it also names the item in ``failed``. ``call(item)`` prepares the item on
+    the calling thread and returns its request: a function of no arguments
+    that returns the record.
 
-    Batches are taken in order on the calling thread, so whatever builds a
-    batch (retrieval, for `ask`) runs there too; with ``parallelism`` above 1
-    the calls run on a thread pool with at most two batches in flight, so
-    memory does not grow with the corpus. Records are appended on the
-    calling thread as they arrive. An item whose call raises `GatewayError`
-    is retried once after the last batch; if it fails again it goes into
-    ``result.failed``, which is sorted by ``key``, and nothing is stored for
-    it, so a resume retries it.
+    Batches are taken in order on the calling thread, and a batch's pending
+    items are all prepared before any of its requests is made; with
+    ``parallelism`` above 1 the requests run on a thread pool with at most
+    two batches in flight, so memory does not grow with the corpus. Records
+    are appended on the calling thread as they arrive. A request that raises
+    `GatewayError` is made once more after the last batch; if it fails again
+    its item goes into ``failed``, which is sorted by ``key``, and nothing is
+    stored for it, so a resume retries it.
     The store is closed when the run ends, also by an exception, and
     canonicalized when no item failed.
     """
-    failures: list[T] = []
+    stored = store.keys()
+    result = RunResult()
+    failures: list[tuple[T, Callable[[], R]]] = []
 
-    def record(item: T, outcome: Callable[[], R]) -> None:
+    def prepare(batch: Iterable[T]) -> list[tuple[T, Callable[[], R]]]:
+        pending = []
+        for item in batch:
+            if key(item) in stored:
+                result.skipped += 1
+            else:
+                pending.append((item, call(item)))
+        return pending
+
+    def record(pending: tuple[T, Callable[[], R]], outcome: Callable[[], R]) -> None:
         try:
             store.append(outcome())
             result.completed += 1
         except GatewayError:
-            failures.append(item)
+            failures.append(pending)
 
     try:
         if parallelism <= 1:
             for batch in batches:
-                for item in batch:
-                    record(item, functools.partial(call, item))
+                for pending in prepare(batch):
+                    record(pending, pending[1])
         else:
-            def drain(futures: dict[Future, T]) -> None:
+            def drain(futures: dict[Future, tuple[T, Callable[[], R]]]) -> None:
                 for future in as_completed(futures):
                     record(futures[future], future.result)
 
             with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                previous: dict[Future, T] = {}
+                previous: dict[Future, tuple[T, Callable[[], R]]] = {}
                 for batch in batches:
-                    # build this batch while the previous one's requests run
-                    current = {pool.submit(call, item): item for item in batch}
+                    # prepare this batch while the previous one's requests run
+                    current = {pool.submit(pending[1]): pending for pending in prepare(batch)}
                     drain(previous)
                     previous = current
                 drain(previous)
 
-        for item in failures:
+        for item, request in failures:
             try:
-                store.append(call(item))
+                store.append(request())
                 result.completed += 1
             except GatewayError as exc:
                 result.failed.append((*key(item), str(exc)))
@@ -205,28 +218,6 @@ def run_requests(
     return result
 
 
-# (publication, question, endpoint, retrieved context text)
-_Item = tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint, str]
-
-
-def _with_contexts(
-    publication: PublicationRecord,
-    pending: Sequence[tuple[CompetencyQuestion, ModelEndpoint]],
-    chunking: ChunkingConfig,
-    budget: int,
-) -> Iterator[_Item]:
-    """Index the publication once and retrieve each question's context once,
-    shared by every endpoint that still needs it."""
-    if not publication.full_text.strip():
-        raise ValueError(f"publication {publication.citation.doi} has empty text")
-    index = DocumentIndex(publication.full_text, chunking, doc_id=publication.citation.doi)
-    contexts: dict[int, str] = {}
-    for cq, endpoint in pending:
-        if cq.id not in contexts:
-            contexts[cq.id] = index.retrieve(cq.text, budget).text
-        yield publication, cq, endpoint, contexts[cq.id]
-
-
 def run_matrix(
     publications: Sequence[PublicationRecord],
     questions: Sequence[CompetencyQuestion],
@@ -237,32 +228,36 @@ def run_matrix(
     budget: int = 1200,
     parallelism: int = 4,
 ) -> RunResult:
-    """Fill the (publication x question x endpoint) answer matrix.
+    """Fill the (publication x question x endpoint) answer matrix through
+    `run_requests`, one batch per publication in DOI order.
 
-    Stored answers are skipped; the rest run through `run_requests`, one
-    batch per publication in DOI order. Retrieval runs on the calling
-    thread, once per (publication, question) with pending work; worker
-    threads only wait on the endpoints.
+    A publication is indexed at its first pending item, and each
+    (publication, question) context is retrieved once, on the calling
+    thread, for the endpoints that still need it; only the current
+    publication's index and context are kept. Worker threads only wait on
+    the endpoints.
     """
-    existing = store.keys()
-    result = RunResult()
-    pending: list[tuple[PublicationRecord, list[tuple[CompetencyQuestion, ModelEndpoint]]]] = []
-    for pub in sorted(publications, key=lambda p: p.citation.doi):
-        items = []
-        for cq in sorted(questions, key=lambda q: q.id):
-            for endpoint in endpoints:
-                if (pub.citation.doi, cq.id, endpoint.name) in existing:
-                    result.skipped += 1
-                else:
-                    items.append((cq, endpoint))
-        if items:
-            pending.append((pub, items))
 
+    @functools.lru_cache(maxsize=1)
+    def index(publication: PublicationRecord) -> DocumentIndex:
+        if not publication.full_text.strip():
+            raise ValueError(f"publication {publication.citation.doi} has empty text")
+        return DocumentIndex(publication.full_text, chunking, doc_id=publication.citation.doi)
+
+    @functools.lru_cache(maxsize=1)
+    def context(publication: PublicationRecord, cq: CompetencyQuestion) -> str:
+        return index(publication).retrieve(cq.text, budget).text
+
+    def prepare(item: tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint]):
+        pub, cq, endpoint = item
+        return functools.partial(answer_cq, pub, cq, endpoint, context(pub, cq), gateway)
+
+    questions = sorted(questions, key=lambda q: q.id)
     return run_requests(
-        (_with_contexts(pub, items, chunking, budget) for pub, items in pending),
-        lambda item: answer_cq(*item, gateway),
+        ([(pub, cq, endpoint) for cq in questions for endpoint in endpoints]
+         for pub in sorted(publications, key=lambda p: p.citation.doi)),
         lambda item: (item[0].citation.doi, item[1].id, item[2].name),
+        prepare,
         store,
         parallelism,
-        result,
     )

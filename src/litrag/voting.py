@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import functools
 import logging
 # No pool runs in this module; the span tracer in perfbench/trace.py patches this name.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -56,8 +57,8 @@ class FilterVerdict:
     is_dl_study: bool
 
     @property
-    def key(self) -> str:
-        return self.doi
+    def key(self) -> tuple[str]:
+        return (self.doi,)
 
 
 def parse_categorical_response(text: str) -> Verdict:
@@ -240,16 +241,13 @@ def run_conversions(
     parallelism: int = 4,
 ) -> RunResult:
     """Convert every stored textual answer that has no verdict yet, through
-    `run_requests` with one batch per publication.
+    `run_requests` in one batch.
 
-    Raises `PipelineError` before any request when an answer's question or
-    endpoint is not in the current configuration.
+    Raises `PipelineError` before any request when a pending answer's
+    question or endpoint is not in the current configuration.
     """
-    existing = store.keys()
-    pending = [a for a in sorted(answers, key=lambda a: a.key) if a.key not in existing]
-    result = RunResult(skipped=len(answers) - len(pending))
-    batches: dict[str, list[TextualAnswer]] = {}
-    for answer in pending:
+
+    def prepare(answer: TextualAnswer):
         if answer.cq_id not in questions_by_id or answer.endpoint not in endpoints_by_name:
             unknown = (f"question {answer.cq_id}" if answer.cq_id not in questions_by_id
                        else f"endpoint {answer.endpoint!r}")
@@ -257,13 +255,10 @@ def run_conversions(
                 f"a stored answer is for {unknown}, which is not configured; "
                 "run `ask --no-resume` to answer with the current configuration"
             )
-        batches.setdefault(answer.doi, []).append(answer)
-
-    def convert(answer: TextualAnswer) -> CategoricalAnswer:
-        return to_categorical(
-            questions_by_id[answer.cq_id], answer, endpoints_by_name[answer.endpoint], gateway
-        )
+        return functools.partial(to_categorical, questions_by_id[answer.cq_id], answer,
+                                 endpoints_by_name[answer.endpoint], gateway)
 
     return run_requests(
-        batches.values(), convert, lambda answer: answer.key, store, parallelism, result
+        [sorted(answers, key=lambda a: a.key)], lambda answer: answer.key, prepare, store,
+        parallelism,
     )

@@ -15,7 +15,7 @@ from litrag.extraction import (
     strip_answer_markers,
 )
 from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
-from litrag.retrieval import ChunkingConfig, retrieve_context
+from litrag.retrieval import ChunkingConfig, DocumentIndex, retrieve_context
 
 
 def make_pub(doi="10.1/a", text="A convolutional network was trained on labelled images."):
@@ -272,14 +272,23 @@ class TestRunMatrix:
             transform_threads.append(threading.current_thread())
             return transform(model, text)
 
+        retrieve = DocumentIndex.retrieve
+        queries = []
+
+        def counting_retrieve(index, query, budget):
+            queries.append(query)
+            return retrieve(index, query, budget)
+
         monkeypatch.setattr(textsim.TfidfModel, "fit", classmethod(counting_fit))
         monkeypatch.setattr(textsim.TfidfModel, "transform", counting_transform)
+        monkeypatch.setattr(DocumentIndex, "retrieve", counting_retrieve)
         pubs, questions, endpoints = self.pubs(3), self.questions(4), self.endpoints(5)
         store = AnswerStore(tmp_path / "answers.jsonl")
 
         def run():
             fit_threads.clear()
             transform_threads.clear()
+            queries.clear()
             return run_matrix(pubs, questions, endpoints, make_gateway(), store,
                               self.CONFIG, parallelism=4)
 
@@ -287,13 +296,16 @@ class TestRunMatrix:
         caller = threading.current_thread()
         assert fit_threads == [caller] * 3
         assert set(transform_threads) == {caller}
+        assert len(queries) == 3 * 4
 
         assert run().completed == 0
-        assert fit_threads == transform_threads == []
+        assert fit_threads == transform_threads == queries == []
 
-        # a resume indexes only the publication it re-asks
+        # a resume indexes only the publication it re-asks and retrieves only
+        # the context it re-asks, once for its five endpoints
         kept = [line for line in store.path.read_text(encoding="utf-8").splitlines()
                 if not ('"10.1/p1"' in line and '"cq_id": 2,' in line)]
         store.path.write_text("\n".join(kept) + "\n", encoding="utf-8")
         assert run().completed == 5
         assert fit_threads == [caller]
+        assert queries == ["Question number 2?"]
