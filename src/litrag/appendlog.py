@@ -25,6 +25,8 @@ import threading
 from pathlib import Path
 from typing import BinaryIO, Generic, Hashable, Iterable, Iterator, Optional, TextIO, TypeVar
 
+from .errors import CorruptStoreError
+
 log = logging.getLogger(__name__)
 
 R = TypeVar("R")
@@ -141,7 +143,12 @@ class RecordStore(Generic[R]):
                     tail = line
 
         with open(self.path, "rb") as fh:
-            header, records = self._parse_file(whole_lines(fh))
+            try:
+                header, records = self._parse_file(whole_lines(fh))
+            except CorruptStoreError:
+                raise
+            except _MALFORMED as exc:
+                raise self._corrupt(exc) from exc
         # no torn tail, and one record on each line after the header
         if not tail and header == self.header and len(records) == lines - bool(self.header):
             self._records = list(records)
@@ -155,6 +162,19 @@ class RecordStore(Generic[R]):
             else:
                 records.append(record)
         return records
+
+    def _corrupt(self, exc: Exception) -> CorruptStoreError:
+        """The error for a file that did not parse, naming its first whole
+        line that does not parse on its own."""
+        with open(self.path, "rb") as fh:
+            for number, line in enumerate(fh, 1):
+                if not line.endswith(b"\n") or number == 1 and self.header:
+                    continue
+                try:
+                    self.parse([line.decode("utf-8")])
+                except _MALFORMED as line_exc:
+                    return CorruptStoreError(f"{self.path}: line {number}: {line_exc}")
+        return CorruptStoreError(f"{self.path}: {exc}")
 
     def keys(self) -> set[Hashable]:
         return {record.key for record in self.load()}
@@ -222,7 +242,9 @@ class RecordStore(Generic[R]):
         if self.header:
             first = next(lines, None)
             if first is not None and first.rstrip("\r\n") != self.header.rstrip("\r\n"):
-                raise ValueError(f"{self.path}: expected header {self.header.rstrip()}")
+                raise CorruptStoreError(
+                    f"{self.path}: line 1: expected header {self.header.rstrip()}"
+                )
         return first, self.parse(lines)
 
 

@@ -412,7 +412,8 @@ def _read_reference_csv(path: str | Path, question_ids: bool) -> metrics.LabelSe
     A defect in the file is a `PipelineError` naming the file and the line."""
     labels: dict[tuple, str] = {}
     try:
-        with open(path, encoding="utf-8", newline="") as fh:
+        # spreadsheets export "CSV UTF-8" with a byte order mark
+        with open(path, encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             for column in ("doi", "variable", "label"):
                 if column not in (reader.fieldnames or ()):

@@ -21,6 +21,10 @@ class AuthenticationError(GatewayError):
     """Endpoint rejected our credentials; fatal for that endpoint."""
 
 
+class CorruptStoreError(PipelineError, ValueError):
+    """A store file holds a line its format cannot read."""
+
+
 class MissingArtifactError(PipelineError):
     """A stage was run before its prerequisite stage."""
 

@@ -286,6 +286,11 @@ class HttpBackend:
             text = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise GatewayError(f"malformed completion payload: {exc}") from exc
+        if not isinstance(text, str):
+            raise GatewayError(
+                f"malformed completion payload: message content is {type(text).__name__}, "
+                "not a string"
+            )
         return text, duration_ms
 
 

@@ -226,6 +226,24 @@ class TestVote:
         assert result.exit_code != 0
         assert "categorize" in result.output
 
+    @pytest.mark.parametrize("number, text, error", [
+        (5, "garbage,row", "line 5: not enough values to unpack (expected 4, got 2)"),
+        (1, "doi,cq,endpoint,verdict", "line 1: expected header doi,cq_id,endpoint,verdict"),
+    ])
+    def test_a_corrupt_store_line_is_an_error_naming_the_file_and_line(
+        self, tmp_path, number, text, error
+    ):
+        workspace = golden_workspace(tmp_path / "ws")
+        path = workspace / "verdicts" / "verdicts.csv"
+        lines = path.read_bytes().split(b"\r\n")
+        lines[number - 1] = text.encode("utf-8")
+        path.write_bytes(b"\r\n".join(lines))
+        result = invoke("vote", *base_args(workspace))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.stderr == f"Error: {path}: {error}\n"
+        assert (workspace / "votes" / "votes.csv").read_bytes() == golden_output("votes.csv")
+
 
 class TestReportGolden:
     def test_report_matches_committed_goldens(self, tmp_path):
@@ -319,6 +337,18 @@ class TestEvaluate:
         comparison = (workspace / "reports" / "reference_comparison.csv").read_text()
         lines = comparison.strip().splitlines()
         assert lines[-1] == "Total,6/6"
+
+        # a spreadsheet's "CSV UTF-8" export starts with a byte order mark
+        reports = {p.name: p.read_bytes() for p in (workspace / "reports").iterdir()}
+        for path in (cat_path, vote_path):
+            path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        shutil.rmtree(workspace / "reports")
+        result = invoke(
+            "evaluate", *base_args(workspace, config=config),
+            "--reference", str(cat_path), "--voting-reference", str(vote_path),
+        )
+        assert result.exit_code == 0, result.output
+        assert {p.name: p.read_bytes() for p in (workspace / "reports").iterdir()} == reports
 
     def test_evaluate_without_references_fails(self, tmp_path):
         workspace = golden_workspace(tmp_path / "ws")

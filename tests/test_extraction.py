@@ -5,6 +5,7 @@ import pytest
 
 from litrag import prompts, textsim
 from litrag.corpus import CitationRecord, PublicationRecord
+from litrag.errors import CorruptStoreError
 from litrag.extraction import (
     AnswerStore,
     CompetencyQuestion,
@@ -142,7 +143,7 @@ class TestAnswerStore:
             fh.write('{"doi": "10.1/b", "cq\n')
         store.append(TextualAnswer("10.1/c", 1, "M", "three", 1))
         store.close()
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(CorruptStoreError, match=r"answers\.jsonl: line 2: "):
             store.load()
 
 

@@ -104,6 +104,13 @@ def test_malformed_payload_is_fatal():
         backend.send(ENDPOINT, ChatRequest.create(ENDPOINT, "p"))
 
 
+@pytest.mark.parametrize("content", [None, 123, ["a"]])
+def test_non_string_content_is_a_malformed_payload(content):
+    backend = HttpBackend(session=StubSession([StubResponse(payload=completion(content))]))
+    with pytest.raises(GatewayError, match="malformed completion payload: "):
+        backend.send(ENDPOINT, ChatRequest.create(ENDPOINT, "p"))
+
+
 def test_gateway_retries_429_then_succeeds():
     session = StubSession([
         StubResponse(status_code=429),
