@@ -9,8 +9,9 @@ Each record is one line. A crash can leave a final line whose newline was
 never written. `RecordStore.load` drops such a line with a warning unless it
 holds a whole record; the next `RecordStore.extend` cuts a torn final line
 off, or terminates a whole record that only lost its newline, so the next
-record starts on a line of its own. A malformed line anywhere else is
-corruption, and each format's parser raises on it. A whole-file rewrite
+record starts on a line of its own. A malformed line anywhere else, or a
+wrong header, is corruption: `RecordStore.load` raises `CorruptStoreError`
+naming the file and the first bad line. A whole-file rewrite
 goes through `replace_file`, so it leaves either the old file or the new one.
 """
 
@@ -168,7 +169,7 @@ class RecordStore(Generic[R]):
         line that does not parse on its own."""
         with open(self.path, "rb") as fh:
             for number, line in enumerate(fh, 1):
-                if not line.endswith(b"\n") or number == 1 and self.header:
+                if not line.endswith(b"\n") or (number == 1 and self.header):
                     continue
                 try:
                     self.parse([line.decode("utf-8")])
