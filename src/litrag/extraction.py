@@ -248,7 +248,9 @@ def run_matrix(
     def context(publication: PublicationRecord, cq: CompetencyQuestion) -> str:
         return index(publication).retrieve(cq.text, budget).text
 
-    def prepare(item: tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint]):
+    def prepare(
+        item: tuple[PublicationRecord, CompetencyQuestion, ModelEndpoint]
+    ) -> Callable[[], TextualAnswer]:
         pub, cq, endpoint = item
         return functools.partial(answer_cq, pub, cq, endpoint, context(pub, cq), gateway)
 

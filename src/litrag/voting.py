@@ -10,7 +10,7 @@ import logging
 # No pool runs in this module; the span tracer in perfbench/trace.py patches this name.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from . import appendlog, prompts
 from .corpus import PublicationRecord
@@ -247,7 +247,7 @@ def run_conversions(
     question or endpoint is not in the current configuration.
     """
 
-    def prepare(answer: TextualAnswer):
+    def prepare(answer: TextualAnswer) -> Callable[[], CategoricalAnswer]:
         if answer.cq_id not in questions_by_id or answer.endpoint not in endpoints_by_name:
             unknown = (f"question {answer.cq_id}" if answer.cq_id not in questions_by_id
                        else f"endpoint {answer.endpoint!r}")
