@@ -249,8 +249,18 @@ class RecordStore(Generic[R]):
         return first, self.parse(lines)
 
 
+# one buffer and writer per thread, since a store encodes outside its lock
+_csv_writer = threading.local()
+
+
 def csv_line(fields: Iterable[object]) -> str:
     """One CSV row as the csv module writes it, ending in CRLF."""
-    out = io.StringIO()
-    csv.writer(out).writerow(fields)
+    try:
+        out, writer = _csv_writer.out, _csv_writer.writer
+    except AttributeError:
+        out = _csv_writer.out = io.StringIO()
+        writer = _csv_writer.writer = csv.writer(out)
+    out.seek(0)
+    out.truncate()
+    writer.writerow(fields)
     return out.getvalue()

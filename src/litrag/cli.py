@@ -105,6 +105,7 @@ class RunContext:
             backend,
             max_attempts=self.config.max_attempts,
             backoff_seconds=self.config.backoff_seconds,
+            parallelism=self.config.parallelism,
         )
         try:
             yield gateway

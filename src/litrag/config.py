@@ -11,7 +11,12 @@ import yaml
 
 from .errors import ConfigError
 from .footprint import GERMANY_INTENSITY_KG_PER_KWH, TREE_MONTH_KG, HardwareProfile
-from .gateway import DEFAULT_BACKOFF_SECONDS, DEFAULT_MAX_ATTEMPTS, ModelEndpoint
+from .gateway import (
+    DEFAULT_BACKOFF_SECONDS,
+    DEFAULT_MAX_ATTEMPTS,
+    DEFAULT_PARALLELISM,
+    ModelEndpoint,
+)
 from .retrieval import ChunkingConfig
 
 log = logging.getLogger(__name__)
@@ -33,7 +38,7 @@ class PipelineConfig:
     endpoints: list[ModelEndpoint] = field(default_factory=list)
     chunking: ChunkingConfig = field(default_factory=ChunkingConfig)
     retrieval_budget: int = 1200
-    parallelism: int = 4
+    parallelism: int = DEFAULT_PARALLELISM
     tie_rule: str = "no"
     filter_endpoint: str = "Llama 3.1 70B"
     hardware_profile: Optional[HardwareProfile] = None

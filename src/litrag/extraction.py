@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import logging
@@ -152,12 +153,15 @@ def run_requests(
 
     Batches are taken in order on the calling thread, and a batch's pending
     items are all prepared before any of its requests is made; with
-    ``parallelism`` above 1 the requests run on a thread pool with at most
-    two batches in flight, so memory does not grow with the corpus. Records
-    are appended on the calling thread as they arrive. A request that raises
-    `GatewayError` is made once more after the last batch; if it fails again
-    its item goes into ``failed``, which is sorted by ``key``, and nothing is
-    stored for it, so a resume retries it.
+    ``parallelism`` above 1 the requests run on a pool of
+    ``2 * parallelism`` threads with at most two batches in flight, so memory
+    does not grow with the corpus. The gateway bounds the requests being sent
+    to ``parallelism``; the other threads let as many requests wait out a
+    backoff or a rate limit without idling a send slot. Records are appended
+    on the calling thread as they arrive. The requests that raised
+    `GatewayError` are made once more after the last batch, as one more
+    batch; an item that fails again goes into ``failed``, which is sorted by
+    ``key``, and nothing is stored for it, so a resume retries it.
     The store is closed when the run ends, also by an exception, and
     canonicalized when no item failed.
     """
@@ -174,38 +178,46 @@ def run_requests(
                 pending.append((item, call(item)))
         return pending
 
-    def record(pending: tuple[T, Callable[[], R]], outcome: Callable[[], R]) -> None:
+    def record(pending: tuple[T, Callable[[], R]], outcome: Callable[[], R], last: bool) -> None:
         try:
             store.append(outcome())
             result.completed += 1
-        except GatewayError:
-            failures.append(pending)
+        except GatewayError as exc:
+            if last:
+                result.failed.append((*key(pending[0]), str(exc)))
+            else:
+                failures.append(pending)
+
+    def run(
+        pool: Optional[ThreadPoolExecutor],
+        batches: Iterable[list[tuple[T, Callable[[], R]]]],
+        last: bool,
+    ) -> None:
+        if pool is None:
+            for batch in batches:
+                for pending in batch:
+                    record(pending, pending[1], last)
+            return
+
+        def drain(futures: dict[Future, tuple[T, Callable[[], R]]]) -> None:
+            for future in as_completed(futures):
+                record(futures[future], future.result, last)
+
+        previous: dict[Future, tuple[T, Callable[[], R]]] = {}
+        for batch in batches:
+            # prepare this batch while the previous one's requests run
+            current = {pool.submit(pending[1]): pending for pending in batch}
+            drain(previous)
+            previous = current
+        drain(previous)
 
     try:
-        if parallelism <= 1:
-            for batch in batches:
-                for pending in prepare(batch):
-                    record(pending, pending[1])
-        else:
-            def drain(futures: dict[Future, tuple[T, Callable[[], R]]]) -> None:
-                for future in as_completed(futures):
-                    record(futures[future], future.result)
-
-            with ThreadPoolExecutor(max_workers=parallelism) as pool:
-                previous: dict[Future, tuple[T, Callable[[], R]]] = {}
-                for batch in batches:
-                    # prepare this batch while the previous one's requests run
-                    current = {pool.submit(pending[1]): pending for pending in prepare(batch)}
-                    drain(previous)
-                    previous = current
-                drain(previous)
-
-        for item, request in failures:
-            try:
-                store.append(request())
-                result.completed += 1
-            except GatewayError as exc:
-                result.failed.append((*key(item), str(exc)))
+        with (
+            ThreadPoolExecutor(max_workers=2 * parallelism)
+            if parallelism > 1 else contextlib.nullcontext()
+        ) as pool:
+            run(pool, map(prepare, batches), last=False)
+            run(pool, [failures], last=True)
     finally:
         store.close()
     # in key order, not the order the pool finished them in

@@ -2,9 +2,9 @@
 
 One gateway instance serves every endpoint in a run. It retries transient
 failures with exponential backoff, enforces per-endpoint rate limits and
-in-flight caps, and appends one timing entry per completed request to a
-thread-safe log. A deterministic mock backend replaces the network for
-offline runs and tests.
+in-flight caps, bounds the requests being sent at once over all endpoints,
+and appends one timing entry per completed request to a thread-safe log. A
+deterministic mock backend replaces the network for offline runs and tests.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ STAGES = ("rag", "categorize", "filter", "keywords")
 
 DEFAULT_MAX_ATTEMPTS = 3
 DEFAULT_BACKOFF_SECONDS = 2.0
+# Requests being sent at once, over all endpoints.
+DEFAULT_PARALLELISM = 4
 # Requests one endpoint may have in flight at once, whatever the parallelism.
 MAX_IN_FLIGHT = 4
 
@@ -383,6 +385,7 @@ class LlmGateway:
         timing_log: Optional[TimingLog] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
+        parallelism: int = DEFAULT_PARALLELISM,
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
@@ -390,6 +393,9 @@ class LlmGateway:
         self.timing_log = timing_log if timing_log is not None else TimingLog()
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
+        # held only around `backend.send`: a request waiting out its backoff
+        # or its rate limit leaves its slot to another
+        self._sending = threading.BoundedSemaphore(parallelism)
         self._sleep = sleep
         self._clock = clock
         self._states: dict[str, _EndpointState] = {}
@@ -419,6 +425,10 @@ class LlmGateway:
     ) -> ChatResponse:
         """Send one request, retrying transient failures, and log the timing.
 
+        At most ``parallelism`` sends run at once over all endpoints; backoff
+        and rate-limit waits hold no send slot. At most `MAX_IN_FLIGHT`
+        requests per endpoint are in progress, their waits included.
+
         An authentication failure propagates immediately and is fatal for
         the endpoint: every later request to it raises `AuthenticationError`
         without reaching the backend. Exhausting the retry budget raises
@@ -433,7 +443,8 @@ class LlmGateway:
                 if state.limiter is not None:
                     state.limiter.acquire()
                 try:
-                    text, duration_ms = self.backend.send(endpoint, request)
+                    with self._sending:
+                        text, duration_ms = self.backend.send(endpoint, request)
                 except AuthenticationError as exc:
                     state.rejected = exc
                     raise

@@ -13,6 +13,7 @@ from litrag.extraction import (
     answer_cq,
     load_competency_questions,
     run_matrix,
+    run_requests,
     strip_answer_markers,
 )
 from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
@@ -23,9 +24,10 @@ def make_pub(doi="10.1/a", text="A convolutional network was trained on labelled
     return PublicationRecord(citation=CitationRecord(doi=doi), full_text=text)
 
 
-def make_gateway(canned=None, fail_first=None):
+def make_gateway(canned=None, fail_first=None, parallelism=4):
     return LlmGateway(
-        MockBackend(canned=canned, fail_first=fail_first), sleep=lambda s: None
+        MockBackend(canned=canned, fail_first=fail_first), parallelism=parallelism,
+        sleep=lambda s: None,
     )
 
 
@@ -147,6 +149,50 @@ class TestAnswerStore:
             store.load()
 
 
+class TestRunRequests:
+    def test_requests_in_backoff_leave_their_send_slots_to_others(self, tmp_path):
+        parallelism = 2
+        endpoint = ModelEndpoint(name="Model 0")
+        requests = {item: ChatRequest.create(endpoint, f"item {item}") for item in range(6)}
+        # the first `parallelism` items fail their first send
+        flaky = {requests[item].request_id for item in range(parallelism)}
+        all_in_backoff, sent_meanwhile = threading.Event(), threading.Event()
+        in_backoff = []
+        lock = threading.Lock()
+
+        class Backend(MockBackend):
+            def send(self, endpoint, request):
+                if all_in_backoff.is_set() and request.request_id not in flaky:
+                    sent_meanwhile.set()
+                return super().send(endpoint, request)
+
+        def sleep(seconds):
+            with lock:
+                in_backoff.append(seconds)
+                if len(in_backoff) == parallelism:
+                    all_in_backoff.set()
+            # the backoff ends once another item was sent during it
+            assert sent_meanwhile.wait(timeout=5), "no item was sent during the backoffs"
+
+        gateway = LlmGateway(Backend(fail_first=dict.fromkeys(flaky, 1)),
+                             parallelism=parallelism, sleep=sleep)
+
+        def call(item):
+            def request():
+                if requests[item].request_id not in flaky:
+                    # reach the gateway only once every flaky item is in its backoff
+                    all_in_backoff.wait(timeout=5)
+                response = gateway.complete(endpoint, requests[item])
+                return TextualAnswer(f"10.1/{item}", 1, endpoint.name, response.text,
+                                     response.duration_ms)
+            return request
+
+        result = run_requests([range(6)], lambda item: (f"10.1/{item}", 1, endpoint.name),
+                              call, AnswerStore(tmp_path / "answers.jsonl"), parallelism)
+        assert result.completed == 6
+        assert in_backoff == [2.0] * parallelism
+
+
 class TestRunMatrix:
     CONFIG = ChunkingConfig(chunk_size=50, overlap=10)
 
@@ -207,14 +253,81 @@ class TestRunMatrix:
                    self.CONFIG, parallelism=4)
         assert (tmp_path / "partial.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
+    def request_ids(self, pubs, questions, endpoints, tmp_path):
+        """The request id of each item, in the order a parallelism-1 run sends them."""
+        sent = []
+
+        class Recording(MockBackend):
+            def send(self, endpoint, request):
+                sent.append(request.request_id)
+                return super().send(endpoint, request)
+
+        run_matrix(pubs, questions, endpoints, LlmGateway(Recording()),
+                   AnswerStore(tmp_path / "probe.jsonl"), self.CONFIG, parallelism=1)
+        return sent
+
     def test_store_bytes_independent_of_parallelism(self, tmp_path):
+        pubs, questions, endpoints = self.pubs(3), self.questions(6), self.endpoints(3)
+        # every third request fails its first send
+        faults = {rid: 1 for rid in self.request_ids(pubs, questions, endpoints, tmp_path)[::3]}
         blobs = []
-        for parallelism in (1, 4, 16):
-            store = AnswerStore(tmp_path / f"answers_{parallelism}.jsonl")
-            run_matrix(self.pubs(3), self.questions(6), self.endpoints(3), make_gateway(),
-                       store, self.CONFIG, parallelism=parallelism)
-            blobs.append(store.path.read_bytes())
-        assert blobs[0] == blobs[1] == blobs[2]
+        for fail_first in (None, faults):
+            for parallelism in (1, 4, 16):
+                store = AnswerStore(tmp_path / f"answers_{parallelism}_{bool(fail_first)}.jsonl")
+                gateway = make_gateway(fail_first=fail_first, parallelism=parallelism)
+                result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
+                                    parallelism=parallelism)
+                assert result.completed == 54
+                blobs.append(store.path.read_bytes())
+        assert len(set(blobs)) == 1
+
+    def test_no_pool_thread_outlives_the_run(self, tmp_path):
+        pubs, questions, endpoints = self.pubs(2), self.questions(4), self.endpoints(3)
+        # two items fail every send of the first pass, so the end pass runs too
+        faults = {rid: 3 for rid in self.request_ids(pubs, questions, endpoints, tmp_path)[:2]}
+        before = threading.active_count()
+        result = run_matrix(pubs, questions, endpoints, make_gateway(fail_first=faults),
+                            AnswerStore(tmp_path / "answers.jsonl"), self.CONFIG, parallelism=4)
+        assert result.completed == 24
+        assert threading.active_count() == before
+
+    def test_end_pass_requests_overlap(self, tmp_path):
+        pubs, questions, endpoints = self.pubs(1), self.questions(4), self.endpoints(1)
+        failing = self.request_ids(pubs, questions, endpoints, tmp_path)[:2]
+        # the end-pass sends of both items must be in flight together
+        meet = threading.Barrier(2, timeout=5)
+
+        class Outage(MockBackend):
+            def send(self, endpoint, request):
+                reply = super().send(endpoint, request)  # fails each item's first 3 sends
+                if request.request_id in failing:
+                    meet.wait()
+                return reply
+
+        gateway = LlmGateway(Outage(fail_first={rid: 3 for rid in failing}), parallelism=2,
+                             sleep=lambda s: None)
+        store = AnswerStore(tmp_path / "answers.jsonl")
+        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
+                            parallelism=2)
+        assert result.is_complete
+        assert result.completed == 4
+        assert len(store.load()) == 4
+
+    def test_end_pass_failures_sorted_and_not_stored(self, tmp_path):
+        pubs, questions, endpoints = self.pubs(2), self.questions(3), self.endpoints(2)
+        ids = self.request_ids(pubs, questions, endpoints, tmp_path)
+        store = AnswerStore(tmp_path / "answers.jsonl")
+        # the last and the first item fail every send
+        gateway = make_gateway(fail_first={ids[-1]: 99, ids[0]: 99}, parallelism=2)
+        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
+                            parallelism=2)
+        assert [failure[:3] for failure in result.failed] == [
+            ("10.1/p0", 1, "Model 0"), ("10.1/p1", 3, "Model 1"),
+        ]
+        assert result.completed == 10
+        assert {answer.key for answer in store.load()}.isdisjoint(
+            failure[:3] for failure in result.failed
+        )
 
     def test_end_of_run_retry_recovers_single_failure(self, tmp_path):
         pubs, questions, endpoints = self.pubs(1), self.questions(2), self.endpoints(1)

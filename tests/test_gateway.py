@@ -1,8 +1,10 @@
 import random
+import sys
 import threading
 
 import pytest
 
+from litrag import appendlog
 from litrag.errors import AuthenticationError, GatewayError
 from litrag.gateway import (
     ChatRequest,
@@ -153,6 +155,104 @@ class TestInFlightCap:
         assert state["peak"] <= 4
 
 
+class TestSendSlots:
+    @pytest.mark.parametrize("parallelism", [2, 4])
+    def test_at_most_parallelism_sends_at_once(self, parallelism):
+        import time as time_mod
+
+        state = {"active": 0, "peak": 0}
+        lock = threading.Lock()
+
+        class SlowBackend:
+            def send(self, endpoint, request):
+                with lock:
+                    state["active"] += 1
+                    state["peak"] = max(state["peak"], state["active"])
+                time_mod.sleep(0.01)
+                with lock:
+                    state["active"] -= 1
+                return "ok", 1
+
+        # four endpoints, so their in-flight caps alone would allow 16 sends
+        endpoints = [ModelEndpoint(name=f"Model {i}") for i in range(4)]
+        gateway = LlmGateway(SlowBackend(), parallelism=parallelism, sleep=lambda s: None)
+        threads = [
+            threading.Thread(
+                target=gateway.complete,
+                args=(endpoints[i % 4], ChatRequest.create(endpoints[i % 4], f"p{i}")),
+            )
+            for i in range(16)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert len(gateway.timing_log) == 16
+        assert 1 <= state["peak"] <= parallelism
+
+    def test_backoff_holds_no_send_slot(self):
+        flaky = ChatRequest.create(ENDPOINT, "flaky")
+        other = ChatRequest.create(ENDPOINT, "other")
+        in_backoff, other_sent = threading.Event(), threading.Event()
+        waited = []
+
+        class Backend(MockBackend):
+            def send(self, endpoint, request):
+                if request.request_id == other.request_id:
+                    other_sent.set()
+                return super().send(endpoint, request)
+
+        def sleep(seconds):
+            # the backoff ends once the other request went out on the one slot
+            in_backoff.set()
+            waited.append(other_sent.wait(timeout=5))
+
+        gateway = LlmGateway(
+            Backend(fail_first={flaky.request_id: 1}), parallelism=1, sleep=sleep
+        )
+        first = threading.Thread(target=gateway.complete, args=(ENDPOINT, flaky))
+        first.start()
+        assert in_backoff.wait(timeout=5)
+        gateway.complete(ENDPOINT, other)
+        first.join(timeout=10)
+        assert not first.is_alive()
+        assert waited == [True]
+        assert len(gateway.timing_log) == 2
+
+    def test_rate_limit_wait_holds_no_send_slot(self):
+        limited = ModelEndpoint(name="Limited", rate_limit_per_min=1)
+        free = ModelEndpoint(name="Free")
+        in_wait, free_sent = threading.Event(), threading.Event()
+        clock = {"now": 0.0}
+        waited = []
+
+        class Backend(MockBackend):
+            def send(self, endpoint, request):
+                if endpoint == free:
+                    free_sent.set()
+                return super().send(endpoint, request)
+
+        def sleep(seconds):
+            # the window frees up once the other endpoint was sent to
+            in_wait.set()
+            waited.append(free_sent.wait(timeout=5))
+            clock["now"] += seconds
+
+        gateway = LlmGateway(Backend(), parallelism=1, sleep=sleep, clock=lambda: clock["now"])
+        gateway.complete(limited, ChatRequest.create(limited, "first"))
+        second = threading.Thread(
+            target=gateway.complete, args=(limited, ChatRequest.create(limited, "second"))
+        )
+        second.start()
+        assert in_wait.wait(timeout=5)
+        gateway.complete(free, ChatRequest.create(free, "free"))
+        second.join(timeout=10)
+        assert not second.is_alive()
+        assert waited == [True]
+        assert len(gateway.timing_log) == 3
+
+
 class TestRateLimiter:
     def test_window_property(self):
         clock = {"now": 0.0}
@@ -283,6 +383,43 @@ class TestTimingCsvRoundTrip:
             b"b,doc,Test Model,filter,7,2024-01-01T00:00:02+00:00\r\n"
         )
         assert TimingLog.load_csv(path).entries() == first.entries() + second.entries()
+
+    def test_csv_line_matches_a_fresh_writer_on_every_thread(self):
+        import csv
+        import io
+
+        rows = [
+            ("plain", 1, 2.5), ('quo"ted', "com,ma", "new\nline"), (), ("",),
+            ("crlf\r\n", " lead", "trail "), ("ünïcode", None, True),
+        ] * 50
+
+        def fresh(row):
+            out = io.StringIO()
+            csv.writer(out).writerow(row)
+            return out.getvalue()
+
+        results = {}
+
+        def encode(worker):
+            results[worker] = [appendlog.csv_line(row) for row in rows]
+
+        # more threads than cores, switching often, so that rows would mix if
+        # two threads shared a buffer
+        threads = [threading.Thread(target=encode, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [fresh(row) for row in rows]
+        assert expected[0] == "plain,1,2.5\r\n"
+        assert all(lines == expected for lines in results.values())
+        assert [appendlog.csv_line(row) for row in rows] == expected
 
     def test_malformed_earlier_row_raises(self, tmp_path):
         path = tmp_path / "timing.csv"
