@@ -348,7 +348,6 @@ def _ask(
                 AnswerStore(ctx.workspace / ANSWERS),
                 chunking=ctx.config.chunking,
                 budget=ctx.config.retrieval_budget,
-                parallelism=ctx.config.parallelism,
             )
 
     inputs = [f"endpoints {json.dumps([e.name for e in endpoints])}"]
@@ -368,7 +367,6 @@ def _categorize(ctx: RunContext):
                 endpoints,
                 gateway,
                 VerdictStore(ctx.workspace / VERDICTS),
-                parallelism=ctx.config.parallelism,
             )
 
     return _backend_inputs(ctx), run
@@ -401,7 +399,7 @@ def _filter(ctx: RunContext, corpus_dir: str):
                     chunking=ctx.config.chunking, budget=ctx.config.retrieval_budget,
                 ),
                 FilterStore(ctx.workspace / FILTERS),
-                ctx.config.parallelism,
+                gateway.parallelism,
             )
 
     return _corpus_inputs(load) + _backend_inputs(ctx), run
@@ -650,7 +648,7 @@ def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] 
                 lambda path: lambda: keywords_mod.KeywordReply(
                     endpoint.name, path.stem,
                     keywords_mod.extract_keywords(abstracts[path], endpoint, gateway, path.stem)),
-                store, ctx.config.parallelism,
+                store, gateway.parallelism,
             )
             if result.failed:
                 return result

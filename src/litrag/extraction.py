@@ -155,10 +155,11 @@ def run_requests(
     items are all prepared before any of its requests is made; with
     ``parallelism`` above 1 the requests run on a pool of
     ``2 * parallelism`` threads with at most two batches in flight, so memory
-    does not grow with the corpus. The gateway bounds the requests being sent
-    to ``parallelism``; the other threads let as many requests wait out a
-    backoff or a rate limit without idling a send slot. Records are appended
-    on the calling thread as they arrive. The requests that raised
+    does not grow with the corpus. Callers pass the gateway's
+    ``parallelism``, which also bounds the requests being sent; the other
+    threads let as many requests wait out a backoff or a rate limit without
+    idling a send slot. Records are appended on the calling thread as they
+    arrive. The requests that raised
     `GatewayError` are made once more after the last batch, as one more
     batch; an item that fails again goes into ``failed``, which is sorted by
     ``key``, and nothing is stored for it, so a resume retries it.
@@ -238,10 +239,10 @@ def run_matrix(
     store: AnswerStore,
     chunking: ChunkingConfig,
     budget: int = 1200,
-    parallelism: int = 4,
 ) -> RunResult:
     """Fill the (publication x question x endpoint) answer matrix through
-    `run_requests`, one batch per publication in DOI order.
+    `run_requests`, one batch per publication in DOI order, at the
+    gateway's parallelism.
 
     A publication is indexed at its first pending item, and each
     (publication, question) context is retrieved once, on the calling
@@ -273,5 +274,5 @@ def run_matrix(
         lambda item: (item[0].citation.doi, item[1].id, item[2].name),
         prepare,
         store,
-        parallelism,
+        gateway.parallelism,
     )

@@ -212,17 +212,21 @@ class RateLimiter:
         self._dispatches: deque[float] = deque()
         self._lock = threading.Lock()
 
+    def try_acquire(self) -> float:
+        """Count one dispatch now and return 0, or return the seconds to
+        wait before the window has room, counting nothing."""
+        with self._lock:
+            now = self._clock()
+            while self._dispatches and now - self._dispatches[0] >= 60.0:
+                self._dispatches.popleft()
+            if len(self._dispatches) < self.per_minute:
+                self._dispatches.append(now)
+                return 0.0
+            return max(60.0 - (now - self._dispatches[0]), 0.001)
+
     def acquire(self) -> None:
-        while True:
-            with self._lock:
-                now = self._clock()
-                while self._dispatches and now - self._dispatches[0] >= 60.0:
-                    self._dispatches.popleft()
-                if len(self._dispatches) < self.per_minute:
-                    self._dispatches.append(now)
-                    return
-                wait = 60.0 - (now - self._dispatches[0])
-            self._sleep(max(wait, 0.001))
+        while wait := self.try_acquire():
+            self._sleep(wait)
 
 
 class TransientBackendError(Exception):
@@ -393,8 +397,11 @@ class LlmGateway:
         self.timing_log = timing_log if timing_log is not None else TimingLog()
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
-        # held only around `backend.send`: a request waiting out its backoff
-        # or its rate limit leaves its slot to another
+        # the most requests being sent at once; a request runner sizes its
+        # pool from it
+        self.parallelism = parallelism
+        # held only around a rate-limit check and `backend.send`: a request
+        # waiting out its backoff or its rate limit leaves its slot to another
         self._sending = threading.BoundedSemaphore(parallelism)
         self._sleep = sleep
         self._clock = clock
@@ -407,9 +414,7 @@ class LlmGateway:
             if state is None:
                 limiter = None
                 if endpoint.rate_limit_per_min:
-                    limiter = RateLimiter(
-                        endpoint.rate_limit_per_min, clock=self._clock, sleep=self._sleep
-                    )
+                    limiter = RateLimiter(endpoint.rate_limit_per_min, clock=self._clock)
                 state = _EndpointState(
                     semaphore=threading.Semaphore(MAX_IN_FLIGHT), limiter=limiter
                 )
@@ -440,11 +445,8 @@ class LlmGateway:
             for attempt in range(1, self.max_attempts + 1):
                 if state.rejected is not None:
                     raise AuthenticationError(str(state.rejected))
-                if state.limiter is not None:
-                    state.limiter.acquire()
                 try:
-                    with self._sending:
-                        text, duration_ms = self.backend.send(endpoint, request)
+                    text, duration_ms = self._send(state, endpoint, request)
                 except AuthenticationError as exc:
                     state.rejected = exc
                     raise
@@ -467,6 +469,19 @@ class LlmGateway:
             f"request {request.request_id[:12]} to {endpoint.name} failed after "
             f"{self.max_attempts} attempts: {last_error}"
         )
+
+    def _send(
+        self, state: _EndpointState, endpoint: ModelEndpoint, request: ChatRequest
+    ) -> tuple[str, int]:
+        """Send under a send slot. The rate limit counts the request only
+        once it holds a slot, so no wait for a slot falls between the two;
+        a request that must wait for its window waits without a slot."""
+        while True:
+            with self._sending:
+                wait = state.limiter.try_acquire() if state.limiter is not None else 0.0
+                if not wait:
+                    return self.backend.send(endpoint, request)
+            self._sleep(wait)
 
     def _log_timing(
         self,

@@ -238,10 +238,9 @@ def run_conversions(
     endpoints_by_name: Mapping[str, ModelEndpoint],
     gateway: LlmGateway,
     store: VerdictStore,
-    parallelism: int = 4,
 ) -> RunResult:
     """Convert every stored textual answer that has no verdict yet, through
-    `run_requests` in one batch.
+    `run_requests` in one batch, at the gateway's parallelism.
 
     Raises `PipelineError` before any request when a pending answer's
     question or endpoint is not in the current configuration.
@@ -260,5 +259,5 @@ def run_conversions(
 
     return run_requests(
         [sorted(answers, key=lambda a: a.key)], lambda answer: answer.key, prepare, store,
-        parallelism,
+        gateway.parallelism,
     )

@@ -16,7 +16,13 @@ from litrag.extraction import (
     run_requests,
     strip_answer_markers,
 )
-from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
+from litrag.gateway import (
+    DEFAULT_PARALLELISM,
+    ChatRequest,
+    LlmGateway,
+    MockBackend,
+    ModelEndpoint,
+)
 from litrag.retrieval import ChunkingConfig, DocumentIndex, retrieve_context
 
 
@@ -24,7 +30,7 @@ def make_pub(doi="10.1/a", text="A convolutional network was trained on labelled
     return PublicationRecord(citation=CitationRecord(doi=doi), full_text=text)
 
 
-def make_gateway(canned=None, fail_first=None, parallelism=4):
+def make_gateway(canned=None, fail_first=None, parallelism=DEFAULT_PARALLELISM):
     return LlmGateway(
         MockBackend(canned=canned, fail_first=fail_first), parallelism=parallelism,
         sleep=lambda s: None,
@@ -213,8 +219,8 @@ class TestRunMatrix:
     def test_full_matrix_420_answers(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
         result = run_matrix(
-            self.pubs(3), self.questions(28), self.endpoints(5), make_gateway(),
-            store, self.CONFIG, parallelism=4,
+            self.pubs(3), self.questions(28), self.endpoints(5), make_gateway(parallelism=4),
+            store, self.CONFIG,
         )
         assert result.completed == 420
         assert result.is_complete
@@ -223,19 +229,19 @@ class TestRunMatrix:
     def test_minimal_matrix(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
         result = run_matrix(
-            self.pubs(1), self.questions(1), self.endpoints(1), make_gateway(),
-            store, self.CONFIG, parallelism=1,
+            self.pubs(1), self.questions(1), self.endpoints(1), make_gateway(parallelism=1),
+            store, self.CONFIG,
         )
         assert result.completed == 1
         assert len(store.load()) == 1
 
     def test_rerun_is_noop(self, tmp_path):
         store = AnswerStore(tmp_path / "answers.jsonl")
-        run_matrix(self.pubs(2), self.questions(3), self.endpoints(2), make_gateway(),
-                   store, self.CONFIG, parallelism=2)
+        run_matrix(self.pubs(2), self.questions(3), self.endpoints(2),
+                   make_gateway(parallelism=2), store, self.CONFIG)
         before = (tmp_path / "answers.jsonl").read_bytes()
         result = run_matrix(self.pubs(2), self.questions(3), self.endpoints(2),
-                            make_gateway(), store, self.CONFIG, parallelism=2)
+                            make_gateway(parallelism=2), store, self.CONFIG)
         assert result.completed == 0
         assert result.skipped == 12
         assert (tmp_path / "answers.jsonl").read_bytes() == before
@@ -243,14 +249,14 @@ class TestRunMatrix:
     def test_resume_matches_uninterrupted_run(self, tmp_path):
         pubs, questions, endpoints = self.pubs(2), self.questions(4), self.endpoints(3)
         full_store = AnswerStore(tmp_path / "full.jsonl")
-        run_matrix(pubs, questions, endpoints, make_gateway(), full_store,
-                   self.CONFIG, parallelism=1)
+        run_matrix(pubs, questions, endpoints, make_gateway(parallelism=1), full_store,
+                   self.CONFIG)
         # interrupted run: only a prefix of the work got stored
         partial_store = AnswerStore(tmp_path / "partial.jsonl")
-        run_matrix(pubs[:1], questions[:2], endpoints[:2], make_gateway(), partial_store,
-                   self.CONFIG, parallelism=1)
-        run_matrix(pubs, questions, endpoints, make_gateway(), partial_store,
-                   self.CONFIG, parallelism=4)
+        run_matrix(pubs[:1], questions[:2], endpoints[:2], make_gateway(parallelism=1),
+                   partial_store, self.CONFIG)
+        run_matrix(pubs, questions, endpoints, make_gateway(parallelism=4), partial_store,
+                   self.CONFIG)
         assert (tmp_path / "partial.jsonl").read_bytes() == (tmp_path / "full.jsonl").read_bytes()
 
     def request_ids(self, pubs, questions, endpoints, tmp_path):
@@ -262,8 +268,8 @@ class TestRunMatrix:
                 sent.append(request.request_id)
                 return super().send(endpoint, request)
 
-        run_matrix(pubs, questions, endpoints, LlmGateway(Recording()),
-                   AnswerStore(tmp_path / "probe.jsonl"), self.CONFIG, parallelism=1)
+        run_matrix(pubs, questions, endpoints, LlmGateway(Recording(), parallelism=1),
+                   AnswerStore(tmp_path / "probe.jsonl"), self.CONFIG)
         return sent
 
     def test_store_bytes_independent_of_parallelism(self, tmp_path):
@@ -275,8 +281,7 @@ class TestRunMatrix:
             for parallelism in (1, 4, 16):
                 store = AnswerStore(tmp_path / f"answers_{parallelism}_{bool(fail_first)}.jsonl")
                 gateway = make_gateway(fail_first=fail_first, parallelism=parallelism)
-                result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
-                                    parallelism=parallelism)
+                result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG)
                 assert result.completed == 54
                 blobs.append(store.path.read_bytes())
         assert len(set(blobs)) == 1
@@ -286,8 +291,9 @@ class TestRunMatrix:
         # two items fail every send of the first pass, so the end pass runs too
         faults = {rid: 3 for rid in self.request_ids(pubs, questions, endpoints, tmp_path)[:2]}
         before = threading.active_count()
-        result = run_matrix(pubs, questions, endpoints, make_gateway(fail_first=faults),
-                            AnswerStore(tmp_path / "answers.jsonl"), self.CONFIG, parallelism=4)
+        result = run_matrix(pubs, questions, endpoints,
+                            make_gateway(fail_first=faults, parallelism=4),
+                            AnswerStore(tmp_path / "answers.jsonl"), self.CONFIG)
         assert result.completed == 24
         assert threading.active_count() == before
 
@@ -307,8 +313,7 @@ class TestRunMatrix:
         gateway = LlmGateway(Outage(fail_first={rid: 3 for rid in failing}), parallelism=2,
                              sleep=lambda s: None)
         store = AnswerStore(tmp_path / "answers.jsonl")
-        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
-                            parallelism=2)
+        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG)
         assert result.is_complete
         assert result.completed == 4
         assert len(store.load()) == 4
@@ -319,8 +324,7 @@ class TestRunMatrix:
         store = AnswerStore(tmp_path / "answers.jsonl")
         # the last and the first item fail every send
         gateway = make_gateway(fail_first={ids[-1]: 99, ids[0]: 99}, parallelism=2)
-        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
-                            parallelism=2)
+        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG)
         assert [failure[:3] for failure in result.failed] == [
             ("10.1/p0", 1, "Model 0"), ("10.1/p1", 3, "Model 1"),
         ]
@@ -334,9 +338,8 @@ class TestRunMatrix:
         # find the request id for one work item, then make it fail through
         # the first pass (3 attempts) and succeed on the end-of-run retry
         probe_store = AnswerStore(tmp_path / "probe.jsonl")
-        probe_gateway = make_gateway()
-        run_matrix(pubs, questions, endpoints, probe_gateway, probe_store, self.CONFIG,
-                   parallelism=1)
+        probe_gateway = make_gateway(parallelism=1)
+        run_matrix(pubs, questions, endpoints, probe_gateway, probe_store, self.CONFIG)
         request_ids = {
             e.unique_id for e in probe_gateway.timing_log.entries()
         }
@@ -350,9 +353,8 @@ class TestRunMatrix:
                                 {"query": questions[0].text, "context": context.text})
         request = ChatRequest.create(endpoints[0], prompt)
         store = AnswerStore(tmp_path / "answers.jsonl")
-        gateway = make_gateway(fail_first={request.request_id: 3})
-        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
-                            parallelism=1)
+        gateway = make_gateway(fail_first={request.request_id: 3}, parallelism=1)
+        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG)
         assert result.is_complete
         assert len(store.load()) == 2
 
@@ -366,9 +368,8 @@ class TestRunMatrix:
                                 {"query": questions[0].text, "context": context.text})
         request = ChatRequest.create(endpoints[0], prompt)
         store = AnswerStore(tmp_path / "answers.jsonl")
-        gateway = make_gateway(fail_first={request.request_id: 100})
-        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG,
-                            parallelism=1)
+        gateway = make_gateway(fail_first={request.request_id: 100}, parallelism=1)
+        result = run_matrix(pubs, questions, endpoints, gateway, store, self.CONFIG)
         assert not result.is_complete
         assert result.failed[0][:3] == ("10.1/p0", 1, "Model 0")
         assert store.load() == []
@@ -403,8 +404,8 @@ class TestRunMatrix:
             fit_threads.clear()
             transform_threads.clear()
             queries.clear()
-            return run_matrix(pubs, questions, endpoints, make_gateway(), store,
-                              self.CONFIG, parallelism=4)
+            return run_matrix(pubs, questions, endpoints, make_gateway(parallelism=4), store,
+                              self.CONFIG)
 
         assert run().completed == 3 * 4 * 5
         caller = threading.current_thread()

@@ -139,7 +139,8 @@ class TestInFlightCap:
                     state["active"] -= 1
                 return "ok", 1
 
-        gateway = LlmGateway(SlowBackend(), sleep=lambda s: None)
+        # sixteen send slots, so only the endpoint's cap can hold the peak at 4
+        gateway = LlmGateway(SlowBackend(), parallelism=16, sleep=lambda s: None)
         threads = [
             threading.Thread(
                 target=lambda i=i: gateway.complete(
@@ -251,6 +252,51 @@ class TestSendSlots:
         assert not second.is_alive()
         assert waited == [True]
         assert len(gateway.timing_log) == 3
+
+    def test_rate_limit_counts_a_request_only_once_it_holds_a_send_slot(self):
+        limited = ModelEndpoint(name="Limited", rate_limit_per_min=1)
+        free = ModelEndpoint(name="Free")
+        clock = {"now": 0.0}
+        blocking, release, late_at_slot = threading.Event(), threading.Event(), threading.Event()
+        sent_at = []
+
+        class Backend(MockBackend):
+            def send(self, endpoint, request):
+                if endpoint == free:
+                    blocking.set()
+                    assert release.wait(timeout=5)
+                else:
+                    sent_at.append(clock["now"])
+                return super().send(endpoint, request)
+
+        def sleep(seconds):
+            clock["now"] += seconds
+
+        gateway = LlmGateway(Backend(), parallelism=1, sleep=sleep, clock=lambda: clock["now"])
+
+        class AnnouncingSlots(threading.BoundedSemaphore):
+            def __enter__(self):
+                if threading.current_thread().name == "late":
+                    late_at_slot.set()
+                return super().__enter__()
+
+        gateway._sending = AnnouncingSlots(1)
+        holder = threading.Thread(target=gateway.complete,
+                                  args=(free, ChatRequest.create(free, "holder")))
+        holder.start()
+        assert blocking.wait(timeout=5)
+        late = threading.Thread(target=gateway.complete, name="late",
+                                args=(limited, ChatRequest.create(limited, "late")))
+        late.start()
+        assert late_at_slot.wait(timeout=5)
+        # the wait for the slot straddles the end of the 60 s window
+        clock["now"] = 70.0
+        release.set()
+        holder.join(timeout=10)
+        late.join(timeout=10)
+        assert not holder.is_alive() and not late.is_alive()
+        gateway.complete(limited, ChatRequest.create(limited, "next"))
+        assert sent_at == [70.0, 130.0]
 
 
 class TestRateLimiter:
