@@ -196,19 +196,13 @@ def format_hours_minutes(duration_ms: int) -> str:
 
 class RateLimiter:
     """Sliding-window limiter: at most ``per_minute`` acquisitions in any
-    60-second window. Clock and sleep are injectable for tests."""
+    60-second window. The caller waits; the clock is injectable for tests."""
 
-    def __init__(
-        self,
-        per_minute: int,
-        clock: Callable[[], float] = time.monotonic,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
+    def __init__(self, per_minute: int, clock: Callable[[], float] = time.monotonic) -> None:
         if per_minute < 1:
             raise ValueError("per_minute must be >= 1")
         self.per_minute = per_minute
         self._clock = clock
-        self._sleep = sleep
         self._dispatches: deque[float] = deque()
         self._lock = threading.Lock()
 
@@ -223,10 +217,6 @@ class RateLimiter:
                 self._dispatches.append(now)
                 return 0.0
             return max(60.0 - (now - self._dispatches[0]), 0.001)
-
-    def acquire(self) -> None:
-        while wait := self.try_acquire():
-            self._sleep(wait)
 
 
 class TransientBackendError(Exception):

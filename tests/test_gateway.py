@@ -303,21 +303,21 @@ class TestRateLimiter:
     def test_window_property(self):
         clock = {"now": 0.0}
         sleeps = []
-
-        def fake_sleep(seconds):
-            sleeps.append(seconds)
-            clock["now"] += seconds
-
-        limiter = RateLimiter(5, clock=lambda: clock["now"], sleep=fake_sleep)
+        limiter = RateLimiter(5, clock=lambda: clock["now"])
         dispatch_times = []
         for _ in range(23):
-            limiter.acquire()
+            # a refused try counts nothing, so the caller may try again after the wait
+            while wait := limiter.try_acquire():
+                sleeps.append(wait)
+                clock["now"] += wait
             dispatch_times.append(clock["now"])
             clock["now"] += 0.5
         for i, start in enumerate(dispatch_times):
             in_window = [t for t in dispatch_times if start <= t < start + 60.0]
             assert len(in_window) <= 5
         assert sleeps, "limiter never had to wait"
+        # the sixth goes out as soon as the first leaves the window
+        assert dispatch_times[5] == 60.0
 
 
 class TestDedupeTimingLogs:
