@@ -7,11 +7,12 @@ import contextlib
 import functools
 import json
 import logging
-from concurrent.futures import Future, ThreadPoolExecutor, as_completed
+import queue
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import appendlog, prompts
 from .corpus import PublicationRecord
@@ -138,6 +139,46 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
+def _outcome(request: Callable[[], R]) -> R | BaseException:
+    """The record ``request`` returns, or the exception it raises."""
+    try:
+        return request()
+    except BaseException as exc:  # raised again on the calling thread
+        return exc
+
+
+def _serve(requests: queue.SimpleQueue, outcomes: queue.SimpleQueue) -> None:
+    """Make each ``(item, request)`` taken from ``requests`` and put
+    ``((item, request), outcome)`` on ``outcomes``, until a None."""
+    while (pending := requests.get()) is not None:
+        outcomes.put((pending, _outcome(pending[1])))
+
+
+@contextlib.contextmanager
+def _request_loops(count: int) -> Iterator[tuple[queue.SimpleQueue, queue.SimpleQueue]]:
+    """Run ``count`` `_serve` loops on one request queue and one outcome
+    queue, and yield the two queues. On exit, also by an exception, the
+    requests still queued are dropped and each loop ends after the request
+    it is making."""
+    requests: queue.SimpleQueue = queue.SimpleQueue()
+    outcomes: queue.SimpleQueue = queue.SimpleQueue()
+    # The loops run on the executor, not on bare threads: perfbench's tracer
+    # swaps this module's ThreadPoolExecutor for one that hands the
+    # submitter's span to the worker, so every request's span stays under
+    # its stage and `gateway.overlap` stays measured.
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        try:
+            for _ in range(count):
+                pool.submit(_serve, requests, outcomes)
+            yield requests, outcomes
+        finally:
+            with contextlib.suppress(queue.Empty):
+                while True:
+                    requests.get_nowait()
+            for _ in range(count):
+                requests.put(None)
+
+
 def run_requests(
     batches: Iterable[Iterable[T]],
     key: Callable[[T], tuple],
@@ -152,19 +193,22 @@ def run_requests(
     that returns the record.
 
     Batches are taken in order on the calling thread, and a batch's pending
-    items are all prepared before any of its requests is made; with
-    ``parallelism`` above 1 the requests run on a pool of
-    ``2 * parallelism`` threads with at most two batches in flight, so memory
-    does not grow with the corpus. Callers pass the gateway's
-    ``parallelism``, which also bounds the requests being sent; the other
-    threads let as many requests wait out a backoff or a rate limit without
-    idling a send slot. Records are appended on the calling thread as they
-    arrive. The requests that raised
+    items are all prepared before any of its requests is made. With
+    ``parallelism`` above 1, ``2 * parallelism`` threads take the prepared
+    requests from one queue, and the calling thread takes as many outcomes
+    as the previous batch held before it prepares the next batch, so at most
+    two batches are in flight and memory does not grow with the corpus.
+    Callers pass the gateway's ``parallelism``, which also bounds the
+    requests being sent; the other threads let as many requests wait out a
+    backoff or a rate limit without idling a send slot. Records are appended
+    on the calling thread as they arrive. The requests that raised
     `GatewayError` are made once more after the last batch, as one more
     batch; an item that fails again goes into ``failed``, which is sorted by
     ``key``, and nothing is stored for it, so a resume retries it.
-    The store is closed when the run ends, also by an exception, and
-    canonicalized when no item failed.
+    Any other exception, or an interrupt, stops the run: the queued requests
+    are not made, only those already being made finish, and the exception
+    propagates. The store is closed when the run ends, also by an exception,
+    and canonicalized when no item failed.
     """
     stored = store.keys()
     result = RunResult()
@@ -179,49 +223,50 @@ def run_requests(
                 pending.append((item, call(item)))
         return pending
 
-    def record(pending: tuple[T, Callable[[], R]], outcome: Callable[[], R], last: bool) -> None:
-        try:
-            store.append(outcome())
-            result.completed += 1
-        except GatewayError as exc:
+    def record(pending: tuple[T, Callable[[], R]], outcome: R | BaseException,
+               last: bool) -> None:
+        if isinstance(outcome, GatewayError):
             if last:
-                result.failed.append((*key(pending[0]), str(exc)))
+                result.failed.append((*key(pending[0]), str(outcome)))
             else:
                 failures.append(pending)
+        elif isinstance(outcome, BaseException):
+            raise outcome
+        else:
+            store.append(outcome)
+            result.completed += 1
 
     def run(
-        pool: Optional[ThreadPoolExecutor],
+        queues: Optional[tuple[queue.SimpleQueue, queue.SimpleQueue]],
         batches: Iterable[list[tuple[T, Callable[[], R]]]],
         last: bool,
     ) -> None:
-        if pool is None:
+        if queues is None:
             for batch in batches:
                 for pending in batch:
-                    record(pending, pending[1], last)
+                    record(pending, _outcome(pending[1]), last)
             return
-
-        def drain(futures: dict[Future, tuple[T, Callable[[], R]]]) -> None:
-            for future in as_completed(futures):
-                record(futures[future], future.result, last)
-
-        previous: dict[Future, tuple[T, Callable[[], R]]] = {}
+        requests, outcomes = queues
+        held = 0
         for batch in batches:
-            # prepare this batch while the previous one's requests run
-            current = {pool.submit(pending[1]): pending for pending in batch}
-            drain(previous)
-            previous = current
-        drain(previous)
+            for pending in batch:
+                requests.put(pending)
+            # the previous batch's worth of outcomes, while this batch runs
+            for _ in range(held):
+                record(*outcomes.get(), last)
+            held = len(batch)
+        for _ in range(held):
+            record(*outcomes.get(), last)
 
     try:
         with (
-            ThreadPoolExecutor(max_workers=2 * parallelism)
-            if parallelism > 1 else contextlib.nullcontext()
-        ) as pool:
-            run(pool, map(prepare, batches), last=False)
-            run(pool, [failures], last=True)
+            _request_loops(2 * parallelism) if parallelism > 1 else contextlib.nullcontext()
+        ) as queues:
+            run(queues, map(prepare, batches), last=False)
+            run(queues, [failures], last=True)
     finally:
         store.close()
-    # in key order, not the order the pool finished them in
+    # in key order, not the order the threads finished them in
     result.failed.sort(key=lambda failure: failure[:-1])
 
     if result.is_complete:

@@ -1,11 +1,14 @@
+import collections
 import json
+import sys
 import threading
+import time
 
 import pytest
 
-from litrag import prompts, textsim
+from litrag import extraction, prompts, textsim
 from litrag.corpus import CitationRecord, PublicationRecord
-from litrag.errors import CorruptStoreError
+from litrag.errors import CorruptStoreError, GatewayError
 from litrag.extraction import (
     AnswerStore,
     CompetencyQuestion,
@@ -198,6 +201,120 @@ class TestRunRequests:
         assert result.completed == 6
         assert in_backoff == [2.0] * parallelism
 
+    def test_every_request_is_made_once_under_fast_thread_switching(self, tmp_path):
+        items = range(300)
+        flaky = set(items[::7])  # fail their first request, so the end pass makes them again
+        made, lock = collections.Counter(), threading.Lock()
+
+        def call(item):
+            def request():
+                with lock:
+                    made[item] += 1
+                    first = made[item] == 1
+                if item in flaky and first:
+                    raise GatewayError(f"item {item}")
+                return TextualAnswer(f"10.1/{item}", 1, "M", "text", 0)
+            return request
+
+        sizes = [1, 17, 40, 2, 90, 0, 35, 115]
+        starts = [sum(sizes[:k]) for k in range(len(sizes))]
+        store = AnswerStore(tmp_path / "answers.jsonl")
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            # 16 threads on one queue, more than there are cores
+            result = run_requests([items[start:start + size] for start, size in zip(starts, sizes)],
+                                  lambda item: (f"10.1/{item}", 1, "M"), call, store,
+                                  parallelism=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.completed == len(items) and result.is_complete
+        assert made == {item: 2 if item in flaky else 1 for item in items}
+        assert sorted(answer.key for answer in store.load()) == sorted(
+            (f"10.1/{item}", 1, "M") for item in items)
+
+    @pytest.mark.parametrize("where", ["request", "append", "prepare"])
+    def test_an_error_stops_the_run_without_making_the_queued_requests(self, tmp_path, where):
+        parallelism, size = 2, 40
+        made, made_at_error, closes = [], [], []
+        lock = threading.Lock()
+
+        def error():
+            with lock:
+                made_at_error.append(len(made))
+            # an interrupt reaches the calling thread, never a request
+            return KeyboardInterrupt() if where == "prepare" else RuntimeError(where)
+
+        class Store(AnswerStore):
+            def append(self, record):
+                super().append(record)
+                if where == "append":
+                    raise error()
+
+            def close(self):
+                closes.append(True)
+                super().close()
+
+        def call(item):
+            if where == "prepare" and item == size:  # the second batch's first item
+                raise error()
+
+            def request():
+                with lock:
+                    made.append(item)
+                if where == "request" and item == 1:
+                    raise error()
+                time.sleep(0.05)
+                return TextualAnswer(f"10.1/{item}", 1, "M", "text", 0)
+            return request
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt if where == "prepare" else RuntimeError):
+            run_requests([range(size), range(size, 2 * size)],
+                         lambda item: (f"10.1/{item}", 1, "M"), call,
+                         Store(tmp_path / "answers.jsonl"), parallelism)
+        # each thread finishes at most the request it was making
+        assert len(made) <= made_at_error[0] + 2 * parallelism
+        assert closes
+        assert threading.active_count() == before
+
+    def test_at_most_two_batches_are_in_flight(self, tmp_path):
+        sizes = [5, 3, 6, 2, 4, 5]
+        appended = []
+        # the number of records appended when each batch's first item is prepared
+        appended_at_prepare = []
+        second_batch_prepared = threading.Event()
+
+        class Store(AnswerStore):
+            def append(self, record):
+                appended.append(record.key)
+                super().append(record)
+
+        def call(item):
+            batch, index = item
+            if index == 0:
+                appended_at_prepare.append(len(appended))
+            if (batch, index) == (1, sizes[1] - 1):
+                second_batch_prepared.set()
+
+            def request():
+                if batch == 0:
+                    # the next batch is prepared while this one's requests run
+                    assert second_batch_prepared.wait(timeout=5)
+                return TextualAnswer(f"10.1/{batch}", index, "M", "text", 0)
+            return request
+
+        result = run_requests(
+            ([(batch, index) for index in range(size)] for batch, size in enumerate(sizes)),
+            lambda item: (f"10.1/{item[0]}", item[1], "M"), call,
+            Store(tmp_path / "answers.jsonl"), parallelism=2,
+        )
+        assert result.completed == len(appended) == sum(sizes)
+        # batch k + 2 is prepared once as many records are appended as batches
+        # 0 to k hold, and not later
+        assert appended_at_prepare == [0, 0] + [sum(sizes[:k + 1])
+                                                for k in range(len(sizes) - 2)]
+
 
 class TestRunMatrix:
     CONFIG = ChunkingConfig(chunk_size=50, overlap=10)
@@ -296,6 +413,36 @@ class TestRunMatrix:
                             AnswerStore(tmp_path / "answers.jsonl"), self.CONFIG)
         assert result.completed == 24
         assert threading.active_count() == before
+
+    def test_requests_run_on_the_module_executor_threads(self, tmp_path, monkeypatch):
+        # perfbench's tracer swaps `extraction.ThreadPoolExecutor` for a pool
+        # that hands each submitter's span to its worker; a request made on
+        # any other thread would lose its stage span
+        on_marked_thread = threading.local()
+
+        class Marking(extraction.ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                def run(*a, **k):
+                    on_marked_thread.value = True
+                    try:
+                        return fn(*a, **k)
+                    finally:
+                        on_marked_thread.value = False
+                return super().submit(run, *args, **kwargs)
+
+        sent_on_marked_thread = []
+
+        class Recording(MockBackend):
+            def send(self, endpoint, request):
+                sent_on_marked_thread.append(getattr(on_marked_thread, "value", False))
+                return super().send(endpoint, request)
+
+        monkeypatch.setattr(extraction, "ThreadPoolExecutor", Marking)
+        result = run_matrix(self.pubs(2), self.questions(4), self.endpoints(3),
+                            LlmGateway(Recording(), parallelism=2),
+                            AnswerStore(tmp_path / "answers.jsonl"), self.CONFIG)
+        assert result.completed == 24
+        assert sent_on_marked_thread == [True] * 24
 
     def test_end_pass_requests_overlap(self, tmp_path):
         pubs, questions, endpoints = self.pubs(1), self.questions(4), self.endpoints(1)
