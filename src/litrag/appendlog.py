@@ -24,7 +24,7 @@ import logging
 import os
 import threading
 from pathlib import Path
-from typing import BinaryIO, Generic, Hashable, Iterable, Iterator, Optional, TextIO, TypeVar
+from typing import Generic, Hashable, Iterable, Optional, Sequence, TextIO, TypeVar
 
 from .errors import CorruptStoreError
 
@@ -61,8 +61,9 @@ class RecordStore(Generic[R]):
     file in key order, so a finished store is byte-identical whatever order
     its records arrived in, and leaves a file already in that order alone.
     After a `load` that found one whole record on each line, the store keeps
-    the records it read and those `extend` appends, so `canonicalize` need
-    not read the file again.
+    the records it read and those `extend` appends, each in the order of its
+    line. `canonicalize` then parses nothing and encodes no record: it sorts
+    the file's own lines by those records' keys.
 
     A subclass defines the line format: `header` (the file's first line,
     with its line end, or empty), `encode` (one record as a line, with its
@@ -76,14 +77,14 @@ class RecordStore(Generic[R]):
         self.path = Path(path)
         self._lock = threading.Lock()
         self._fh: Optional[TextIO] = None
-        # the file's records in file order, each line as `encode` writes it,
+        # the file's records in file order, each line as `encode` wrote it,
         # while they are known
         self._records: Optional[list[R]] = None
 
     def encode(self, record: R) -> str:
         raise NotImplementedError
 
-    def parse(self, lines: Iterable[str]) -> list[R]:
+    def parse(self, lines: Sequence[str]) -> list[R]:
         raise NotImplementedError
 
     def parse_tail(self, line: bytes) -> Optional[R]:
@@ -131,27 +132,15 @@ class RecordStore(Generic[R]):
             self._records = []
             return []
         self._records = None
-        tail = b""
-        lines = 0
-
-        def whole_lines(fh: BinaryIO) -> Iterator[str]:
-            nonlocal tail, lines
-            for line in fh:
-                if line.endswith(b"\n"):
-                    lines += 1
-                    yield line.decode("utf-8")
-                else:
-                    tail = line
-
-        with open(self.path, "rb") as fh:
-            try:
-                header, records = self._parse_file(whole_lines(fh))
-            except CorruptStoreError:
-                raise
-            except _MALFORMED as exc:
-                raise self._corrupt(exc) from exc
+        try:
+            lines, tail = self._read_lines()
+            header, records = self._parse_file(lines)
+        except CorruptStoreError:
+            raise
+        except _MALFORMED as exc:
+            raise self._corrupt(exc) from exc
         # no torn tail, and one record on each line after the header
-        if not tail and header == self.header and len(records) == lines - bool(self.header):
+        if not tail and header == self.header and len(records) == len(lines) - bool(self.header):
             self._records = list(records)
         if tail:
             record = self.parse_tail(tail)
@@ -163,6 +152,15 @@ class RecordStore(Generic[R]):
             else:
                 records.append(record)
         return records
+
+    def _read_lines(self) -> tuple[list[str], bytes]:
+        """The file read in one call: its whole lines, each decoded with its
+        line end, and the unterminated tail after them, left undecoded since a
+        write may have cut it inside a character. Lines end at ``\\n`` alone, as
+        a record can hold other line breaks."""
+        lines = io.BytesIO(self.path.read_bytes()).readlines()
+        tail = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
+        return [line.decode("utf-8") for line in lines], tail
 
     def _corrupt(self, exc: Exception) -> CorruptStoreError:
         """The error for a file that did not parse, naming its first whole
@@ -182,21 +180,38 @@ class RecordStore(Generic[R]):
 
     def canonicalize(self) -> None:
         """Close the file and rewrite it in key order, unless it already holds
-        those bytes. When the store knows its records (see the class), it
-        reads nothing: a file whose records are already in key order is left
-        alone without being encoded again, and otherwise those records are
-        written in key order. Without them, the file is loaded, sorted and
-        compared with its encoding."""
+        those bytes. When the store knows its records (see the class), a file
+        whose records are already in key order is left alone unread, and
+        otherwise its lines are read once and written back in the stable key
+        order of those records, none encoded again. Without them, the file is
+        loaded, sorted and compared with its encoding."""
         self.close()
         # with none known, the path below also gives a missing file its header
         if self._records:
             keys = [record.key for record in self._records]
             if any(a > b for a, b in zip(keys, keys[1:])):
-                self.write(sorted(self._records, key=lambda record: record.key))
+                self._sort_lines(sorted(range(len(keys)), key=keys.__getitem__))
             return
         records = sorted(self.load(), key=lambda record: record.key)
         if not self._holds(itertools.chain((self.header,), map(self.encode, records))):
             self.write(records)
+
+    def _sort_lines(self, order: list[int]) -> None:
+        """Rewrite the file with the lines of the known records taken in
+        ``order``, as written: a known record's line is what `encode` wrote.
+        A file that no longer holds the header and one whole line per known
+        record is written from the records, encoded."""
+        records = [self._records[i] for i in order]
+        try:
+            lines, tail = self._read_lines()
+        except (OSError, ValueError):
+            lines, tail = [], b""
+        start = bool(self.header)
+        if tail or "".join(lines[:start]) != self.header or len(lines) - start != len(order):
+            self.write(records)
+            return
+        replace_file(self.path, itertools.chain((self.header,), (lines[start + i] for i in order)))
+        self._records = records
 
     def _holds(self, lines: Iterable[str]) -> bool:
         """Whether the file's bytes are ``lines`` in UTF-8, compared a line at a
@@ -236,16 +251,17 @@ class RecordStore(Generic[R]):
             text.write(self.header)
         return text
 
-    def _parse_file(self, lines: Iterator[str]) -> tuple[Optional[str], list[R]]:
+    def _parse_file(self, lines: list[str]) -> tuple[Optional[str], list[R]]:
         """The header line as read (empty for a format without one, None for a
         file without lines) and the records after it."""
         first: Optional[str] = ""
         if self.header:
-            first = next(lines, None)
+            first = lines[0] if lines else None
             if first is not None and first.rstrip("\r\n") != self.header.rstrip("\r\n"):
                 raise CorruptStoreError(
                     f"{self.path}: line 1: expected header {self.header.rstrip()}"
                 )
+            lines = lines[1:]
         return first, self.parse(lines)
 
 

@@ -81,6 +81,13 @@ class TextualAnswer:
         return (self.doi, self.cq_id, self.endpoint)
 
 
+# `json.dumps` with an option builds an encoder per call; every answer shares this one
+_JSON = json.JSONEncoder(ensure_ascii=False)
+# lines parsed by one `json.loads`: enough to spread the call's cost, few
+# enough that the joined text stays small next to the store
+_PARSE_SLICE = 256
+
+
 class AnswerStore(appendlog.RecordStore[TextualAnswer]):
     """JSONL store of textual answers, one JSON object per line, keyed by
     (doi, cq, endpoint)."""
@@ -93,10 +100,22 @@ class AnswerStore(appendlog.RecordStore[TextualAnswer]):
             "clean_text": answer.clean_text,
             "duration_ms": answer.duration_ms,
         }
-        return json.dumps(record, ensure_ascii=False) + "\n"
+        return _JSON.encode(record) + "\n"
 
-    def parse(self, lines: Iterable[str]) -> list[TextualAnswer]:
-        return [TextualAnswer(**json.loads(line)) for line in lines if line.strip()]
+    def parse(self, lines: Sequence[str]) -> list[TextualAnswer]:
+        answers = []
+        for start in range(0, len(lines), _PARSE_SLICE):
+            part = lines[start:start + _PARSE_SLICE]
+            try:
+                objects = json.loads("[" + ",".join(part) + "]")
+            except ValueError:
+                objects = []
+            if len(objects) != len(part):
+                # a blank line, or one that is not one JSON value: parse each
+                # line, so that a bad one raises on its own
+                objects = [json.loads(line) for line in part if line.strip()]
+            answers.extend(TextualAnswer(**obj) for obj in objects)
+        return answers
 
 
 def answer_cq(
@@ -206,13 +225,16 @@ def run_requests(
     batch; an item that fails again goes into ``failed``, which is sorted by
     ``key``, and nothing is stored for it, so a resume retries it.
     Any other exception, or an interrupt, stops the run: the queued requests
-    are not made, only those already being made finish, and the exception
-    propagates. The store is closed when the run ends, also by an exception,
-    and canonicalized when no item failed.
+    are not made, only those already being made finish, every record already
+    made is appended unless the exception came from the store, and the
+    exception propagates. The store is closed when the run ends, also by an
+    exception, and canonicalized when no item failed.
     """
     stored = store.keys()
     result = RunResult()
     failures: list[tuple[T, Callable[[], R]]] = []
+    # true while an append runs, so that an exception is known to come from the store
+    appending = False
 
     def prepare(batch: Iterable[T]) -> list[tuple[T, Callable[[], R]]]:
         pending = []
@@ -225,6 +247,7 @@ def run_requests(
 
     def record(pending: tuple[T, Callable[[], R]], outcome: R | BaseException,
                last: bool) -> None:
+        nonlocal appending
         if isinstance(outcome, GatewayError):
             if last:
                 result.failed.append((*key(pending[0]), str(outcome)))
@@ -233,7 +256,9 @@ def run_requests(
         elif isinstance(outcome, BaseException):
             raise outcome
         else:
+            appending = True
             store.append(outcome)
+            appending = False
             result.completed += 1
 
     def run(
@@ -258,12 +283,24 @@ def run_requests(
         for _ in range(held):
             record(*outcomes.get(), last)
 
+    queues = None
     try:
         with (
             _request_loops(2 * parallelism) if parallelism > 1 else contextlib.nullcontext()
         ) as queues:
             run(queues, map(prepare, batches), last=False)
             run(queues, [failures], last=True)
+    except BaseException:
+        # The loops have ended, so every reply they finished is on the outcome
+        # queue: store them, since they were paid for, unless the store failed.
+        # An error while doing so stops it and never replaces the first one.
+        if queues is not None and not appending:
+            with contextlib.suppress(BaseException):
+                while True:
+                    outcome = queues[1].get_nowait()[1]
+                    if not isinstance(outcome, BaseException):
+                        store.append(outcome)
+        raise
     finally:
         store.close()
     # in key order, not the order the threads finished them in

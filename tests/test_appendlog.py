@@ -1,0 +1,151 @@
+"""The line handling that every `appendlog.RecordStore` inherits, checked on
+a JSONL store (no header) and a CSV store (with one)."""
+
+import pytest
+
+from litrag.errors import CorruptStoreError
+from litrag.extraction import AnswerStore, TextualAnswer
+from litrag.voting import CategoricalAnswer, Verdict, VerdictStore
+
+
+def answers(n):
+    # non-ASCII text, with characters that `str.splitlines` would break a line at
+    return [TextualAnswer(f"10.1/{i:04d}", 1 + i % 3, "M", f"é\u2028\x85 {i}", i)
+            for i in range(n)]
+
+
+def verdicts(n):
+    return [CategoricalAnswer(f"10.1/{i:04d}", 1 + i % 3, "M", Verdict.YES) for i in range(n)]
+
+
+STORES = [(AnswerStore, answers), (VerdictStore, verdicts)]
+
+
+def written(store_class, records):
+    """The bytes of a store written with ``records`` in file order."""
+    store = store_class("unused")
+    return (store.header + "".join(map(store.encode, records))).encode("utf-8")
+
+
+def counting_encodes(monkeypatch, store_class):
+    encoded = []
+
+    def encode(self, record, _encode=store_class.encode):
+        encoded.append(record)
+        return _encode(self, record)
+
+    monkeypatch.setattr(store_class, "encode", encode)
+    return encoded
+
+
+@pytest.mark.parametrize("store_class, make", STORES)
+class TestCanonicalize:
+    def test_known_records_out_of_key_order_are_sorted_from_their_own_lines(
+        self, tmp_path, monkeypatch, store_class, make
+    ):
+        records = make(10)
+        file_order = records[2:][::-1]
+        path = tmp_path / "store"
+        path.write_bytes(written(store_class, file_order))
+        expected = [written(store_class, records[1:]), written(store_class, records)]
+        store = store_class(path)
+        assert store.load() == file_order
+        # a record appended after the load is known too
+        store.append(records[1])
+        encoded = counting_encodes(monkeypatch, store_class)
+        store.canonicalize()
+        assert encoded == []
+        assert path.read_bytes() == expected[0]
+        # the known records follow the new line order
+        store.append(records[0])
+        store.canonicalize()
+        assert encoded == [records[0]]  # by the append
+        assert path.read_bytes() == expected[1]
+
+    def test_equal_keys_keep_their_file_order(self, tmp_path, monkeypatch, store_class, make):
+        records = make(4)
+        if store_class is AnswerStore:
+            twins = [TextualAnswer("10.1/0002", 1, "M", text, 0) for text in ("first", "second")]
+        else:
+            twins = [CategoricalAnswer("10.1/0002", 1, "M", verdict)
+                     for verdict in (Verdict.NO, Verdict.UNPARSEABLE)]
+        file_order = [records[3], twins[0], records[0], twins[1], records[2]]
+        in_key_order = [records[0], twins[0], twins[1], records[2], records[3]]
+        expected = written(store_class, in_key_order)
+        path = tmp_path / "store"
+        path.write_bytes(written(store_class, file_order))
+        store = store_class(path)
+        store.load()
+        encoded = counting_encodes(monkeypatch, store_class)
+        store.canonicalize()
+        assert encoded == []
+        assert path.read_bytes() == expected
+
+    @pytest.mark.parametrize("edit", ["drop a line", "add a line", "torn tail"])
+    def test_lines_that_no_longer_match_the_known_records_are_encoded_again(
+        self, tmp_path, monkeypatch, store_class, make, edit
+    ):
+        records = make(6)
+        path = tmp_path / "store"
+        path.write_bytes(written(store_class, records[::-1]))
+        store = store_class(path)
+        store.load()
+        data = path.read_bytes()
+        last_line = data.rindex(b"\n", 0, len(data) - 1) + 1
+        path.write_bytes({
+            "drop a line": data[:last_line],
+            "add a line": data + data[last_line:],
+            "torn tail": data + data[last_line:-3],
+        }[edit])
+        expected = written(store_class, records)
+        encoded = counting_encodes(monkeypatch, store_class)
+        store.canonicalize()
+        # written from the known records, as before the edit
+        assert encoded == records
+        assert path.read_bytes() == expected
+
+
+class TestLoad:
+    def test_a_tail_cut_inside_a_character_is_dropped(self, tmp_path, caplog):
+        records = answers(3)
+        data = written(AnswerStore, records)
+        cut = data.rindex("é".encode("utf-8")) + 1  # inside the last record's "é"
+        path = tmp_path / "answers.jsonl"
+        path.write_bytes(data[:cut])
+        assert AnswerStore(path).load() == records[:2]
+        assert "dropped a torn final line" in caplog.text
+
+    def test_records_hold_line_breaks_other_than_newline(self, tmp_path):
+        records = answers(3)
+        path = tmp_path / "answers.jsonl"
+        path.write_bytes(written(AnswerStore, records))
+        assert AnswerStore(path).load() == records
+
+    def test_blank_lines_are_skipped_across_parse_slices(self, tmp_path):
+        records = answers(700)
+        lines = written(AnswerStore, records).splitlines(keepends=True)
+        lines[300:300] = [b"\n", b"  \n"]
+        path = tmp_path / "answers.jsonl"
+        path.write_bytes(b"".join(lines))
+        assert AnswerStore(path).load() == records
+
+    @pytest.mark.parametrize("line", [
+        pytest.param(lambda line: line.rstrip(b"\n") + b"," + line, id="two objects, comma"),
+        pytest.param(lambda line: line.rstrip(b"\n") + b" " + line, id="two objects, space"),
+        pytest.param(lambda line: line.replace("é".encode("utf-8"), b"\xff"), id="invalid utf-8"),
+    ])
+    def test_a_bad_middle_line_is_named(self, tmp_path, line):
+        lines = written(AnswerStore, answers(700)).splitlines(keepends=True)
+        lines[400] = line(lines[400])
+        path = tmp_path / "answers.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorruptStoreError, match=r"answers\.jsonl: line 401: "):
+            AnswerStore(path).load()
+
+    def test_a_bad_middle_row_is_named(self, tmp_path):
+        lines = written(VerdictStore, verdicts(5)).splitlines(keepends=True)
+        lines[3] = lines[3].replace(b"Yes", b"\xffes")
+        path = tmp_path / "verdicts.csv"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorruptStoreError, match=r"verdicts\.csv: line 4: "):
+            VerdictStore(path).load()

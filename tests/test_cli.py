@@ -11,7 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from litrag import cli, extraction, prompts, retrieval
+from litrag import appendlog, cli, extraction, prompts, retrieval
 from litrag import keywords as keywords_mod
 from litrag.appendlog import RecordStore
 from litrag.cli import main
@@ -1066,7 +1066,7 @@ class Interrupted(Exception):
 
 
 class TestInterruptedRewrite:
-    @pytest.mark.parametrize("point", ["encode", "replace"])
+    @pytest.mark.parametrize("point", ["write", "replace"])
     @pytest.mark.parametrize("stage, store, name, header", [
         ("ask", AnswerStore, "answers/answers.jsonl", 0),
         ("categorize", VerdictStore, "verdicts/verdicts.csv", 1),
@@ -1082,16 +1082,20 @@ class TestInterruptedRewrite:
         path.write_bytes(b"".join(lines[:header] + lines[header:][::-1]))
         corpus = ["--corpus", str(mini_corpus_dir)]
         with monkeypatch.context() as patch:
-            if point == "encode":
-                encoded = []
+            if point == "write":
+                def replace_file(target, chunks, _replace_file=appendlog.replace_file):
+                    def cut():
+                        written = 0
+                        for chunk in chunks:
+                            if written >= 40:
+                                raise Interrupted
+                            written += chunk.count("\n")
+                            yield chunk
 
-                def encode(self, record, _encode=store.encode):
-                    encoded.append(record)
-                    if len(encoded) > 40:
-                        raise Interrupted
-                    return _encode(self, record)
+                    _replace_file(target, cut() if Path(target) == path else chunks)
 
-                patch.setattr(store, "encode", encode)
+                # the rewrite stops once 40 lines have reached <name>.tmp
+                patch.setattr(appendlog, "replace_file", replace_file)
             else:
                 def replace(source, target, _replace=os.replace):
                     if Path(target) == path:

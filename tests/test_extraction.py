@@ -315,6 +315,59 @@ class TestRunRequests:
         assert appended_at_prepare == [0, 0] + [sum(sizes[:k + 1])
                                                 for k in range(len(sizes) - 2)]
 
+    @pytest.mark.parametrize("where", ["prepare", "append", "append-after-interrupt"])
+    def test_the_replies_made_before_an_error_are_stored_unless_the_store_failed(
+        self, tmp_path, where
+    ):
+        parallelism, size = 2, 40
+        made, appended, appends_after_interrupt = [], [], []
+        interrupted = threading.Event()
+        lock = threading.Lock()
+
+        class Store(AnswerStore):
+            def append(self, record):
+                if interrupted.is_set() and where == "append-after-interrupt":
+                    appends_after_interrupt.append(record.key)
+                    raise OSError("disk full")
+                super().append(record)
+                appended.append(record.key)
+                if where == "append" and len(appended) == size + 1:
+                    raise RuntimeError("append")
+
+        def call(item):
+            if where != "append" and item == 2 * size:  # the third batch's first item
+                # interrupt while the second batch's requests are being made
+                deadline = time.monotonic() + 5
+                while len(made) <= size and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                interrupted.set()
+                raise KeyboardInterrupt
+
+            def request():
+                with lock:
+                    made.append(item)
+                time.sleep(0.05)
+                return TextualAnswer(f"10.1/{item}", 1, "M", "text", 0)
+            return request
+
+        store = Store(tmp_path / "answers.jsonl")
+        with pytest.raises(RuntimeError if where == "append" else KeyboardInterrupt) as raised:
+            run_requests([range(size), range(size, 2 * size), range(2 * size, 3 * size)],
+                         lambda item: (f"10.1/{item}", 1, "M"), call, store, parallelism)
+        stored = [answer.key for answer in AnswerStore(store.path).load()]
+        if where == "prepare":
+            # every request made was stored, also those made after the interrupt
+            assert size < len(made) < 2 * size
+            assert sorted(stored) == sorted((f"10.1/{item}", 1, "M") for item in made)
+        elif where == "append":
+            # nothing more is appended once the store has failed
+            assert str(raised.value) == "append"
+            assert stored == appended and len(appended) == size + 1
+        else:
+            # a failed append stops the rest and does not replace the interrupt
+            assert len(appends_after_interrupt) == 1
+            assert stored == appended and len(appended) == size
+
 
 class TestRunMatrix:
     CONFIG = ChunkingConfig(chunk_size=50, overlap=10)
