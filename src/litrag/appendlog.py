@@ -20,11 +20,12 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import json
 import logging
 import os
 import threading
 from pathlib import Path
-from typing import Generic, Hashable, Iterable, Optional, Sequence, TextIO, TypeVar
+from typing import Callable, Generic, Hashable, Iterable, Optional, Sequence, TextIO, TypeVar
 
 from .errors import CorruptStoreError
 
@@ -62,13 +63,15 @@ class RecordStore(Generic[R]):
     its records arrived in, and leaves a file already in that order alone.
     After a `load` that found one whole record on each line, the store keeps
     the records it read and those `extend` appends, each in the order of its
-    line. `canonicalize` then parses nothing and encodes no record: it sorts
-    the file's own lines by those records' keys.
+    line. `canonicalize` loads the file when the store does not keep them;
+    with them kept, it sorts the file's own lines by those records' keys and
+    encodes no record.
 
     A subclass defines the line format: `header` (the file's first line,
     with its line end, or empty), `encode` (one record as a line, with its
     line end) and `parse` (the records on the lines after the header,
-    skipping blank ones).
+    skipping blank ones); `csv_line`, `json_line` and `json_records` below
+    implement the two formats in use.
     """
 
     header = ""
@@ -179,22 +182,23 @@ class RecordStore(Generic[R]):
         return {record.key for record in self.load()}
 
     def canonicalize(self) -> None:
-        """Close the file and rewrite it in key order, unless it already holds
-        those bytes. When the store knows its records (see the class), a file
-        whose records are already in key order is left alone unread, and
-        otherwise its lines are read once and written back in the stable key
-        order of those records, none encoded again. Without them, the file is
-        loaded, sorted and compared with its encoding."""
+        """Close the file and rewrite it in key order, unless its records are
+        already in that order. A store that does not know its records (see
+        the class) loads the file first. When the records are known, a file
+        already in key order is left alone, and otherwise its lines are read
+        once and written back in the stable key order of those records, none
+        encoded again. When they are still unknown, the file has a torn or
+        blank line, a header written differently or a record over several
+        lines, so it cannot hold the sorted encoding: the records are written
+        sorted. A missing file gets its header."""
         self.close()
-        # with none known, the path below also gives a missing file its header
-        if self._records:
-            keys = [record.key for record in self._records]
-            if any(a > b for a, b in zip(keys, keys[1:])):
-                self._sort_lines(sorted(range(len(keys)), key=keys.__getitem__))
+        records = self.load() if self._records is None else self._records
+        if self._records is None or not (records or self.path.is_file()):
+            self.write(sorted(records, key=lambda record: record.key))
             return
-        records = sorted(self.load(), key=lambda record: record.key)
-        if not self._holds(itertools.chain((self.header,), map(self.encode, records))):
-            self.write(records)
+        keys = [record.key for record in records]
+        if any(a > b for a, b in zip(keys, keys[1:])):
+            self._sort_lines(sorted(range(len(keys)), key=keys.__getitem__))
 
     def _sort_lines(self, order: list[int]) -> None:
         """Rewrite the file with the lines of the known records taken in
@@ -212,19 +216,6 @@ class RecordStore(Generic[R]):
             return
         replace_file(self.path, itertools.chain((self.header,), (lines[start + i] for i in order)))
         self._records = records
-
-    def _holds(self, lines: Iterable[str]) -> bool:
-        """Whether the file's bytes are ``lines`` in UTF-8, compared a line at a
-        time, so no copy of the whole file is made."""
-        try:
-            with open(self.path, "rb") as fh:
-                for line in lines:
-                    data = line.encode("utf-8")
-                    if fh.read(len(data)) != data:
-                        return False
-                return not fh.read(1)
-        except OSError:
-            return False
 
     def _open_append(self) -> TextIO:
         """The file opened for appending, its final line repaired and, when it
@@ -280,3 +271,32 @@ def csv_line(fields: Iterable[object]) -> str:
     out.truncate()
     writer.writerow(fields)
     return out.getvalue()
+
+
+# `json.dumps` with an option builds an encoder per call; every JSON line shares this one
+_JSON = json.JSONEncoder(ensure_ascii=False)
+# lines parsed by one `json.loads`: enough to spread the call's cost, few
+# enough that the joined text stays small next to the store
+_PARSE_SLICE = 256
+
+
+def json_line(fields: dict[str, object]) -> str:
+    """One JSON object as a line, non-ASCII characters kept, ending in LF."""
+    return _JSON.encode(fields) + "\n"
+
+
+def json_records(lines: Sequence[str], make: Callable[..., R]) -> list[R]:
+    """``make(**fields)`` for the JSON object on each line, blank lines skipped."""
+    records = []
+    for start in range(0, len(lines), _PARSE_SLICE):
+        part = lines[start:start + _PARSE_SLICE]
+        try:
+            objects = json.loads("[" + ",".join(part) + "]")
+        except ValueError:
+            objects = []
+        if len(objects) != len(part):
+            # a blank line, or one that is not one JSON value: parse each
+            # line, so that a bad one raises on its own
+            objects = [json.loads(line) for line in part if line.strip()]
+        records.extend(make(**fields) for fields in objects)
+    return records

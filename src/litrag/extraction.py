@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import json
 import logging
 import queue
 from concurrent.futures import ThreadPoolExecutor
@@ -81,41 +80,15 @@ class TextualAnswer:
         return (self.doi, self.cq_id, self.endpoint)
 
 
-# `json.dumps` with an option builds an encoder per call; every answer shares this one
-_JSON = json.JSONEncoder(ensure_ascii=False)
-# lines parsed by one `json.loads`: enough to spread the call's cost, few
-# enough that the joined text stays small next to the store
-_PARSE_SLICE = 256
-
-
 class AnswerStore(appendlog.RecordStore[TextualAnswer]):
     """JSONL store of textual answers, one JSON object per line, keyed by
     (doi, cq, endpoint)."""
 
     def encode(self, answer: TextualAnswer) -> str:
-        record = {
-            "doi": answer.doi,
-            "cq_id": answer.cq_id,
-            "endpoint": answer.endpoint,
-            "clean_text": answer.clean_text,
-            "duration_ms": answer.duration_ms,
-        }
-        return _JSON.encode(record) + "\n"
+        return appendlog.json_line(vars(answer))
 
     def parse(self, lines: Sequence[str]) -> list[TextualAnswer]:
-        answers = []
-        for start in range(0, len(lines), _PARSE_SLICE):
-            part = lines[start:start + _PARSE_SLICE]
-            try:
-                objects = json.loads("[" + ",".join(part) + "]")
-            except ValueError:
-                objects = []
-            if len(objects) != len(part):
-                # a blank line, or one that is not one JSON value: parse each
-                # line, so that a bad one raises on its own
-                objects = [json.loads(line) for line in part if line.strip()]
-            answers.extend(TextualAnswer(**obj) for obj in objects)
-        return answers
+        return appendlog.json_records(lines, TextualAnswer)
 
 
 def answer_cq(

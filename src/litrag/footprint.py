@@ -38,13 +38,6 @@ class HardwareProfile:
             raise ValueError("pue must be >= 1")
 
 
-@dataclass(frozen=True)
-class EnergyEstimate:
-    energy_kwh: float
-    carbon_kg: float
-    tree_months: float
-
-
 def estimate_energy(runtime_h: float, profile: HardwareProfile) -> float:
     """kWh drawn over the runtime: pue * (core draw + memory draw) / 1000."""
     if runtime_h < 0:
@@ -68,21 +61,6 @@ def to_tree_months(carbon_kg: float, tree_month_constant: float = TREE_MONTH_KG)
     return carbon_kg / tree_month_constant
 
 
-def estimate_footprint(
-    runtime_h: float,
-    profile: HardwareProfile,
-    intensity: float = GERMANY_INTENSITY_KG_PER_KWH,
-    tree_month_constant: float = TREE_MONTH_KG,
-) -> EnergyEstimate:
-    energy = estimate_energy(runtime_h, profile)
-    carbon = estimate_carbon(energy, intensity)
-    return EnergyEstimate(
-        energy_kwh=energy,
-        carbon_kg=carbon,
-        tree_months=to_tree_months(carbon, tree_month_constant),
-    )
-
-
 @dataclass(frozen=True)
 class FootprintRow:
     stage: str
@@ -103,14 +81,8 @@ def footprint_from_log(
     rows = []
     for stage in STAGES:
         runtime_h = sum_runtime(deduped, stage) / 3_600_000
-        estimate = estimate_footprint(runtime_h, profile, intensity, tree_month_constant)
-        rows.append(
-            FootprintRow(
-                stage=stage,
-                runtime_h=runtime_h,
-                energy_kwh=estimate.energy_kwh,
-                carbon_kg=estimate.carbon_kg,
-                tree_months=estimate.tree_months,
-            )
-        )
+        energy = estimate_energy(runtime_h, profile)
+        carbon = estimate_carbon(energy, intensity)
+        rows.append(FootprintRow(stage, runtime_h, energy, carbon,
+                                 to_tree_months(carbon, tree_month_constant)))
     return rows

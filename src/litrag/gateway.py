@@ -376,7 +376,6 @@ class LlmGateway:
     def __init__(
         self,
         backend: Backend,
-        timing_log: Optional[TimingLog] = None,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
         backoff_seconds: float = DEFAULT_BACKOFF_SECONDS,
         parallelism: int = DEFAULT_PARALLELISM,
@@ -384,7 +383,7 @@ class LlmGateway:
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.backend = backend
-        self.timing_log = timing_log if timing_log is not None else TimingLog()
+        self.timing_log = TimingLog()
         self.max_attempts = max_attempts
         self.backoff_seconds = backoff_seconds
         # the most requests being sent at once; a request runner sizes its

@@ -3,14 +3,13 @@ and loading of the human-curated list."""
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import prompts
-from .appendlog import RecordStore, replace_file
+from .appendlog import RecordStore, json_line, json_records, replace_file
 from .corpus import KeywordSet
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
 
@@ -40,10 +39,10 @@ class ReplyStore(RecordStore[KeywordReply]):
     by (endpoint, file stem); a reply without a keyword list is not stored."""
 
     def encode(self, reply: KeywordReply) -> str:
-        return json.dumps(vars(reply), ensure_ascii=False) + "\n" if reply.keywords else ""
+        return json_line(vars(reply)) if reply.keywords else ""
 
-    def parse(self, lines: Iterable[str]) -> list[KeywordReply]:
-        return [KeywordReply(**json.loads(line)) for line in lines if line.strip()]
+    def parse(self, lines: Sequence[str]) -> list[KeywordReply]:
+        return json_records(lines, KeywordReply)
 
 
 def parse_keyword_response(text: str) -> list[str]:

@@ -1,10 +1,13 @@
 """The line handling that every `appendlog.RecordStore` inherits, checked on
-a JSONL store (no header) and a CSV store (with one)."""
+the two JSONL stores (no header) and a CSV store (with one)."""
+
+import os
 
 import pytest
 
 from litrag.errors import CorruptStoreError
 from litrag.extraction import AnswerStore, TextualAnswer
+from litrag.keywords import KeywordReply, ReplyStore
 from litrag.voting import CategoricalAnswer, Verdict, VerdictStore
 
 
@@ -14,11 +17,16 @@ def answers(n):
             for i in range(n)]
 
 
+def replies(n):
+    return [KeywordReply("M", f"stem{i:04d}", [f"é\u2028\x85 {i}", "réseau"]) for i in range(n)]
+
+
 def verdicts(n):
     return [CategoricalAnswer(f"10.1/{i:04d}", 1 + i % 3, "M", Verdict.YES) for i in range(n)]
 
 
-STORES = [(AnswerStore, answers), (VerdictStore, verdicts)]
+JSON_STORES = [(AnswerStore, answers), (ReplyStore, replies)]
+STORES = [*JSON_STORES, (VerdictStore, verdicts)]
 
 
 def written(store_class, records):
@@ -64,11 +72,14 @@ class TestCanonicalize:
 
     def test_equal_keys_keep_their_file_order(self, tmp_path, monkeypatch, store_class, make):
         records = make(4)
-        if store_class is AnswerStore:
-            twins = [TextualAnswer("10.1/0002", 1, "M", text, 0) for text in ("first", "second")]
-        else:
-            twins = [CategoricalAnswer("10.1/0002", 1, "M", verdict)
-                     for verdict in (Verdict.NO, Verdict.UNPARSEABLE)]
+        # two records of one key, between those of records[0] and records[2]
+        twins = {
+            AnswerStore: [TextualAnswer("10.1/0002", 1, "M", text, 0)
+                          for text in ("first", "second")],
+            ReplyStore: [KeywordReply("M", "stem0001", [text]) for text in ("first", "second")],
+            VerdictStore: [CategoricalAnswer("10.1/0002", 1, "M", verdict)
+                           for verdict in (Verdict.NO, Verdict.UNPARSEABLE)],
+        }[store_class]
         file_order = [records[3], twins[0], records[0], twins[1], records[2]]
         in_key_order = [records[0], twins[0], twins[1], records[2], records[3]]
         expected = written(store_class, in_key_order)
@@ -80,6 +91,36 @@ class TestCanonicalize:
         store.canonicalize()
         assert encoded == []
         assert path.read_bytes() == expected
+
+    def test_a_store_that_never_loaded_sorts_the_lines_of_its_file(
+        self, tmp_path, monkeypatch, store_class, make
+    ):
+        records = make(7)
+        path = tmp_path / "store"
+        path.write_bytes(written(store_class, records[::-1]))
+        encoded = counting_encodes(monkeypatch, store_class)
+        store_class(path).canonicalize()
+        assert encoded == []
+        assert path.read_bytes() == written(store_class, records)
+
+    def test_a_store_that_never_loaded_leaves_a_file_in_key_order_alone(
+        self, tmp_path, store_class, make
+    ):
+        data = written(store_class, make(7))
+        path = tmp_path / "store"
+        path.write_bytes(data)
+        os.utime(path, ns=(10**18, 10**18))
+        store_class(path).canonicalize()
+        assert path.read_bytes() == data
+        assert path.stat().st_mtime_ns == 10**18
+
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_a_missing_file_gets_its_header(self, tmp_path, store_class, make, loaded):
+        store = store_class(tmp_path / "store")
+        if loaded:
+            assert store.load() == []
+        store.canonicalize()
+        assert store.path.read_bytes() == written(store_class, [])
 
     @pytest.mark.parametrize("edit", ["drop a line", "add a line", "torn tail"])
     def test_lines_that_no_longer_match_the_known_records_are_encoded_again(
@@ -106,41 +147,45 @@ class TestCanonicalize:
 
 
 class TestLoad:
-    def test_a_tail_cut_inside_a_character_is_dropped(self, tmp_path, caplog):
-        records = answers(3)
-        data = written(AnswerStore, records)
+    @pytest.mark.parametrize("store_class, make", JSON_STORES)
+    def test_a_tail_cut_inside_a_character_is_dropped(self, tmp_path, caplog, store_class, make):
+        records = make(3)
+        data = written(store_class, records)
         cut = data.rindex("é".encode("utf-8")) + 1  # inside the last record's "é"
-        path = tmp_path / "answers.jsonl"
+        path = tmp_path / "store.jsonl"
         path.write_bytes(data[:cut])
-        assert AnswerStore(path).load() == records[:2]
+        assert store_class(path).load() == records[:2]
         assert "dropped a torn final line" in caplog.text
 
-    def test_records_hold_line_breaks_other_than_newline(self, tmp_path):
-        records = answers(3)
-        path = tmp_path / "answers.jsonl"
-        path.write_bytes(written(AnswerStore, records))
-        assert AnswerStore(path).load() == records
+    @pytest.mark.parametrize("store_class, make", JSON_STORES)
+    def test_records_hold_line_breaks_other_than_newline(self, tmp_path, store_class, make):
+        records = make(3)
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(written(store_class, records))
+        assert store_class(path).load() == records
 
-    def test_blank_lines_are_skipped_across_parse_slices(self, tmp_path):
-        records = answers(700)
-        lines = written(AnswerStore, records).splitlines(keepends=True)
+    @pytest.mark.parametrize("store_class, make", JSON_STORES)
+    def test_blank_lines_are_skipped_across_parse_slices(self, tmp_path, store_class, make):
+        records = make(700)
+        lines = written(store_class, records).splitlines(keepends=True)
         lines[300:300] = [b"\n", b"  \n"]
-        path = tmp_path / "answers.jsonl"
+        path = tmp_path / "store.jsonl"
         path.write_bytes(b"".join(lines))
-        assert AnswerStore(path).load() == records
+        assert store_class(path).load() == records
 
+    @pytest.mark.parametrize("store_class, make", JSON_STORES)
     @pytest.mark.parametrize("line", [
         pytest.param(lambda line: line.rstrip(b"\n") + b"," + line, id="two objects, comma"),
         pytest.param(lambda line: line.rstrip(b"\n") + b" " + line, id="two objects, space"),
         pytest.param(lambda line: line.replace("é".encode("utf-8"), b"\xff"), id="invalid utf-8"),
     ])
-    def test_a_bad_middle_line_is_named(self, tmp_path, line):
-        lines = written(AnswerStore, answers(700)).splitlines(keepends=True)
+    def test_a_bad_middle_line_is_named(self, tmp_path, line, store_class, make):
+        lines = written(store_class, make(700)).splitlines(keepends=True)
         lines[400] = line(lines[400])
-        path = tmp_path / "answers.jsonl"
+        path = tmp_path / "store.jsonl"
         path.write_bytes(b"".join(lines))
-        with pytest.raises(CorruptStoreError, match=r"answers\.jsonl: line 401: "):
-            AnswerStore(path).load()
+        with pytest.raises(CorruptStoreError, match=r"store\.jsonl: line 401: "):
+            store_class(path).load()
 
     def test_a_bad_middle_row_is_named(self, tmp_path):
         lines = written(VerdictStore, verdicts(5)).splitlines(keepends=True)

@@ -9,7 +9,6 @@ from litrag.footprint import (
     HardwareProfile,
     estimate_carbon,
     estimate_energy,
-    estimate_footprint,
     footprint_from_log,
     to_tree_months,
 )
@@ -95,16 +94,14 @@ class TestToTreeMonths:
             to_tree_months(1.0, 0.0)
 
 
-class TestEstimateFootprint:
-    def test_composes_consistently(self):
-        estimate = estimate_footprint(10.0, profile())
-        assert estimate.carbon_kg == pytest.approx(
-            estimate.energy_kwh * GERMANY_INTENSITY_KG_PER_KWH
-        )
-        assert estimate.tree_months == pytest.approx(estimate.carbon_kg / TREE_MONTH_KG)
-
-
 class TestFootprintFromLog:
+    def test_rows_compose_consistently(self):
+        rows = footprint_from_log(build_timing_fixture(), profile())
+        assert any(row.energy_kwh > 0 for row in rows)
+        for row in rows:
+            assert row.carbon_kg == pytest.approx(row.energy_kwh * GERMANY_INTENSITY_KG_PER_KWH)
+            assert row.tree_months == pytest.approx(row.carbon_kg / TREE_MONTH_KG)
+
     def test_stage_rows_from_fixture(self):
         timing = build_timing_fixture()
         rows = {row.stage: row for row in footprint_from_log(timing, profile())}
