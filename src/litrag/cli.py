@@ -559,45 +559,25 @@ def _write_tables(ctx: RunContext) -> str:
     answered = {a.endpoint for a in answers}
     endpoint_names = [e.name for e in ctx.config.endpoints if e.name in answered]
     # one tokenization per answer serves both similarity matrices
-    terms_by_endpoint = {
-        name: {
-            (a.doi, a.cq_id): textsim.term_counts(a.clean_text)
-            for a in answers
-            if a.endpoint == name
-        }
-        for name in endpoint_names
-    }
-    _require_complete(terms_by_endpoint, "answers", "ask")
-    retained = {doi for doi, keep in filters.items() if keep}
-    terms_after = {
-        name: {key: terms for key, terms in answers_for.items() if key[0] in retained}
-        for name, answers_for in terms_by_endpoint.items()
-    }
-    similarity_before = metrics.average_pairwise_similarity(terms_by_endpoint)
-    similarity_after = (
-        metrics.average_pairwise_similarity(terms_after)
-        if all(terms_after.values())
-        else None
-    )
-    header, rows = reports.pair_rows(similarity_before, similarity_after, "cosine_similarity")
-    reports.write_report(reports_dir, "similarity", header, rows)
-
+    terms_by_endpoint: dict[str, dict] = {name: {} for name in endpoint_names}
+    for a in answers:
+        if a.endpoint in terms_by_endpoint:
+            terms_by_endpoint[a.endpoint][(a.doi, a.cq_id)] = textsim.term_counts(a.clean_text)
     labels_by_endpoint = _labels_by_endpoint(
         VerdictStore(ctx.workspace / VERDICTS).load(), endpoint_names
     )
-    keys = sorted(_require_complete(labels_by_endpoint, "verdicts", "categorize"))
-    kept_keys = [k for k in keys if k[0] in retained]
-    # like the similarity table, drop the after-filtering column when the
-    # filter retained nothing to compare
-    header = ["pair", "kappa_all_publications"] + (["kappa_after_filtering"] if kept_keys else [])
-    kappa_stats: list[list[str]] = []
-    for i, a in enumerate(endpoint_names):
-        for b in endpoint_names[i + 1:]:
-            row = [f"{a} - {b}", reports.fmt4(_pair_kappa(labels_by_endpoint, a, b, keys))]
-            if kept_keys:
-                row.append(reports.fmt4(_pair_kappa(labels_by_endpoint, a, b, kept_keys)))
-            kappa_stats.append(row)
-    reports.write_report(reports_dir, "iaa_pairs", header, kappa_stats)
+    for name, by_endpoint, matrix, value_name, what, stage in (
+        ("similarity", terms_by_endpoint, metrics.average_pairwise_similarity,
+         "cosine_similarity", "answers", "ask"),
+        ("iaa_pairs", labels_by_endpoint, metrics.pairwise_kappa, "kappa", "verdicts", "categorize"),
+    ):
+        keys = sorted(_require_complete(by_endpoint, what, stage))
+        kept = [key for key in keys if metrics.is_retained(key[0], filters)]
+        # the after-filtering column goes when the filter retained nothing to compare
+        header, rows = reports.pair_rows(
+            matrix(by_endpoint, keys), matrix(by_endpoint, kept) if kept else None, value_name
+        )
+        reports.write_report(reports_dir, name, header, rows)
     return f"report: wrote {', '.join(REPORT_TABLES)}"
 
 
@@ -614,16 +594,6 @@ def _require_complete(by_endpoint: dict[str, dict], what: str, stage: str) -> se
     return keys
 
 
-def _pair_kappa(labels_by_endpoint, a: str, b: str, keys) -> float:
-    series_a = metrics.LabelSeries(
-        keys=tuple(keys), labels=tuple(labels_by_endpoint[a][k] for k in keys)
-    )
-    series_b = metrics.LabelSeries(
-        keys=tuple(keys), labels=tuple(labels_by_endpoint[b][k] for k in keys)
-    )
-    return metrics.cohen_kappa(series_a, series_b)
-
-
 def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] = None):
     """Harvest keywords from abstracts, consolidate them, and report
     what human curation changed (if keywords/curated.txt exists)."""
@@ -633,11 +603,8 @@ def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] 
         raise PipelineError(f"{abstracts_dir}: no .txt abstract")
     if empty := [path for path, abstract in abstracts.items() if not abstract.strip()]:
         raise PipelineError(f"{empty[0]}: abstract is empty")
-    curated_path, curated = ctx.workspace / "keywords" / "curated.txt", None
-    if curated_path.is_file():
-        if not curated_path.read_text(encoding="utf-8").strip():
-            raise PipelineError(f"{curated_path}: curated keyword file is empty")
-        curated = keywords_mod.load_curated(curated_path)
+    curated_path = ctx.workspace / "keywords" / "curated.txt"
+    curated = keywords_mod.load_curated(curated_path) if curated_path.is_file() else None
 
     def run() -> RunResult | str:
         store = keywords_mod.ReplyStore(ctx.workspace / REPLIES)

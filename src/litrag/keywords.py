@@ -11,6 +11,7 @@ from typing import Sequence
 from . import prompts
 from .appendlog import RecordStore, json_line, json_records, replace_file
 from .corpus import KeywordSet
+from .errors import PipelineError
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
 
 log = logging.getLogger(__name__)
@@ -122,7 +123,7 @@ def load_curated(path: str | Path) -> KeywordSet:
         seen.add(keyword)
         keywords.append(keyword)
     if not keywords:
-        raise ValueError(f"curated keyword file {path} is empty")
+        raise PipelineError(f"{path}: curated keyword file is empty")
     return KeywordSet(keywords=tuple(keywords))
 
 

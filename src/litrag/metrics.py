@@ -95,6 +95,23 @@ def cohen_kappa(a: LabelSeries, b: LabelSeries) -> float:
     return kappa_from_confusion(ConfusionMatrix2x2.from_series(a, b))
 
 
+def pairwise_kappa(
+    labels_by_endpoint: Mapping[str, Mapping[object, str]], keys: Sequence[object]
+) -> SimilarityMatrix:
+    """Cohen's kappa of every pair of endpoints over ``keys``, one
+    `cohen_kappa` call per pair; the diagonal is 1.0."""
+    names = tuple(labels_by_endpoint)
+    series = [
+        LabelSeries(keys=tuple(keys), labels=tuple(labels_by_endpoint[name][k] for k in keys))
+        for name in names
+    ]
+    matrix = [[1.0] * len(names) for _ in names]
+    for i in range(len(names)):
+        for j in range(i + 1, len(names)):
+            matrix[i][j] = matrix[j][i] = cohen_kappa(series[i], series[j])
+    return SimilarityMatrix(names=names, values=tuple(tuple(row) for row in matrix))
+
+
 def agreement_counts(a: LabelSeries, b: LabelSeries) -> tuple[int, int]:
     """Positional agreements and the comparison total."""
     _check_aligned(a, b)
@@ -129,16 +146,13 @@ def average_pairwise_similarity(
     tokenize once for several matrices. The idf table is fitted on the union
     of every endpoint's answers. Empty answers become zero vectors and
     contribute 0 to each average. Diagonal entries are 1.0 for any endpoint
-    with at least one nonzero vector.
+    with at least one nonzero vector. No endpoint gives an empty matrix.
     """
     names = tuple(answers_by_endpoint)
-    if not names:
-        raise ValueError("no endpoints to compare")
     key_sets = [set(answers) for answers in answers_by_endpoint.values()]
-    shared = key_sets[0]
-    for ks in key_sets[1:]:
-        if ks != shared:
-            raise ValueError("every endpoint must answer the same keys")
+    shared = key_sets[0] if key_sets else set()
+    if any(ks != shared for ks in key_sets):
+        raise ValueError("every endpoint must answer the same keys")
     ordered_keys = list(keys) if keys is not None else sorted(shared)
     counts = [
         [_term_counts(answers_by_endpoint[name][key]) for key in ordered_keys]
@@ -188,6 +202,12 @@ class CoverageTable:
         )
 
 
+def is_retained(doi: str, filter_verdicts: Mapping[str, bool]) -> bool:
+    """A publication is retained in every after-filtering column unless its filter
+    verdict says it is no deep-learning study, so one without a verdict is retained."""
+    return filter_verdicts.get(doi, True)
+
+
 def per_cq_coverage(
     votes: Sequence[VoteRecord],
     filter_verdicts: Optional[Mapping[str, bool]] = None,
@@ -196,7 +216,8 @@ def per_cq_coverage(
     publications judged not to be deep-learning studies.
 
     The vote store must be complete (every publication answered every
-    question). Publications without a filter verdict are retained.
+    question). A publication is retained unless its filter verdict says it is
+    no deep-learning study (`is_retained`), so one without a verdict is retained.
     """
     dois = sorted({v.doi for v in votes})
     cq_ids = sorted({v.cq_id for v in votes})
@@ -209,7 +230,7 @@ def per_cq_coverage(
     if missing:
         raise ValueError(f"vote store incomplete; first missing: {missing[0]}")
     filter_verdicts = filter_verdicts or {}
-    retained = [doi for doi in dois if filter_verdicts.get(doi, True)]
+    retained = [doi for doi in dois if is_retained(doi, filter_verdicts)]
     rows = []
     for cq in cq_ids:
         yes_before = sum(1 for doi in dois if by_key[(doi, cq)].decision is Verdict.YES)

@@ -11,7 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
-from litrag import appendlog, cli, extraction, prompts, retrieval
+from litrag import appendlog, cli, extraction, prompts, reports, retrieval
 from litrag import keywords as keywords_mod
 from litrag.appendlog import RecordStore
 from litrag.cli import main
@@ -270,6 +270,36 @@ class TestReportGolden:
             golden = (GOLDEN / "reports" / f"{name}.csv").read_text().splitlines()
             # the after-filtering column goes; the all-publications values stay
             assert produced == [line.rsplit(",", 1)[0] for line in golden]
+
+    def test_a_publication_without_a_filter_verdict_is_retained_in_every_table(self, tmp_path):
+        workspace = golden_workspace(tmp_path / "ws")
+        filters = workspace / "filters" / "filters.csv"
+        lines = filters.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert "10.5555/eco.0001,true\n" in lines
+        filters.write_text("".join(line for line in lines if not line.startswith("10.5555/eco.0001,")),
+                           encoding="utf-8")
+        result = invoke("report", *base_args(workspace))
+        assert result.exit_code == 0, result.output
+        for produced in reports.report_files(workspace / "reports", *cli.REPORT_TABLES):
+            expected = (GOLDEN / "reports" / produced.name).read_bytes()
+            assert produced.read_bytes() == expected, f"{produced.name} drifted"
+
+    def test_report_over_an_empty_corpus_writes_header_only_pair_tables(self, tmp_path,
+                                                                         mini_corpus_dir):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        shutil.copy(mini_corpus_dir / "bibliography.bib", corpus)
+        workspace = tmp_path / "ws"
+        result = invoke("all", *base_args(workspace), "--corpus", str(corpus))
+        assert result.exit_code == 0, result.output
+        assert result.exception is None, result.output
+        assert "ingest: 0 publication(s), 3 skipped, 0 parse error(s)" in result.output
+        assert result.output.splitlines()[-1] == "report: wrote coverage, similarity, iaa_pairs"
+        for name, value_name in (("similarity", "cosine_similarity"), ("iaa_pairs", "kappa")):
+            produced = (workspace / "reports" / f"{name}.csv").read_text(encoding="utf-8")
+            assert produced == f"pair,{value_name}_all_publications\n"
+        coverage = (workspace / "reports" / "coverage.csv").read_text(encoding="utf-8")
+        assert coverage.splitlines()[-1] == "Total,Total for all queries,0/0,0/0"
 
     def test_report_requires_votes(self, tmp_path):
         result = invoke("report", *base_args(tmp_path / "ws"))

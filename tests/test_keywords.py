@@ -1,6 +1,7 @@
 import pytest
 
 from litrag import prompts
+from litrag.errors import PipelineError
 from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
 from litrag.keywords import (
     CONSOLIDATION_QUERY,
@@ -151,7 +152,7 @@ class TestLoadCurated:
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "curated.txt"
         path.write_text("\n\n", encoding="utf-8")
-        with pytest.raises(ValueError):
+        with pytest.raises(PipelineError, match="curated keyword file is empty"):
             load_curated(path)
 
 

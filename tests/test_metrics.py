@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from litrag import textsim
+from litrag import metrics, textsim
 from litrag.metrics import (
     ConfusionMatrix2x2,
     LabelSeries,
@@ -15,6 +15,7 @@ from litrag.metrics import (
     cohen_kappa,
     compare_with_reference,
     kappa_from_confusion,
+    pairwise_kappa,
     per_cq_coverage,
 )
 from litrag.voting import Verdict, VoteRecord
@@ -249,6 +250,50 @@ def answer_sets(draw):
         }
     subset = sorted(draw(st.lists(st.sampled_from(keys), min_size=1, unique=True)))
     return answers, subset
+
+
+@st.composite
+def label_maps(draw):
+    """Yes/No labels of 1-6 endpoints over shared keys, and those keys in order."""
+    keys = draw(st.lists(st.integers(0, 50), min_size=1, max_size=12, unique=True))
+    labels = {
+        f"E{i}": {key: draw(st.sampled_from(["Yes", "No"])) for key in keys}
+        for i in range(draw(st.integers(1, 6)))
+    }
+    return labels, keys
+
+
+class TestPairwiseKappa:
+    @settings(max_examples=200, deadline=None)
+    @given(label_maps())
+    def test_every_pair_is_cohen_kappa_of_its_series(self, case):
+        labels, keys = case
+        names = list(labels)
+        calls = []
+
+        def counted(a, b):
+            calls.append((a, b))
+            return cohen_kappa(a, b)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metrics, "cohen_kappa", counted)
+            matrix = pairwise_kappa(labels, keys)
+        assert matrix.names == tuple(names)
+        assert len(calls) == len(names) * (len(names) - 1) // 2
+        for i, a in enumerate(names):
+            assert matrix.values[i][i] == 1.0
+            for j, b in enumerate(names):
+                assert matrix.values[i][j] == matrix.values[j][i]
+                if i < j:
+                    expected = cohen_kappa(
+                        LabelSeries(tuple(keys), tuple(labels[a][k] for k in keys)),
+                        LabelSeries(tuple(keys), tuple(labels[b][k] for k in keys)),
+                    )
+                    assert matrix.pair(a, b) == expected
+
+    def test_no_endpoint_gives_an_empty_matrix(self):
+        assert pairwise_kappa({}, []).values == ()
+        assert average_pairwise_similarity({}).values == ()
 
 
 class TestSimilarityMatchesOracle:
