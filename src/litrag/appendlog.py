@@ -280,9 +280,10 @@ _JSON = json.JSONEncoder(ensure_ascii=False)
 _PARSE_SLICE = 256
 
 
-def json_line(fields: dict[str, object]) -> str:
-    """One JSON object as a line, non-ASCII characters kept, ending in LF."""
-    return _JSON.encode(fields) + "\n"
+def json_line(record: object) -> str:
+    """A slotted dataclass record as one JSON object line: its fields in
+    field order, non-ASCII characters kept, ending in LF."""
+    return _JSON.encode({name: getattr(record, name) for name in record.__slots__}) + "\n"
 
 
 def json_records(lines: Sequence[str], make: Callable[..., R]) -> list[R]:

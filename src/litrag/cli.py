@@ -546,33 +546,29 @@ def _report(ctx: RunContext):
 
 def _write_tables(ctx: RunContext) -> str:
     reports_dir = ctx.workspace / REPORTS
-    votes = VoteStore(ctx.workspace / VOTES).load()
     filters = {v.doi: v.is_dl_study for v in FilterStore(ctx.workspace / FILTERS).load()}
     questions = {q.id: q.text for q in load_competency_questions()}
 
-    coverage = metrics.per_cq_coverage(votes, filters)
+    coverage = metrics.per_cq_coverage(VoteStore(ctx.workspace / VOTES).load(), filters)
     header, rows = reports.coverage_rows(coverage, questions)
     reports.write_report(reports_dir, "coverage", header, rows)
 
-    answers = AnswerStore(ctx.workspace / ANSWERS).load()
-    # compare the configured endpoints that answered, such as after `ask --endpoints`
-    answered = {a.endpoint for a in answers}
-    endpoint_names = [e.name for e in ctx.config.endpoints if e.name in answered]
-    # one tokenization per answer serves both similarity matrices
-    terms_by_endpoint: dict[str, dict] = {name: {} for name in endpoint_names}
-    for a in answers:
-        if a.endpoint in terms_by_endpoint:
-            terms_by_endpoint[a.endpoint][(a.doi, a.cq_id)] = textsim.term_counts(a.clean_text)
+    terms_by_endpoint = _answer_terms(ctx)
+    keys = sorted(_require_complete(terms_by_endpoint))
     labels_by_endpoint = _labels_by_endpoint(
-        VerdictStore(ctx.workspace / VERDICTS).load(), endpoint_names
+        VerdictStore(ctx.workspace / VERDICTS).load(), terms_by_endpoint
     )
-    for name, by_endpoint, matrix, value_name, what, stage in (
-        ("similarity", terms_by_endpoint, metrics.average_pairwise_similarity,
-         "cosine_similarity", "answers", "ask"),
-        ("iaa_pairs", labels_by_endpoint, metrics.pairwise_kappa, "kappa", "verdicts", "categorize"),
+    for name, labels in labels_by_endpoint.items():
+        if labels.keys() != terms_by_endpoint[name].keys():
+            raise PipelineError(
+                f"endpoint {name} has verdicts for {len(labels)} items and answers for "
+                f"{len(terms_by_endpoint[name])}, which differ; rerun categorize"
+            )
+    kept = [key for key in keys if metrics.is_retained(key[0], filters)]
+    for name, by_endpoint, matrix, value_name in (
+        ("similarity", terms_by_endpoint, metrics.average_pairwise_similarity, "cosine_similarity"),
+        ("iaa_pairs", labels_by_endpoint, metrics.pairwise_kappa, "kappa"),
     ):
-        keys = sorted(_require_complete(by_endpoint, what, stage))
-        kept = [key for key in keys if metrics.is_retained(key[0], filters)]
         # the after-filtering column goes when the filter retained nothing to compare
         header, rows = reports.pair_rows(
             matrix(by_endpoint, keys), matrix(by_endpoint, kept) if kept else None, value_name
@@ -581,15 +577,29 @@ def _write_tables(ctx: RunContext) -> str:
     return f"report: wrote {', '.join(REPORT_TABLES)}"
 
 
-def _require_complete(by_endpoint: dict[str, dict], what: str, stage: str) -> set:
-    """The keys any endpoint holds; raises `PipelineError` naming an endpoint
-    that lacks some of them."""
-    keys: set = set().union(*by_endpoint.values())
-    for name, records in by_endpoint.items():
-        if len(records) < len(keys):
+def _answer_terms(ctx: RunContext) -> dict[str, dict]:
+    """``{endpoint: {(doi, cq_id): term counts}}`` of the stored answers, for
+    the configured endpoints that answered (such as after `ask --endpoints`),
+    in configuration order. One tokenization per answer serves both
+    similarity matrices, and the answer records are gone on return, so they
+    are never held together with the matrices' vectors."""
+    answers = AnswerStore(ctx.workspace / ANSWERS).load()
+    answered = {a.endpoint for a in answers}
+    terms: dict[str, dict] = {e.name: {} for e in ctx.config.endpoints if e.name in answered}
+    for a in answers:
+        if a.endpoint in terms:
+            terms[a.endpoint][(a.doi, a.cq_id)] = textsim.term_counts(a.clean_text)
+    return terms
+
+
+def _require_complete(terms_by_endpoint: dict[str, dict]) -> set:
+    """The keys any endpoint answered; raises `PipelineError` naming an
+    endpoint that lacks some of them."""
+    keys: set = set().union(*terms_by_endpoint.values())
+    for name, terms in terms_by_endpoint.items():
+        if len(terms) < len(keys):
             raise PipelineError(
-                f"endpoint {name} has {what} for {len(records)} of {len(keys)} items; "
-                f"rerun {stage}"
+                f"endpoint {name} has answers for {len(terms)} of {len(keys)} items; rerun ask"
             )
     return keys
 

@@ -67,7 +67,7 @@ def strip_answer_markers(text: str) -> str:
     return text.strip()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TextualAnswer:
     doi: str
     cq_id: int
@@ -85,10 +85,17 @@ class AnswerStore(appendlog.RecordStore[TextualAnswer]):
     (doi, cq, endpoint)."""
 
     def encode(self, answer: TextualAnswer) -> str:
-        return appendlog.json_line(vars(answer))
+        return appendlog.json_line(answer)
 
     def parse(self, lines: Sequence[str]) -> list[TextualAnswer]:
-        return appendlog.json_records(lines, TextualAnswer)
+        # one string object per distinct DOI and endpoint, held by every answer that names it
+        share = {}.setdefault
+
+        def answer(doi, cq_id, endpoint, clean_text, duration_ms) -> TextualAnswer:
+            return TextualAnswer(share(doi, doi), cq_id, share(endpoint, endpoint), clean_text,
+                                 duration_ms)
+
+        return appendlog.json_records(lines, answer)
 
 
 def answer_cq(

@@ -74,7 +74,7 @@ class ChatResponse:
     attempt_count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TimingEntry:
     unique_id: str
     doc_id: str
@@ -133,11 +133,14 @@ class TimingStore(appendlog.RecordStore[TimingEntry]):
         )
 
     def parse(self, lines: Iterable[str]) -> list[TimingEntry]:
+        # one string object per distinct DOI, endpoint and stage, held by every entry that names it
+        share = {}.setdefault
         entries = []
         for uid, doc_id, endpoint, stage, duration_ms, timestamp in filter(None, csv.reader(lines)):
             if stage not in STAGES:
                 raise ValueError(f"unknown stage {stage!r}")
-            entries.append(TimingEntry(uid, doc_id, endpoint, stage, int(duration_ms), timestamp))
+            entries.append(TimingEntry(uid, share(doc_id, doc_id), share(endpoint, endpoint),
+                                       share(stage, stage), int(duration_ms), timestamp))
         return entries
 
     def parse_tail(self, line: bytes) -> Optional[TimingEntry]:

@@ -24,7 +24,7 @@ CONSOLIDATION_QUERY = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KeywordReply:
     endpoint: str
     stem: str
@@ -40,7 +40,7 @@ class ReplyStore(RecordStore[KeywordReply]):
     by (endpoint, file stem); a reply without a keyword list is not stored."""
 
     def encode(self, reply: KeywordReply) -> str:
-        return json_line(vars(reply)) if reply.keywords else ""
+        return json_line(reply) if reply.keywords else ""
 
     def parse(self, lines: Sequence[str]) -> list[KeywordReply]:
         return json_records(lines, KeywordReply)

@@ -147,6 +147,10 @@ def average_pairwise_similarity(
     of every endpoint's answers. Empty answers become zero vectors and
     contribute 0 to each average. Diagonal entries are 1.0 for any endpoint
     with at least one nonzero vector. No endpoint gives an empty matrix.
+
+    The vectors of one key are weighed at a time, so memory holds one
+    vector per endpoint, not one per endpoint and key; each pair's cosines
+    are added up in key order.
     """
     names = tuple(answers_by_endpoint)
     key_sets = [set(answers) for answers in answers_by_endpoint.values()]
@@ -159,18 +163,21 @@ def average_pairwise_similarity(
         for name in names
     ]
     model = textsim.TfidfModel.fit_terms(c.keys() for row in counts for c in row)
-    vectors = [[model.weigh(c) for c in row] for row in counts]
-    norms = [[textsim.norm(v) for v in row] for row in vectors]
     size = len(names)
     matrix = [[0.0] * size for _ in range(size)]
+    for key_counts in zip(*counts):
+        vectors = [model.weigh(c) for c in key_counts]
+        norms = [textsim.norm(v) for v in vectors]
+        for i in range(size):
+            if vectors[i]:
+                matrix[i][i] = 1.0
+            for j in range(i + 1, size):
+                matrix[i][j] += textsim.cosine(
+                    vectors[i], vectors[j], norm_v=norms[j], norm_u=norms[i]
+                )
     for i in range(size):
-        matrix[i][i] = 1.0 if any(vectors[i]) else 0.0
         for j in range(i + 1, size):
-            total = sum(
-                textsim.cosine(u, v, norm_v=nv, norm_u=nu)
-                for u, v, nu, nv in zip(vectors[i], vectors[j], norms[i], norms[j])
-            )
-            matrix[i][j] = matrix[j][i] = total / len(ordered_keys)
+            matrix[i][j] = matrix[j][i] = matrix[i][j] / len(ordered_keys)
     return SimilarityMatrix(names=names, values=tuple(tuple(row) for row in matrix))
 
 

@@ -30,7 +30,7 @@ class Verdict(str, enum.Enum):
     UNPARSEABLE = "Unparseable"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CategoricalAnswer:
     doi: str
     cq_id: int
@@ -42,7 +42,7 @@ class CategoricalAnswer:
         return (self.doi, self.cq_id, self.endpoint)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VoteRecord:
     doi: str
     cq_id: int
@@ -51,7 +51,7 @@ class VoteRecord:
     decision: Verdict
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FilterVerdict:
     doi: str
     is_dl_study: bool
@@ -193,8 +193,11 @@ class VerdictStore(appendlog.RecordStore[CategoricalAnswer]):
         )
 
     def parse(self, lines: Iterable[str]) -> list[CategoricalAnswer]:
+        # one string object per distinct DOI and endpoint, held by every record that names it
+        share = {}.setdefault
         return [
-            CategoricalAnswer(doi=doi, cq_id=int(cq_id), endpoint=endpoint, verdict=Verdict(verdict))
+            CategoricalAnswer(doi=share(doi, doi), cq_id=int(cq_id),
+                              endpoint=share(endpoint, endpoint), verdict=Verdict(verdict))
             for doi, cq_id, endpoint, verdict in filter(None, csv.reader(lines))
         ]
 

@@ -5,10 +5,12 @@ import os
 
 import pytest
 
+from conftest import FIXTURES
 from litrag.errors import CorruptStoreError
 from litrag.extraction import AnswerStore, TextualAnswer
+from litrag.gateway import TimingEntry, TimingStore
 from litrag.keywords import KeywordReply, ReplyStore
-from litrag.voting import CategoricalAnswer, Verdict, VerdictStore
+from litrag.voting import CategoricalAnswer, FilterVerdict, Verdict, VerdictStore, VoteRecord
 
 
 def answers(n):
@@ -194,3 +196,45 @@ class TestLoad:
         path.write_bytes(b"".join(lines))
         with pytest.raises(CorruptStoreError, match=r"verdicts\.csv: line 4: "):
             VerdictStore(path).load()
+
+
+class TestMemoryLayout:
+    """The records that a stage loads in bulk hold no instance dict, and a
+    parsed store holds one string object per value that its records repeat."""
+
+    @pytest.mark.parametrize("record", [
+        TextualAnswer("10.1/a", 1, "M", "text", 5),
+        CategoricalAnswer("10.1/a", 1, "M", Verdict.YES),
+        VoteRecord("10.1/a", 1, 3, 2, Verdict.YES),
+        FilterVerdict("10.1/a", True),
+        TimingEntry("id", "10.1/a", "M", "rag", 5, "2024-01-01T00:00:00+00:00"),
+        KeywordReply("M", "stem", ["cnn"]),
+    ], ids=lambda record: type(record).__name__)
+    def test_a_bulk_record_has_slots_and_no_dict(self, record):
+        assert type(record).__slots__
+        assert not hasattr(record, "__dict__")
+
+    @staticmethod
+    def assert_shared(records, *fields):
+        for field in fields:
+            values = [getattr(record, field) for record in records]
+            first = {}
+            assert all(first.setdefault(value, value) is value for value in values), field
+            assert len(first) < len(values), f"no {field} repeats"
+
+    @pytest.mark.parametrize("store_class, name", [
+        (VerdictStore, "verdicts.csv"), (AnswerStore, "answers.jsonl"),
+    ])
+    def test_a_golden_store_shares_one_string_per_doi_and_endpoint(self, store_class, name):
+        self.assert_shared(store_class(FIXTURES / "golden" / name).load(), "doi", "endpoint")
+
+    def test_a_timing_log_shares_one_string_per_doi_endpoint_and_stage(self, tmp_path):
+        entries = [
+            TimingEntry(f"id{i}", f"10.1/{i % 3}", f"M{i % 2}", ("rag", "categorize")[i % 2],
+                        i, f"2024-01-01T00:00:{i:02d}+00:00")
+            for i in range(12)
+        ]
+        TimingStore(tmp_path / "timing.csv").write(entries)
+        loaded = TimingStore(tmp_path / "timing.csv").load()
+        assert loaded == entries
+        self.assert_shared(loaded, "doc_id", "endpoint", "stage")

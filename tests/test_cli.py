@@ -321,6 +321,26 @@ class TestReportGolden:
         assert f"rerun {stage}" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("cut,left", [("header only", 0), ("one item of every endpoint", 83)])
+    def test_report_requires_verdicts_that_cover_the_answers(self, tmp_path, cut, left):
+        workspace = golden_workspace(tmp_path / "ws")
+        path = workspace / "verdicts" / "verdicts.csv"
+        header, *rows = path.read_bytes().splitlines(keepends=True)
+        if cut == "header only":
+            rows = []
+        else:
+            dropped = rows[0].split(b",")[:2]
+            rows = [row for row in rows if row.split(b",")[:2] != dropped]
+        path.write_bytes(header + b"".join(rows))
+        result = invoke("report", *base_args(workspace))
+        assert result.exit_code == 1
+        errors = [line for line in result.output.splitlines() if line.startswith("Error:")]
+        assert errors == [
+            f"Error: endpoint Llama 3 70B has verdicts for {left} items and answers for 84, "
+            "which differ; rerun categorize"
+        ], result.output
+        assert "Traceback" not in result.output
+
 
 class TestEvaluate:
     def make_reference_files(self, directory: Path):

@@ -313,6 +313,81 @@ class TestSimilarityMatchesOracle:
         assert average_pairwise_similarity(terms).values == expected
 
 
+def all_vectors_similarity(answers_by_endpoint, keys):
+    """The matrix as computed before one key's vectors were weighed at a
+    time: every endpoint's vector for every key is alive at once, and each
+    pair's cosines are added up left to right, as `sum` added floats before
+    Python 3.12."""
+    names = tuple(answers_by_endpoint)
+    counts = [
+        [textsim.term_counts(a) if isinstance(a, str) else a
+         for a in (answers_by_endpoint[name][key] for key in keys)]
+        for name in names
+    ]
+    model = textsim.TfidfModel.fit_terms(c.keys() for row in counts for c in row)
+    vectors = [[model.weigh(c) for c in row] for row in counts]
+    norms = [[textsim.norm(v) for v in row] for row in vectors]
+    size = len(names)
+    matrix = [[0.0] * size for _ in range(size)]
+    for i in range(size):
+        matrix[i][i] = 1.0 if any(vectors[i]) else 0.0
+        for j in range(i + 1, size):
+            total = 0
+            for u, v, nu, nv in zip(vectors[i], vectors[j], norms[i], norms[j]):
+                total += textsim.cosine(u, v, norm_v=nv, norm_u=nu)
+            matrix[i][j] = matrix[j][i] = total / len(keys)
+    return tuple(tuple(row) for row in matrix)
+
+
+@st.composite
+def report_answers(draw):
+    """1-6 endpoints' answers (texts, some empty, or their term counts) over
+    0-40 shared (doi, question) keys, and the ``keys=`` argument: None or a
+    subset in any order."""
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from([f"10.1/{c}" for c in "abcde"]), st.integers(1, 28)),
+        max_size=40, unique=True,
+    ))
+    as_counts = draw(st.booleans())
+    answers = {}
+    for i in range(draw(st.integers(1, 6))):
+        texts = {key: " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=8))) for key in keys}
+        answers[f"E{i}"] = (
+            {key: textsim.term_counts(text) for key, text in texts.items()} if as_counts else texts
+        )
+    subset = draw(st.none() | st.permutations(keys).flatmap(
+        lambda order: st.integers(0, len(order)).map(lambda n: order[:n])))
+    return answers, subset
+
+
+class TestPerKeySimilarity:
+    @settings(max_examples=300, deadline=None)
+    @given(report_answers())
+    def test_equals_the_all_vectors_matrix_with_one_cosine_per_pair_and_key(self, case):
+        answers, subset = case
+        keys = sorted(next(iter(answers.values()))) if subset is None else subset
+        size = len(answers)
+        if not keys and size > 1:
+            # no key to average over, as before
+            for similarity in (average_pairwise_similarity, all_vectors_similarity):
+                with pytest.raises(ZeroDivisionError):
+                    similarity(answers, keys)
+            return
+        calls = []
+        cosine = textsim.cosine
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return cosine(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(textsim, "cosine", counted)
+            matrix = average_pairwise_similarity(answers, keys=subset)
+        assert len(calls) == size * (size - 1) // 2 * len(keys)
+        assert matrix.names == tuple(answers)
+        assert matrix.values == all_vectors_similarity(answers, keys)
+
+
 class TestPerCqCoverage:
     def test_fixture_reproduces_published_totals(self):
         votes, filters = build_vote_fixture()
