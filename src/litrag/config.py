@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import enum
+import functools
 import logging
-from dataclasses import dataclass, field, fields
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Optional
 
 import yaml
 
@@ -75,36 +78,6 @@ def _default_endpoints() -> list[ModelEndpoint]:
     return [ModelEndpoint(name=name) for name in DEFAULT_ENDPOINT_NAMES]
 
 
-_REQUIRED: Any = object()
-
-
-def _reader(spec: Any, section: str, known: Iterable[str]) -> Callable[..., Any]:
-    """`_read` over the mapping ``spec``, which the config names ``section``;
-    each key of ``spec`` outside ``known`` is ignored with a warning."""
-    if not isinstance(spec, dict):
-        raise ConfigError(f"config key {section} must be a mapping")
-    prefix = f"{section}." if section else ""
-    for key in spec:
-        if key not in known:
-            log.warning("unknown config key %s%s ignored", prefix, key)
-
-    def _read(key: str, default: Any = _REQUIRED, kind: Optional[Callable] = None) -> Any:
-        """``spec[key]`` converted by ``kind``, by default the type of
-        ``default``, which stands in for an absent or null key."""
-        value = spec.get(key)
-        if value is None:
-            if default is _REQUIRED:
-                raise ConfigError(f"config key {prefix}{key} is required")
-            return default
-        convert = kind or type(default)
-        try:
-            return (_integer if convert is int else convert)(value)
-        except (AttributeError, TypeError, ValueError) as exc:
-            raise ConfigError(f"config key {prefix}{key}: cannot read {value!r}: {exc}") from exc
-
-    return _read
-
-
 def _integer(value: Any) -> int:
     """``int(value)``, refusing a boolean and a float with a fractional part,
     which ``int`` would turn into 0/1 or truncate."""
@@ -113,15 +86,100 @@ def _integer(value: Any) -> int:
     return int(value)
 
 
-def _question_variables(mapping: dict) -> dict[int, str]:
-    return {int(cq_id): str(variable) for cq_id, variable in mapping.items()}
+def _real(value: Any) -> float:
+    """``float(value)``, refusing a boolean, which ``float`` would turn into 0.0/1.0."""
+    if isinstance(value, bool):
+        raise ValueError("not a number")
+    return float(value)
+
+
+def _string(value: Any) -> str:
+    """``value`` itself, which must be a string; YAML reads an unquoted yes/no
+    as a boolean, which ``str`` would turn into 'True'/'False'."""
+    if not isinstance(value, str):
+        raise ValueError("a boolean; quote yes/no to give a string"
+                         if isinstance(value, bool) else "not a string")
+    return value
+
+
+def _question_variables(mapping: Any) -> dict[int, str]:
+    if not isinstance(mapping, dict):
+        raise ValueError("not a mapping")
+    return {_integer(cq_id): _string(variable) for cq_id, variable in mapping.items()}
+
+
+# how a value is read for each annotated type that is neither an enum nor a section
+_CONVERTERS: dict[Any, Callable[[Any], Any]] = {
+    int: _integer, float: _real, str: _string, dict[int, str]: _question_variables,
+}
+# the one config key named unlike its field, and the one default the loader
+# gives a field that has none of its own
+_KEYS = {(ChunkingConfig, "overlap"): "chunk_overlap"}
+_DEFAULTS = {(HardwareProfile, "name"): "default"}
+
+
+@functools.cache
+def _fields(cls: type) -> dict[str, tuple[str, Any, Any]]:
+    """Each field of ``cls`` under its config key: its name, its annotated
+    type (``X`` for ``Optional[X]``) and the value of an absent or null key,
+    ``MISSING`` if the field is required and None for the field's default."""
+    kinds = typing.get_type_hints(cls)
+    keys = {}
+    for f in fields(cls):
+        kind = kinds[f.name]
+        if type(None) in typing.get_args(kind):
+            kind = typing.get_args(kind)[0]
+        required = f.default is MISSING and f.default_factory is MISSING
+        absent = _DEFAULTS.get((cls, f.name), MISSING if required else None)
+        keys[_KEYS.get((cls, f.name), f.name)] = (f.name, kind, absent)
+    return keys
+
+
+def _read(kind: Any, value: Any, key: str) -> Any:
+    """``value``, given under the config key ``key``, read as ``kind``."""
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key} must be a list")
+        (kind,) = typing.get_args(kind)
+        return [_section(kind, spec, f"{key}[{i}]") for i, spec in enumerate(value)]
+    if is_dataclass(kind):
+        return _section(kind, value, key)
+    convert = kind if isinstance(kind, enum.EnumMeta) else _CONVERTERS[kind]
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key {key}: cannot read {value!r}: {exc}") from exc
+
+
+def _section(cls: type, spec: Any, section: str) -> Any:
+    """``cls`` built from the mapping ``spec``, which the config names
+    ``section``, with each field read under its config key; each other key of
+    ``spec`` is ignored with a warning."""
+    if not isinstance(spec, dict):
+        raise ConfigError(f"config key {section} must be a mapping")
+    prefix = f"{section}." if section else ""
+    keys = _fields(cls)
+    for key in spec:
+        if key not in keys:
+            log.warning("unknown config key %s%s ignored", prefix, key)
+    values = {}
+    for key, (name, kind, absent) in keys.items():
+        value = absent if spec.get(key) is None else _read(kind, spec[key], prefix + key)
+        if value is MISSING:
+            raise ConfigError(f"config key {prefix}{key} is required")
+        if value is not None:
+            values[name] = value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"config key {section}: {exc}") from exc
 
 
 def load_config(path: Optional[str | Path]) -> PipelineConfig:
-    """Build a PipelineConfig from YAML; a missing key keeps its dataclass
-    default, a malformed one, or a ``filter_endpoint`` that names no
-    configured endpoint, raises `ConfigError` and an unknown one is ignored
-    with a warning."""
+    """Build a PipelineConfig from YAML; a missing or null key keeps its
+    dataclass default, a malformed one or one of the wrong kind, or a
+    ``filter_endpoint`` that names no configured endpoint, raises
+    `ConfigError` and an unknown one is ignored with a warning."""
     if path is None:
         return PipelineConfig(endpoints=_default_endpoints())
     try:
@@ -132,82 +190,22 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping")
-    read = _reader(data, "", {f.name for f in fields(PipelineConfig)})
-
-    endpoints = []
-    for i, spec in enumerate(data.get("endpoints") or []):
-        read_endpoint = _reader(spec, f"endpoints[{i}]", {f.name for f in fields(ModelEndpoint)})
+    config = _section(PipelineConfig, data, "")
+    for i, endpoint in enumerate(config.endpoints):
         # absent or null means no limit; 0 is not a way to say so
-        rate_limit = read_endpoint("rate_limit_per_min", ModelEndpoint.rate_limit_per_min, int)
+        rate_limit = endpoint.rate_limit_per_min
         if rate_limit is not None and rate_limit < 1:
             raise ConfigError(
                 f"config key endpoints[{i}].rate_limit_per_min must be at least 1, got {rate_limit}"
             )
-        try:
-            endpoints.append(
-                ModelEndpoint(
-                    name=read_endpoint("name", kind=str),
-                    base_url=read_endpoint("base_url", ModelEndpoint.base_url),
-                    model_id=read_endpoint("model_id", ModelEndpoint.model_id),
-                    temperature=read_endpoint("temperature", ModelEndpoint.temperature),
-                    api_key_env=read_endpoint("api_key_env", ModelEndpoint.api_key_env),
-                    rate_limit_per_min=rate_limit,
-                )
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad endpoint entry {spec!r}: {exc}") from exc
     # the first listed endpoint filters by default; with none listed, the
     # default endpoints and filter endpoint apply, as without a config
-    filter_default = endpoints[0].name if endpoints else PipelineConfig.filter_endpoint
-    endpoints = endpoints or _default_endpoints()
-
-    known = ("chunk_size", "chunk_overlap", "token_unit")
-    read_chunking = _reader(data.get("chunking") or {}, "chunking", known)
-    try:
-        chunking = ChunkingConfig(
-            chunk_size=read_chunking("chunk_size", ChunkingConfig.chunk_size),
-            overlap=read_chunking("chunk_overlap", ChunkingConfig.overlap),
-            token_unit=read_chunking("token_unit", ChunkingConfig.token_unit),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"bad chunking config: {exc}") from exc
-
-    profile = None
-    if data.get("hardware_profile"):
-        read_profile = _reader(
-            data["hardware_profile"], "hardware_profile", {f.name for f in fields(HardwareProfile)}
-        )
-        try:
-            profile = HardwareProfile(
-                name=read_profile("name", "default"),
-                cores=read_profile("cores", kind=int),
-                power_per_core=read_profile("power_per_core", kind=float),
-                usage=read_profile("usage", HardwareProfile.usage),
-                memory_gb=read_profile("memory_gb", HardwareProfile.memory_gb),
-                memory_power=read_profile("memory_power", HardwareProfile.memory_power),
-                pue=read_profile("pue", HardwareProfile.pue),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"bad hardware profile: {exc}") from exc
-
-    filter_endpoint = read("filter_endpoint", filter_default)
-    if filter_endpoint not in {e.name for e in endpoints}:
+    if not config.endpoints:
+        config.endpoints = _default_endpoints()
+    elif data.get("filter_endpoint") is None:
+        config.filter_endpoint = config.endpoints[0].name
+    if config.filter_endpoint not in {e.name for e in config.endpoints}:
         raise ConfigError(
-            f"config key filter_endpoint: {filter_endpoint!r} names no configured endpoint"
+            f"config key filter_endpoint: {config.filter_endpoint!r} names no configured endpoint"
         )
-    return PipelineConfig(
-        endpoints=endpoints,
-        chunking=chunking,
-        retrieval_budget=read("retrieval_budget", PipelineConfig.retrieval_budget),
-        parallelism=read("parallelism", PipelineConfig.parallelism),
-        tie_rule=read("tie_rule", PipelineConfig.tie_rule),
-        filter_endpoint=filter_endpoint,
-        hardware_profile=profile,
-        location_intensity=read("location_intensity", PipelineConfig.location_intensity),
-        tree_month_constant=read("tree_month_constant", PipelineConfig.tree_month_constant),
-        max_attempts=read("max_attempts", PipelineConfig.max_attempts),
-        backoff_seconds=read("backoff_seconds", PipelineConfig.backoff_seconds),
-        reference_labels=read("reference_labels", PipelineConfig.reference_labels, str),
-        voting_reference=read("voting_reference", PipelineConfig.voting_reference, str),
-        cq_variable_mapping=read("cq_variable_mapping", {}, _question_variables),
-    )
+    return config

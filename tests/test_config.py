@@ -1,6 +1,8 @@
 import dataclasses
+import enum
 import logging
 import re
+import typing
 
 import pytest
 import yaml
@@ -81,6 +83,22 @@ MALFORMED = [
     ({"chunking": {"chunk_overlap": 0.5}}, "chunking.chunk_overlap"),
     ({"hardware_profile": {"cores": 4.5, "power_per_core": 1}}, "hardware_profile.cores"),
     ({"filter_endpoint": "Llama 3.1 70b"}, "filter_endpoint"),
+    # a value of the wrong kind
+    ({"tie_rule": False}, "tie_rule"),
+    ({"endpoints": [{"name": ["x"]}]}, "endpoints[0].name"),
+    ({"reference_labels": ["a"]}, "reference_labels"),
+    ({"backoff_seconds": True}, "backoff_seconds"),
+    ({"cq_variable_mapping": {1: True}}, "cq_variable_mapping"),
+    # a section that is not a mapping, or endpoints that are not a list
+    ({"chunking": 0}, "chunking"),
+    ({"chunking": []}, "chunking"),
+    ({"hardware_profile": False}, "hardware_profile"),
+    ({"hardware_profile": {}}, "hardware_profile.cores"),
+    ({"endpoints": 0}, "endpoints"),
+    ({"endpoints": {"a": 1}}, "endpoints"),
+    # a value the section itself refuses
+    ({"endpoints": [{"name": "M", "temperature": 0.5}]}, "endpoints[0]"),
+    ({"chunking": {"chunk_size": 10, "chunk_overlap": 10}}, "chunking"),
 ]
 
 
@@ -89,6 +107,74 @@ def test_malformed_value_names_its_key(tmp_path, data, key):
     with pytest.raises(ConfigError) as error:
         load_config(write(tmp_path, data))
     assert re.match(rf"config key {re.escape(key)}[: ]", str(error.value))
+
+
+def test_an_unquoted_yes_or_no_is_refused_with_a_hint(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text("tie_rule: no\n", encoding="utf-8")
+    with pytest.raises(ConfigError) as error:
+        load_config(path)
+    assert str(error.value) == ("config key tie_rule: cannot read False: "
+                                "a boolean; quote yes/no to give a string")
+
+
+# a non-default value for a field of each type but a string, which takes the
+# field's name, and for the fields whose range that value falls outside;
+# temperature is pinned to its default
+SAMPLES = {int: 7, float: 0.5, TokenUnit: TokenUnit.CHARACTER, dict[int, str]: {3: "variable"}}
+RANGED = {"overlap": 3, "pue": 1.5, "tie_rule": "yes", "filter_endpoint": "name", "temperature": 0.0}
+
+
+def sample(cls):
+    """A config section that gives each field of ``cls`` a value other than
+    its default, under the field's config key, and what it must load as."""
+    kinds = typing.get_type_hints(cls)
+    spec, values = {}, {}
+    for f in dataclasses.fields(cls):
+        kind = kinds[f.name]
+        if type(None) in typing.get_args(kind):
+            kind = typing.get_args(kind)[0]
+        if typing.get_origin(kind) is list:
+            item_spec, item = sample(typing.get_args(kind)[0])
+            written, value = [item_spec], [item]
+        elif dataclasses.is_dataclass(kind):
+            written, value = sample(kind)
+        else:
+            value = RANGED.get(f.name, f.name if kind is str else SAMPLES[kind])
+            written = value.value if isinstance(value, enum.Enum) else value
+        default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+        assert value != default or f.name == "temperature"
+        spec["chunk_overlap" if f.name == "overlap" else f.name] = written
+        values[f.name] = value
+    return spec, cls(**values)
+
+
+def test_every_field_is_read_under_its_key_and_no_other_key_is(tmp_path, caplog):
+    data, expected = sample(PipelineConfig)
+    # one more key per section, in chunking the name of the field read as chunk_overlap
+    data["extra"] = data["endpoints"][0]["extra"] = data["hardware_profile"]["extra"] = 1
+    data["chunking"]["overlap"] = 1
+    with caplog.at_level(logging.WARNING, logger="litrag.config"):
+        config = load_config(write(tmp_path, data))
+    assert config == expected
+    assert [r.getMessage() for r in caplog.records] == [
+        "unknown config key extra ignored",
+        "unknown config key endpoints[0].extra ignored",
+        "unknown config key chunking.overlap ignored",
+        "unknown config key hardware_profile.extra ignored",
+    ]
+
+
+def test_the_readme_config_example_loads(tmp_path, caplog):
+    readme = (FIXTURES.parents[1] / "README.md").read_text(encoding="utf-8")
+    example = re.search(r"^## Live endpoints\n.*?^```yaml\n(.*?)^```", readme, re.M | re.S)
+    path = tmp_path / "config.yaml"
+    path.write_text(example.group(1), encoding="utf-8")
+    config = load_config(path)
+    assert caplog.records == []
+    assert [e.rate_limit_per_min for e in config.endpoints] == [30]
+    assert config.chunking == ChunkingConfig(chunk_size=1000, overlap=50)
+    assert config.retrieval_budget == 1200
 
 
 @pytest.fixture
