@@ -6,13 +6,14 @@ verdicts that `ask`, `categorize` and `filter` append, the votes that
 subclass defines only its line format.
 
 Each record is one line. A crash can leave a final line whose newline was
-never written. `RecordStore.load` drops such a line with a warning unless it
-holds a whole record; the next `RecordStore.extend` cuts a torn final line
-off, or terminates a whole record that only lost its newline, so the next
-record starts on a line of its own. A malformed line anywhere else, or a
-wrong header, is corruption: `RecordStore.load` raises `CorruptStoreError`
-naming the file and the first bad line. A whole-file rewrite
-goes through `replace_file`, so it leaves either the old file or the new one.
+never written. `RecordStore.load`, and `RecordStore.scan` for a reader that
+keeps less, drop such a line with a warning unless it holds a whole record;
+the next `RecordStore.extend` cuts a torn final line off, or terminates a
+whole record that only lost its newline, so the next record starts on a
+line of its own. A malformed line anywhere else, or a wrong header, is
+corruption: both raise `CorruptStoreError` naming the file and the first
+bad line. A whole-file rewrite goes through `replace_file`, so it leaves
+either the old file or the new one.
 """
 
 from __future__ import annotations
@@ -25,16 +26,22 @@ import logging
 import os
 import threading
 from pathlib import Path
-from typing import Callable, Generic, Hashable, Iterable, Optional, Sequence, TextIO, TypeVar
+from typing import (
+    Callable, Generic, Hashable, Iterable, Iterator, Optional, Sequence, TextIO, TypeVar,
+)
 
 from .errors import CorruptStoreError
 
 log = logging.getLogger(__name__)
 
 R = TypeVar("R")
+T = TypeVar("T")
 
 # What a format's parser raises on a line that was cut short.
 _MALFORMED = (ValueError, LookupError, TypeError, csv.Error)
+# bytes of whole lines `RecordStore.scan` reads at a time: few calls per
+# file, and a block that stays small next to a large store
+_SCAN_BLOCK_BYTES = 1 << 16
 
 
 def replace_file(path: Path, chunks: Iterable[str]) -> None:
@@ -146,15 +153,63 @@ class RecordStore(Generic[R]):
         if not tail and header == self.header and len(records) == len(lines) - bool(self.header):
             self._records = list(records)
         if tail:
-            record = self.parse_tail(tail)
-            if record is None:
-                log.warning(
-                    "%s: dropped a torn final line of %d byte(s) left by an interrupted write",
-                    self.path, len(tail),
-                )
-            else:
+            record = self._tail_record(tail)
+            if record is not None:
                 records.append(record)
         return records
+
+    def scan(self, consume: Callable[[Iterator[str]], T]) -> T:
+        """``consume`` applied to the file's record lines, read in one pass,
+        for a reader that keeps less than the records `load` builds. The lines
+        are those after the header, each decoded with its line end, and last
+        an unterminated final line that holds a whole record (`parse_tail`).
+        The checks are those of `load`: a wrong header, or a line ``consume``
+        fails to parse, raises `CorruptStoreError` naming the line, and a torn
+        final line is dropped with `load`'s warning. A missing file has no
+        lines."""
+        blocks = self._line_blocks()
+        try:
+            return consume(itertools.chain.from_iterable(blocks))
+        except CorruptStoreError:
+            raise
+        except _MALFORMED as exc:
+            raise self._corrupt(exc) from exc
+        finally:
+            blocks.close()
+
+    def _line_blocks(self) -> Iterator[list[str]]:
+        """The lines `scan` gives, read and decoded a block at a time."""
+        if not self.path.is_file():
+            return
+        with open(self.path, "rb") as fh:
+            first = fh.readline() if self.header else b""
+            if first.endswith(b"\n"):
+                self._check_header(first.decode("utf-8"))
+            else:
+                # no header line to check, or one cut short: that is the final line
+                fh.seek(0)
+            while block := fh.readlines(_SCAN_BLOCK_BYTES):
+                # only the file's last line can lack its line end
+                if not block[-1].endswith(b"\n") and self._tail_record(block[-1]) is None:
+                    block.pop()
+                yield [line.decode("utf-8") for line in block]
+
+    def _tail_record(self, tail: bytes) -> Optional[R]:
+        """The record on the unterminated final line ``tail``, or None, with a
+        warning, if its write was cut short."""
+        record = self.parse_tail(tail)
+        if record is None:
+            log.warning(
+                "%s: dropped a torn final line of %d byte(s) left by an interrupted write",
+                self.path, len(tail),
+            )
+        return record
+
+    def _check_header(self, line: str) -> None:
+        if line.rstrip("\r\n") != self.header.rstrip("\r\n"):
+            raise CorruptStoreError(
+                f"{self.path}: line 1: expected header {self.header.rstrip()}"
+            )
 
     def _read_lines(self) -> tuple[list[str], bytes]:
         """The file read in one call: its whole lines, each decoded with its
@@ -248,10 +303,8 @@ class RecordStore(Generic[R]):
         first: Optional[str] = ""
         if self.header:
             first = lines[0] if lines else None
-            if first is not None and first.rstrip("\r\n") != self.header.rstrip("\r\n"):
-                raise CorruptStoreError(
-                    f"{self.path}: line 1: expected header {self.header.rstrip()}"
-                )
+            if first is not None:
+                self._check_header(first)
             lines = lines[1:]
         return first, self.parse(lines)
 

@@ -44,7 +44,7 @@ from .extraction import (
     run_requests,
 )
 from .footprint import HardwareProfile, footprint_from_log
-from .gateway import HttpBackend, LlmGateway, MockBackend, TimingLog
+from .gateway import HttpBackend, LlmGateway, MockBackend
 from .voting import (
     CategoricalAnswer,
     FilterStore,
@@ -524,7 +524,7 @@ def _footprint(ctx: RunContext):
     def run() -> str:
         profile = ctx.config.hardware_profile or DEFAULT_PROFILE
         rows = footprint_from_log(
-            TimingLog.load_csv(ctx.workspace / TIMING),
+            ctx.workspace / TIMING,
             profile,
             intensity=ctx.config.location_intensity,
             tree_month_constant=ctx.config.tree_month_constant,

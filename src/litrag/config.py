@@ -55,10 +55,14 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         for key, low in (("retrieval_budget", 0), ("parallelism", 1), ("max_attempts", 1),
-                         ("backoff_seconds", 0)):
+                         ("backoff_seconds", 0), ("location_intensity", 0)):
             value = getattr(self, key)
             if value < low:
                 raise ConfigError(f"config key {key} must be at least {low}, got {value}")
+        if self.tree_month_constant <= 0:
+            raise ConfigError(
+                f"config key tree_month_constant must be positive, got {self.tree_month_constant}"
+            )
         if self.tie_rule not in ("yes", "no"):
             raise ConfigError(f"config key tie_rule must be 'yes' or 'no', got {self.tie_rule!r}")
 

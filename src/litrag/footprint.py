@@ -9,8 +9,9 @@ configurable; the defaults are calibrated for Germany.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from pathlib import Path
 
-from .gateway import STAGES, TimingLog, dedupe_timing_logs, sum_runtime
+from .gateway import STAGES, stage_runtimes
 
 # kg CO2e per kWh (Germany) and kg CO2e sequestered per tree-month.
 GERMANY_INTENSITY_KG_PER_KWH = 0.3387
@@ -71,16 +72,17 @@ class FootprintRow:
 
 
 def footprint_from_log(
-    timing: TimingLog,
+    path: str | Path,
     profile: HardwareProfile,
     intensity: float = GERMANY_INTENSITY_KG_PER_KWH,
     tree_month_constant: float = TREE_MONTH_KG,
 ) -> list[FootprintRow]:
-    """Per-stage footprint rows from a (possibly re-run) timing log."""
-    deduped = dedupe_timing_logs(timing)
+    """Per-stage footprint rows from the timing CSV at ``path``, where a
+    re-run request counts once (`stage_runtimes`)."""
+    runtimes = stage_runtimes(path)
     rows = []
     for stage in STAGES:
-        runtime_h = sum_runtime(deduped, stage) / 3_600_000
+        runtime_h = runtimes[stage] / 3_600_000
         energy = estimate_energy(runtime_h, profile)
         carbon = estimate_carbon(energy, intensity)
         rows.append(FootprintRow(stage, runtime_h, energy, carbon,

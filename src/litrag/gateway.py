@@ -20,7 +20,7 @@ from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol, TypeVar
 
 from . import appendlog
 from .errors import AuthenticationError, GatewayError
@@ -29,6 +29,8 @@ if TYPE_CHECKING:
     import requests
 
 log = logging.getLogger(__name__)
+
+T = TypeVar("T")
 
 STAGES = ("rag", "categorize", "filter", "keywords")
 
@@ -135,13 +137,20 @@ class TimingStore(appendlog.RecordStore[TimingEntry]):
     def parse(self, lines: Iterable[str]) -> list[TimingEntry]:
         # one string object per distinct DOI, endpoint and stage, held by every entry that names it
         share = {}.setdefault
-        entries = []
+        return [
+            TimingEntry(uid, share(doc_id, doc_id), share(endpoint, endpoint), share(stage, stage),
+                        duration_ms, timestamp)
+            for uid, doc_id, endpoint, stage, duration_ms, timestamp in self.rows(lines)
+        ]
+
+    @staticmethod
+    def rows(lines: Iterable[str]) -> Iterator[tuple[str, str, str, str, int, str]]:
+        """The fields of each row on ``lines``, blank ones skipped, with the
+        duration read as an integer; an unknown stage raises ValueError."""
         for uid, doc_id, endpoint, stage, duration_ms, timestamp in filter(None, csv.reader(lines)):
             if stage not in STAGES:
                 raise ValueError(f"unknown stage {stage!r}")
-            entries.append(TimingEntry(uid, share(doc_id, doc_id), share(endpoint, endpoint),
-                                       share(stage, stage), int(duration_ms), timestamp))
-        return entries
+            yield uid, doc_id, endpoint, stage, int(duration_ms), timestamp
 
     def parse_tail(self, line: bytes) -> Optional[TimingEntry]:
         # A row cut inside its timestamp still has six fields, so a whole
@@ -158,19 +167,46 @@ class TimingStore(appendlog.RecordStore[TimingEntry]):
         return entry if whole else None
 
 
+def _survivors(rows: Iterable[tuple[str, str, T]]) -> dict[str, tuple[str, int, T]]:
+    """For ``rows`` of (unique_id, timestamp, value) in log order, the
+    (timestamp, position, value) of each unique_id's row with the greatest
+    (timestamp, position): a repeated request's latest entry, and of entries
+    with equal timestamps the later one."""
+    best: dict[str, tuple[str, int, T]] = {}
+    for position, (unique_id, timestamp, value) in enumerate(rows):
+        current = best.get(unique_id)
+        # positions only grow, so an equal timestamp goes to this row
+        if current is None or timestamp >= current[0]:
+            best[unique_id] = (timestamp, position, value)
+    return best
+
+
 def dedupe_timing_logs(timing: TimingLog) -> TimingLog:
     """Keep, per unique_id, the entry with the greatest (timestamp, position).
 
     Survivors are emitted in the order their surviving instance appeared.
     Idempotent: a log without repeated ids passes through unchanged.
     """
-    best: dict[str, tuple[str, int, TimingEntry]] = {}
-    for position, entry in enumerate(timing.entries()):
-        current = best.get(entry.unique_id)
-        if current is None or (entry.timestamp, position) > (current[0], current[1]):
-            best[entry.unique_id] = (entry.timestamp, position, entry)
+    best = _survivors((entry.unique_id, entry.timestamp, entry) for entry in timing.entries())
     survivors = sorted(best.values(), key=lambda item: item[1])
     return TimingLog(entry for _, _, entry in survivors)
+
+
+def stage_runtimes(path: str | Path) -> dict[str, int]:
+    """Per stage, the total duration in milliseconds of the entries that
+    `dedupe_timing_logs` keeps of the timing CSV at ``path``. The file is read
+    in one pass and checked as `TimingStore.load` checks it; per unique_id
+    only its survivor's timestamp, stage and duration are kept, and no entry
+    is built."""
+    store = TimingStore(path)
+    best = store.scan(lambda lines: _survivors(
+        (uid, timestamp, (stage, duration_ms))
+        for uid, _, _, stage, duration_ms, timestamp in store.rows(lines)
+    ))
+    totals = dict.fromkeys(STAGES, 0)
+    for _, _, (stage, duration_ms) in best.values():
+        totals[stage] += duration_ms
+    return totals
 
 
 def sum_runtime(

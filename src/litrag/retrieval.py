@@ -137,12 +137,17 @@ class DocumentIndex:
     Built once per publication; every question is then scored against the
     stored chunk vectors and norms, so a query costs one transform and one
     cosine per chunk. The idf table is fitted over the document's own chunks.
+    Each chunk is tokenized once: its term counts give both its distinct
+    terms, for the fit, and its vector, so the model and vectors equal those
+    of `TfidfModel.fit` and `TfidfModel.transform` over the chunk texts.
     """
 
     def __init__(self, text: str, config: ChunkingConfig, doc_id: str = "") -> None:
         self.chunks = tuple(chunk_document(text, config, doc_id=doc_id))
-        self.model = textsim.TfidfModel.fit(chunk.text for chunk in self.chunks)
-        self.vectors = [self.model.transform(chunk.text) for chunk in self.chunks]
+        counts = [textsim.term_counts(chunk.text) for chunk in self.chunks]
+        # the distinct terms: a Counter itself would add its counts to the document frequencies
+        self.model = textsim.TfidfModel.fit_terms(c.keys() for c in counts)
+        self.vectors = [self.model.weigh(c) for c in counts]
         self.norms = [textsim.norm(vector) for vector in self.vectors]
 
     def retrieve(self, query: str, budget: int) -> RetrievalContext:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import enum
 import functools
+import itertools
 import logging
 # No pool runs in this module; the span tracer in perfbench/trace.py patches this name.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -28,6 +29,12 @@ class Verdict(str, enum.Enum):
     YES = "Yes"
     NO = "No"
     UNPARSEABLE = "Unparseable"
+
+
+# each verdict by its value: a lookup here costs a tenth of a `Verdict(value)`
+# call, and an unknown value raises KeyError, which a store reads as a
+# malformed line
+_VERDICTS = {verdict.value: verdict for verdict in Verdict}
 
 
 @dataclass(frozen=True, slots=True)
@@ -196,8 +203,8 @@ class VerdictStore(appendlog.RecordStore[CategoricalAnswer]):
         # one string object per distinct DOI and endpoint, held by every record that names it
         share = {}.setdefault
         return [
-            CategoricalAnswer(doi=share(doi, doi), cq_id=int(cq_id),
-                              endpoint=share(endpoint, endpoint), verdict=Verdict(verdict))
+            CategoricalAnswer(share(doi, doi), int(cq_id), share(endpoint, endpoint),
+                              _VERDICTS[verdict])
             for doi, cq_id, endpoint, verdict in filter(None, csv.reader(lines))
         ]
 
@@ -230,7 +237,7 @@ class VoteStore(appendlog.RecordStore[VoteRecord]):
 
     def parse(self, lines: Iterable[str]) -> list[VoteRecord]:
         return [
-            VoteRecord(doi, int(cq_id), int(yes_count), int(no_count), Verdict(decision))
+            VoteRecord(doi, int(cq_id), int(yes_count), int(no_count), _VERDICTS[decision])
             for doi, cq_id, yes_count, no_count, decision in filter(None, csv.reader(lines))
         ]
 
@@ -243,24 +250,33 @@ def run_conversions(
     store: VerdictStore,
 ) -> RunResult:
     """Convert every stored textual answer that has no verdict yet, through
-    `run_requests` in one batch, at the gateway's parallelism.
+    `run_requests` in one batch per publication in key order, at the
+    gateway's parallelism.
 
     Raises `PipelineError` before any request when a pending answer's
-    question or endpoint is not in the current configuration.
+    question or endpoint is not in the current configuration. Only when some
+    answer's is not does this read the store's keys to tell whether the
+    answer is pending.
     """
+    answers = sorted(answers, key=lambda a: a.key)
+    unconfigured = [a for a in answers
+                    if a.cq_id not in questions_by_id or a.endpoint not in endpoints_by_name]
+    if unconfigured:
+        stored = store.keys()
+        for answer in unconfigured:
+            if answer.key not in stored:
+                unknown = (f"question {answer.cq_id}" if answer.cq_id not in questions_by_id
+                           else f"endpoint {answer.endpoint!r}")
+                raise PipelineError(
+                    f"a stored answer is for {unknown}, which is not configured; "
+                    "run `ask --no-resume` to answer with the current configuration"
+                )
 
     def prepare(answer: TextualAnswer) -> Callable[[], CategoricalAnswer]:
-        if answer.cq_id not in questions_by_id or answer.endpoint not in endpoints_by_name:
-            unknown = (f"question {answer.cq_id}" if answer.cq_id not in questions_by_id
-                       else f"endpoint {answer.endpoint!r}")
-            raise PipelineError(
-                f"a stored answer is for {unknown}, which is not configured; "
-                "run `ask --no-resume` to answer with the current configuration"
-            )
         return functools.partial(to_categorical, questions_by_id[answer.cq_id], answer,
                                  endpoints_by_name[answer.endpoint], gateway)
 
     return run_requests(
-        [sorted(answers, key=lambda a: a.key)], lambda answer: answer.key, prepare, store,
-        gateway.parallelism,
+        (batch for _, batch in itertools.groupby(answers, key=lambda a: a.doi)),
+        lambda answer: answer.key, prepare, store, gateway.parallelism,
     )

@@ -580,6 +580,7 @@ class TestTimingLog:
             raise AssertionError("the timing log was read")
 
         monkeypatch.setattr(TimingLog, "load_csv", classmethod(no_load))
+        monkeypatch.setattr(RecordStore, "scan", no_load)
         for stage, extra in (("ask", corpus), ("categorize", []), ("filter", corpus)):
             result = invoke(stage, *args, *extra)
             assert result.exit_code == 0, (stage, result.output)
@@ -1232,6 +1233,7 @@ class TestSkipUnchanged:
         for store in (AnswerStore, VerdictStore, FilterStore):
             monkeypatch.setattr(store, "load", no_read)
         monkeypatch.setattr(TimingLog, "load_csv", classmethod(no_read))
+        monkeypatch.setattr(RecordStore, "scan", no_read)
         monkeypatch.setattr(VoteStore, "load", no_read)
         result = self.rerun(workspace, stage)
         assert result.stdout == finished[1][stage] + "\n"

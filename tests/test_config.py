@@ -96,6 +96,10 @@ MALFORMED = [
     ({"hardware_profile": {}}, "hardware_profile.cores"),
     ({"endpoints": 0}, "endpoints"),
     ({"endpoints": {"a": 1}}, "endpoints"),
+    # a value out of its range
+    ({"tree_month_constant": 0}, "tree_month_constant"),
+    ({"tree_month_constant": -0.9302}, "tree_month_constant"),
+    ({"location_intensity": -0.3387}, "location_intensity"),
     # a value the section itself refuses
     ({"endpoints": [{"name": "M", "temperature": 0.5}]}, "endpoints[0]"),
     ({"chunking": {"chunk_size": 10, "chunk_overlap": 10}}, "chunking"),
@@ -239,6 +243,13 @@ def test_zero_budget_and_backoff_accepted(tmp_path):
     assert (config.retrieval_budget, config.backoff_seconds) == (0, 0.0)
 
 
+def test_zero_intensity_and_a_small_tree_month_constant_accepted(tmp_path):
+    # a grid without emissions is a carbon intensity of 0; a tree-month
+    # constant divides, so only 0 and below are refused
+    config = load_config(write(tmp_path, {"location_intensity": 0, "tree_month_constant": 1e-9}))
+    assert (config.location_intensity, config.tree_month_constant) == (0.0, 1e-9)
+
+
 def test_unknown_keys_warn_once_each(tmp_path, caplog):
     data = {
         "paralellism": 8,
@@ -273,7 +284,9 @@ def test_cli_reports_a_config_error_without_traceback(tmp_path):
     ({"endpoints": [{"name": "M", "rate_limit_per_min": 0}]},
      "config key endpoints[0].rate_limit_per_min must be at least 1, got 0"),
     ({"parallelism": 4.7}, "config key parallelism: cannot read 4.7: not an integer"),
-], ids=["negative-rate-limit", "zero-rate-limit", "fractional-parallelism"])
+    ({"tree_month_constant": 0}, "config key tree_month_constant must be positive, got 0.0"),
+], ids=["negative-rate-limit", "zero-rate-limit", "fractional-parallelism",
+        "zero-tree-month-constant"])
 @pytest.mark.parametrize("stage", ["ingest", "ask", "categorize", "vote", "filter",
                                    "evaluate", "footprint", "report", "all"])
 def test_every_stage_reports_a_bad_value_without_traceback(tmp_path, data, message, stage):

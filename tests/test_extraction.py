@@ -575,13 +575,13 @@ class TestRunMatrix:
         assert store.load() == []
 
     def test_one_index_per_document_with_pending_work(self, tmp_path, monkeypatch):
-        fit = textsim.TfidfModel.__dict__["fit"].__func__
+        fit_terms = textsim.TfidfModel.__dict__["fit_terms"].__func__
         transform = textsim.TfidfModel.transform
         fit_threads, transform_threads = [], []
 
-        def counting_fit(cls, documents):
+        def counting_fit_terms(cls, documents):
             fit_threads.append(threading.current_thread())
-            return fit(cls, documents)
+            return fit_terms(cls, documents)
 
         def counting_transform(model, text):
             transform_threads.append(threading.current_thread())
@@ -594,7 +594,7 @@ class TestRunMatrix:
             queries.append(query)
             return retrieve(index, query, budget)
 
-        monkeypatch.setattr(textsim.TfidfModel, "fit", classmethod(counting_fit))
+        monkeypatch.setattr(textsim.TfidfModel, "fit_terms", classmethod(counting_fit_terms))
         monkeypatch.setattr(textsim.TfidfModel, "transform", counting_transform)
         monkeypatch.setattr(DocumentIndex, "retrieve", counting_retrieve)
         pubs, questions, endpoints = self.pubs(3), self.questions(4), self.endpoints(5)

@@ -12,7 +12,7 @@ from litrag.footprint import (
     footprint_from_log,
     to_tree_months,
 )
-from litrag.gateway import dedupe_timing_logs, format_hours_minutes, sum_runtime
+from litrag.gateway import TimingLog, dedupe_timing_logs, format_hours_minutes, sum_runtime
 from conftest import build_timing_fixture
 
 
@@ -94,17 +94,24 @@ class TestToTreeMonths:
             to_tree_months(1.0, 0.0)
 
 
+def saved(timing, tmp_path):
+    """The timing CSV ``timing`` writes, appended to any earlier one at the same path."""
+    path = tmp_path / "timing.csv"
+    timing.save_csv(path)
+    return path
+
+
 class TestFootprintFromLog:
-    def test_rows_compose_consistently(self):
-        rows = footprint_from_log(build_timing_fixture(), profile())
+    def test_rows_compose_consistently(self, tmp_path):
+        rows = footprint_from_log(saved(build_timing_fixture(), tmp_path), profile())
         assert any(row.energy_kwh > 0 for row in rows)
         for row in rows:
             assert row.carbon_kg == pytest.approx(row.energy_kwh * GERMANY_INTENSITY_KG_PER_KWH)
             assert row.tree_months == pytest.approx(row.carbon_kg / TREE_MONTH_KG)
 
-    def test_stage_rows_from_fixture(self):
+    def test_stage_rows_from_fixture(self, tmp_path):
         timing = build_timing_fixture()
-        rows = {row.stage: row for row in footprint_from_log(timing, profile())}
+        rows = {row.stage: row for row in footprint_from_log(saved(timing, tmp_path), profile())}
         deduped = dedupe_timing_logs(timing)
         assert format_hours_minutes(sum_runtime(deduped, "rag")) == "264hr 15min"
         expected_rag_hours = sum_runtime(deduped, "rag") / 3_600_000
@@ -114,13 +121,12 @@ class TestFootprintFromLog:
         )
         assert rows["keywords"].energy_kwh == 0.0
 
-    def test_duplicated_reruns_do_not_inflate(self):
+    def test_duplicated_reruns_do_not_inflate(self, tmp_path):
         timing = build_timing_fixture()
-        once = footprint_from_log(timing, profile())
+        once = footprint_from_log(saved(timing, tmp_path), profile())
         # replaying the whole log again must not change the sums
-        for entry in list(timing.entries()):
-            timing.append(entry)
-        twice = footprint_from_log(timing, profile())
+        twice = footprint_from_log(saved(timing, tmp_path), profile())
+        assert len(TimingLog.load_csv(tmp_path / "timing.csv")) == 2 * len(timing)
         assert [(r.stage, r.energy_kwh) for r in once] == [
             (r.stage, r.energy_kwh) for r in twice
         ]

@@ -1,12 +1,18 @@
+import logging
 import random
 import sys
+import tempfile
 import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from litrag import appendlog
-from litrag.errors import AuthenticationError, GatewayError
+from litrag.errors import AuthenticationError, CorruptStoreError, GatewayError
 from litrag.gateway import (
+    STAGES,
     ChatRequest,
     LlmGateway,
     MockBackend,
@@ -14,8 +20,10 @@ from litrag.gateway import (
     RateLimiter,
     TimingEntry,
     TimingLog,
+    TimingStore,
     dedupe_timing_logs,
     format_hours_minutes,
+    stage_runtimes,
     sum_runtime,
 )
 from conftest import STAGE_RUNTIMES, build_timing_fixture
@@ -475,6 +483,93 @@ class TestTimingCsvRoundTrip:
         TimingLog([entry("c", 5, "2024-01-01T00:00:03+00:00")]).save_csv(path)
         with pytest.raises(ValueError):
             TimingLog.load_csv(path)
+
+
+def loaded_runtimes(path):
+    """Per stage, what the footprint summed before it streamed the log."""
+    deduped = dedupe_timing_logs(TimingLog.load_csv(path))
+    return {stage: sum_runtime(deduped, stage) for stage in STAGES}
+
+
+# few ids and few timestamps, so that ids repeat and repeated ids tie on their
+# timestamp; fields that need quoting; timestamps as the gateway writes them
+timing_entries = st.lists(st.builds(
+    TimingEntry,
+    unique_id=st.sampled_from(["a", "b", "c", "d5e8f0a1b2c3d4e5f6a7b8c9d0e1f2a3"]),
+    doc_id=st.sampled_from(["10.1/x", "10.1/y,z"]),
+    endpoint=st.sampled_from(["Test Model", 'The "Quoted", Model']),
+    stage=st.sampled_from(STAGES),
+    duration_ms=st.integers(0, 10**7),
+    timestamp=st.sampled_from(["2024-01-01T00:00:01+00:00", "2024-01-01T00:00:02.500000+00:00",
+                               "2024-01-01T00:00:03+01:00"]),
+), min_size=1, max_size=25)
+
+
+class TestStageRuntimes:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(entries=timing_entries)
+    def test_equals_the_sums_of_the_loaded_and_deduplicated_log(self, entries, caplog):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "timing.csv"
+            TimingStore(path).write(entries)
+            data = path.read_bytes()
+            assert stage_runtimes(path) == loaded_runtimes(path)
+            # a write cut at every byte of the last row, its line end included
+            start = data.rfind(b"\n", 0, len(data) - 1) + 1
+            for cut in range(start, len(data)):
+                path.write_bytes(data[:cut])
+                caplog.clear()
+                with caplog.at_level(logging.WARNING, logger="litrag.appendlog"):
+                    streamed = stage_runtimes(path)
+                    streamed_warnings = caplog.messages[:]
+                    caplog.clear()
+                    loaded = loaded_runtimes(path)
+                assert streamed == loaded, cut
+                assert streamed_warnings == caplog.messages, cut
+
+    def test_a_repeated_id_counts_its_latest_entry_and_of_equal_ones_the_later(self, tmp_path):
+        path = tmp_path / "timing.csv"
+        TimingStore(path).write([
+            entry("a", 5, "2024-01-01T00:00:02+00:00"),
+            entry("a", 7, "2024-01-01T00:00:01+00:00"),
+            entry("b", 11, "2024-01-01T00:00:01+00:00", stage="filter"),
+            entry("b", 13, "2024-01-01T00:00:01+00:00", stage="filter"),
+            entry("c", 17, "2024-01-01T00:00:01+00:00", stage="categorize"),
+            entry("d", 19, "2024-01-01T00:00:01+00:00", stage="keywords"),
+        ])
+        assert stage_runtimes(path) == {"rag": 5, "categorize": 17, "filter": 13, "keywords": 19}
+
+    def test_a_missing_or_empty_log_sums_to_zero(self, tmp_path):
+        path = tmp_path / "timing.csv"
+        assert stage_runtimes(path) == dict.fromkeys(STAGES, 0)
+        TimingLog().save_csv(path)
+        assert stage_runtimes(path) == dict.fromkeys(STAGES, 0)
+
+    @pytest.mark.parametrize("row", [
+        b"b,doc,Test Model,translate,7,2024-01-01T00:00:02+00:00\r\n",
+        b"b,doc,Test Model,rag,oops,2024-01-01T00:00:02+00:00\r\n",
+        b"b,doc,Test Model,rag,7\r\n",
+        b"b,doc,Test Model,rag,7,2024-01-01T00:00:02+00:00,extra\r\n",
+        b"b,doc,Test Model,r\xffg,7,2024-01-01T00:00:02+00:00\r\n",
+    ], ids=["unknown stage", "duration", "short", "long", "utf-8"])
+    def test_a_malformed_middle_row_is_named(self, tmp_path, row):
+        path = tmp_path / "timing.csv"
+        TimingStore(path).write([entry(uid, 5, "2024-01-01T00:00:01+00:00") for uid in "acd"])
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines.insert(2, row)
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorruptStoreError, match=r"timing\.csv: line 3: ") as streamed:
+            stage_runtimes(path)
+        with pytest.raises(CorruptStoreError) as loaded:
+            TimingLog.load_csv(path)
+        assert str(streamed.value) == str(loaded.value)
+
+    def test_a_wrong_header_is_named(self, tmp_path):
+        path = tmp_path / "timing.csv"
+        path.write_bytes(b"unique_id,doi,endpoint,stage,ms,timestamp_iso8601\r\n")
+        with pytest.raises(CorruptStoreError, match=r"timing\.csv: line 1: expected header"):
+            stage_runtimes(path)
 
 
 class TestMockBackendDir:

@@ -223,6 +223,57 @@ class TestDocumentIndex:
                 assert score_chunks(query, index) == scores
 
 
+def assert_fitted_as_by_fit_and_transform(index):
+    """``index`` holds the model, vectors and norms that `TfidfModel.fit` and
+    `transform` give over its chunk texts, with each vector's terms in the
+    same order."""
+    texts = [chunk.text for chunk in index.chunks]
+    model = textsim.TfidfModel.fit(texts)
+    vectors = [model.transform(text) for text in texts]
+    assert index.model.idf == model.idf
+    assert [list(vector.items()) for vector in index.vectors] == [
+        list(vector.items()) for vector in vectors
+    ]
+    assert index.norms == [textsim.norm(vector) for vector in vectors]
+
+
+class TestDocumentIndexFit:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        text=texts,
+        chunk_size=st.integers(1, 40),
+        overlap_share=st.floats(0.0, 0.99),
+        unit=st.sampled_from(list(TokenUnit)),
+    )
+    def test_equals_fit_and_transform(self, text, chunk_size, overlap_share, unit):
+        config = ChunkingConfig(chunk_size=chunk_size, overlap=int(overlap_share * chunk_size),
+                                token_unit=unit)
+        assert_fitted_as_by_fit_and_transform(DocumentIndex(text, config))
+
+    @pytest.mark.parametrize("unit", list(TokenUnit))
+    def test_one_chunk_that_repeats_a_term(self, unit):
+        index = DocumentIndex("cnn data cnn gpu cnn", ChunkingConfig(chunk_size=50, overlap=0,
+                                                                     token_unit=unit))
+        assert len(index.chunks) == 1
+        assert_fitted_as_by_fit_and_transform(index)
+        # one chunk: every term is in every chunk, so each idf is ln(2/2) + 1,
+        # however often the chunk repeats it
+        assert set(index.model.idf.values()) == {1.0}
+        if unit is TokenUnit.WHITESPACE_WORD:
+            assert index.vectors == [{"cnn": 3.0, "data": 1.0, "gpu": 1.0}]
+
+    @pytest.mark.parametrize("unit", list(TokenUnit))
+    def test_chunks_that_repeat_terms(self, unit):
+        text = "cnn cnn cnn data gpu gpu model model cnn images data data"
+        index = DocumentIndex(text, ChunkingConfig(chunk_size=4, overlap=1, token_unit=unit))
+        assert len(index.chunks) > 1
+        assert_fitted_as_by_fit_and_transform(index)
+        if unit is TokenUnit.WHITESPACE_WORD:
+            # "cnn" is in 2 of 4 chunks, and three times in the first
+            assert index.model.idf["cnn"] == math.log(5 / 3) + 1.0
+            assert index.vectors[0]["cnn"] == 3 * index.model.idf["cnn"]
+
+
 class TestTextsim:
     def test_cosine_zero_vector(self):
         assert textsim.cosine({}, {"a": 1.0}) == 0.0

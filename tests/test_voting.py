@@ -3,9 +3,9 @@ import random
 
 import pytest
 
-from litrag import prompts
+from litrag import prompts, voting
 from litrag.corpus import CitationRecord, PublicationRecord
-from litrag.errors import GatewayError
+from litrag.errors import GatewayError, PipelineError
 from litrag.extraction import CompetencyQuestion, TextualAnswer
 from litrag.gateway import ChatRequest, LlmGateway, MockBackend, ModelEndpoint
 from litrag.retrieval import ChunkingConfig
@@ -17,6 +17,7 @@ from litrag.voting import (
     filter_dl_publication,
     majority_vote,
     parse_categorical_response,
+    run_conversions,
     to_categorical,
     vote_all,
 )
@@ -263,6 +264,72 @@ class TestFilterDlPublication:
         gateway = LlmGateway(MockBackend(canned=canned), sleep=lambda s: None)
         verdicts = [filter_dl_publication(pub, ENDPOINT, gateway, CONFIG) for pub in pubs]
         assert sum(1 for v in verdicts if v.is_dl_study) == 257
+
+
+class SendCountingBackend(MockBackend):
+    def __init__(self):
+        super().__init__()
+        self.sends = 0
+
+    def send(self, endpoint, request):
+        self.sends += 1
+        return super().send(endpoint, request)
+
+
+class TestRunConversions:
+    QUESTIONS = {1: CompetencyQuestion(1, "Question one?"), 2: CompetencyQuestion(2, "Question two?")}
+    ENDPOINTS = {"A": ModelEndpoint(name="A"), "B": ModelEndpoint(name="B")}
+
+    @staticmethod
+    def answer(doi, cq_id, endpoint):
+        return TextualAnswer(doi, cq_id, endpoint, f"An answer to {cq_id} about {doi}.", 100)
+
+    def answers(self):
+        """Two questions by two endpoints for three publications, shuffled,
+        and one answer of an endpoint that is not configured, for the last
+        publication in key order."""
+        answers = [self.answer(f"10.1/p{p}", cq, e) for p in range(3) for cq in (1, 2)
+                   for e in ("A", "B")]
+        random.Random(5).shuffle(answers)
+        return answers + [self.answer("10.1/p2", 2, "Gone")]
+
+    def convert(self, answers, store, backend=None):
+        gateway = LlmGateway(backend or MockBackend(), sleep=lambda s: None, parallelism=2)
+        return run_conversions(answers, self.QUESTIONS, self.ENDPOINTS, gateway, store)
+
+    def test_a_pending_unconfigured_answer_stops_the_run_before_any_request(self, tmp_path):
+        backend = SendCountingBackend()
+        store = VerdictStore(tmp_path / "verdicts.csv")
+        with pytest.raises(PipelineError, match="endpoint 'Gone', which is not configured"):
+            self.convert(self.answers(), store, backend)
+        assert backend.sends == 0
+        assert not store.path.exists()
+
+    def test_an_unconfigured_answer_with_a_stored_verdict_is_not_pending(self, tmp_path):
+        store = VerdictStore(tmp_path / "verdicts.csv")
+        store.write([CategoricalAnswer("10.1/p2", 2, "Gone", Verdict.NO)])
+        result = self.convert(self.answers(), store)
+        assert (result.completed, result.skipped, result.failed) == (12, 1, [])
+        assert [v.key for v in store.load()] == sorted(a.key for a in self.answers())
+
+    def test_one_batch_per_publication_in_key_order(self, tmp_path, monkeypatch):
+        batches = []
+        run_requests = voting.run_requests
+
+        def recording_run_requests(given, *args):
+            def recorded():
+                for batch in given:
+                    batch = list(batch)
+                    batches.append([answer.key for answer in batch])
+                    yield batch
+            return run_requests(recorded(), *args)
+
+        monkeypatch.setattr(voting, "run_requests", recording_run_requests)
+        answers = [a for a in self.answers() if a.endpoint != "Gone"]
+        result = self.convert(answers, VerdictStore(tmp_path / "verdicts.csv"))
+        assert result.completed == 12
+        keys = sorted(a.key for a in answers)
+        assert batches == [keys[0:4], keys[4:8], keys[8:12]]
 
 
 class TestVerdictStore:
