@@ -94,6 +94,11 @@ class RecordStore(Generic[R]):
     def encode(self, record: R) -> str:
         raise NotImplementedError
 
+    def write_records(self, fh: TextIO, records: Sequence[R]) -> None:
+        """Write ``records`` to ``fh``, each as the line `encode` gives; a
+        format that writes many records faster in one pass overrides this."""
+        fh.writelines([self.encode(record) for record in records])
+
     def parse(self, lines: Sequence[str]) -> list[R]:
         raise NotImplementedError
 
@@ -112,13 +117,12 @@ class RecordStore(Generic[R]):
 
     def extend(self, records: Iterable[R]) -> None:
         records = list(records)
-        lines = [self.encode(record) for record in records]
         with self._lock:
             # unknown should the write fail
             known, self._records = self._records, None
             if self._fh is None:
                 self._fh = self._open_append()
-            self._fh.writelines(lines)
+            self.write_records(self._fh, records)
             self._fh.flush()
             if known is not None:
                 known.extend(records)
@@ -309,7 +313,7 @@ class RecordStore(Generic[R]):
         return first, self.parse(lines)
 
 
-# one buffer and writer per thread, since a store encodes outside its lock
+# one buffer and writer per thread, since stores on several threads may encode at once
 _csv_writer = threading.local()
 
 

@@ -65,6 +65,14 @@ class PipelineConfig:
             )
         if self.tie_rule not in ("yes", "no"):
             raise ConfigError(f"config key tie_rule must be 'yes' or 'no', got {self.tie_rule!r}")
+        # every stored record names its endpoint, so two endpoints of one
+        # name would answer each item twice under one key
+        first: dict[str, int] = {}
+        for i, endpoint in enumerate(self.endpoints):
+            earlier = first.setdefault(endpoint.name, i)
+            if earlier != i:
+                raise ConfigError(f"config key endpoints[{i}].name: {endpoint.name!r} is "
+                                  f"already the name of endpoints[{earlier}]")
 
     def endpoint(self, name: str) -> ModelEndpoint:
         for endpoint in self.endpoints:

@@ -5,6 +5,14 @@ failures with exponential backoff, enforces per-endpoint rate limits and
 in-flight caps, bounds the requests being sent at once over all endpoints,
 and appends one timing entry per completed request to a thread-safe log. A
 deterministic mock backend replaces the network for offline runs and tests.
+
+A request holds two kinds of token, each from a `_Slots` counter. Its
+endpoint's in-flight token (`MAX_IN_FLIGHT` per endpoint) is held from
+when `LlmGateway.complete` starts until it returns or raises, over every
+attempt, backoff and rate-limit wait. A send slot (``parallelism`` over all
+endpoints) is held only for one attempt's rate-limit check and, when the
+window has room, its `Backend.send`, until the send returns or raises. Both
+are given back on every exit, an exception or an interrupt included.
 """
 
 from __future__ import annotations
@@ -13,14 +21,18 @@ import contextlib
 import csv
 import hashlib
 import logging
+import operator
 import os
+import queue
 import threading
 import time
 from collections import deque
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol, TypeVar
+from typing import (
+    TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Protocol, Sequence, TextIO, TypeVar,
+)
 
 from . import appendlog
 from .errors import AuthenticationError, GatewayError
@@ -122,6 +134,12 @@ class TimingLog:
         return cls(TimingStore(path).load())
 
 
+# a timing entry's fields in the order of the CSV columns
+_timing_row = operator.attrgetter(
+    "unique_id", "doc_id", "endpoint", "stage", "duration_ms", "timestamp"
+)
+
+
 class TimingStore(appendlog.RecordStore[TimingEntry]):
     """CSV timing log, one row per completed request."""
 
@@ -130,9 +148,12 @@ class TimingStore(appendlog.RecordStore[TimingEntry]):
     )
 
     def encode(self, e: TimingEntry) -> str:
-        return appendlog.csv_line(
-            (e.unique_id, e.doc_id, e.endpoint, e.stage, e.duration_ms, e.timestamp)
-        )
+        return appendlog.csv_line(_timing_row(e))
+
+    def write_records(self, fh: TextIO, entries: Sequence[TimingEntry]) -> None:
+        # one writer for every row, straight to the file: the rows `encode`
+        # gives, without a string per row
+        csv.writer(fh).writerows(map(_timing_row, entries))
 
     def parse(self, lines: Iterable[str]) -> list[TimingEntry]:
         # one string object per distinct DOI, endpoint and stage, held by every entry that names it
@@ -401,9 +422,31 @@ class MockBackend:
         return f"The study describes {topic} (trace {h % 10_000})."
 
 
+class _Slots:
+    """Counting semaphore for `with`: entering takes one of ``count`` tokens,
+    waiting while none is left, and leaving gives it back, also when the
+    block raises. The tokens sit in a `queue.SimpleQueue`, so a take and a
+    give are one C-level get and put, where a `threading.Semaphore` runs
+    Python code around a `threading.Condition`."""
+
+    __slots__ = ("_take", "_give")
+
+    def __init__(self, count: int) -> None:
+        tokens: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(count):
+            tokens.put(None)
+        self._take, self._give = tokens.get, tokens.put
+
+    def __enter__(self) -> None:
+        self._take()
+
+    def __exit__(self, *exc_info: object) -> None:
+        self._give(None)
+
+
 @dataclass
 class _EndpointState:
-    semaphore: threading.Semaphore
+    in_flight: _Slots
     limiter: Optional[RateLimiter]
     # the endpoint's credential rejection, once the backend reported one
     rejected: Optional[AuthenticationError] = None
@@ -430,22 +473,24 @@ class LlmGateway:
         self.parallelism = parallelism
         # held only around a rate-limit check and `backend.send`: a request
         # waiting out its backoff or its rate limit leaves its slot to another
-        self._sending = threading.BoundedSemaphore(parallelism)
+        self._sending = _Slots(parallelism)
         self._sleep = sleep
         self._clock = clock
         self._states: dict[str, _EndpointState] = {}
+        # taken only to add an endpoint; a dict lookup needs no lock
         self._states_lock = threading.Lock()
 
     def _state(self, endpoint: ModelEndpoint) -> _EndpointState:
+        state = self._states.get(endpoint.name)
+        if state is not None:
+            return state
         with self._states_lock:
             state = self._states.get(endpoint.name)
             if state is None:
                 limiter = None
                 if endpoint.rate_limit_per_min:
                     limiter = RateLimiter(endpoint.rate_limit_per_min, clock=self._clock)
-                state = _EndpointState(
-                    semaphore=threading.Semaphore(MAX_IN_FLIGHT), limiter=limiter
-                )
+                state = _EndpointState(in_flight=_Slots(MAX_IN_FLIGHT), limiter=limiter)
                 self._states[endpoint.name] = state
             return state
 
@@ -469,7 +514,7 @@ class LlmGateway:
         """
         state = self._state(endpoint)
         last_error: Optional[Exception] = None
-        with state.semaphore:
+        with state.in_flight:
             for attempt in range(1, self.max_attempts + 1):
                 if state.rejected is not None:
                     raise AuthenticationError(str(state.rejected))
@@ -488,9 +533,7 @@ class LlmGateway:
                         )
                         self._sleep(delay)
                     continue
-                response = ChatResponse(
-                    text=text, duration_ms=duration_ms, attempt_count=attempt
-                )
+                response = ChatResponse(text, duration_ms, attempt)
                 self._log_timing(endpoint, request, doc_id, stage, duration_ms)
                 return response
         raise GatewayError(
@@ -519,16 +562,8 @@ class LlmGateway:
         stage: str,
         duration_ms: int,
     ) -> None:
-        unique_id = hashlib.sha256(
-            f"{stage}|{request.request_id}".encode("utf-8")
-        ).hexdigest()[:32]
-        self.timing_log.append(
-            TimingEntry(
-                unique_id=unique_id,
-                doc_id=doc_id,
-                endpoint=endpoint.name,
-                stage=stage,
-                duration_ms=duration_ms,
-                timestamp=datetime.now(timezone.utc).isoformat(),
-            )
-        )
+        unique_id = hashlib.sha256(f"{stage}|{request.request_id}".encode()).hexdigest()[:32]
+        self.timing_log.append(TimingEntry(
+            unique_id, doc_id, endpoint.name, stage, duration_ms,
+            datetime.now(timezone.utc).isoformat(),
+        ))

@@ -35,6 +35,8 @@ class Verdict(str, enum.Enum):
 # call, and an unknown value raises KeyError, which a store reads as a
 # malformed line
 _VERDICTS = {verdict.value: verdict for verdict in Verdict}
+# the verdict of each value a "Response:" line may give, once lowercased
+_RESPONSES = {"yes": Verdict.YES, "no": Verdict.NO}
 
 
 @dataclass(frozen=True, slots=True)
@@ -69,22 +71,16 @@ class FilterVerdict:
 
 
 def parse_categorical_response(text: str) -> Verdict:
-    """Map the last "Response:" line to Yes/No; anything else is Unparseable."""
-    verdict = Verdict.UNPARSEABLE
-    for line in text.splitlines():
+    """Map the last "Response:" line to Yes/No; anything else is Unparseable.
+    Lines are read from the last one back, so the scan stops at that line."""
+    for line in reversed(text.splitlines()):
         stripped = line.strip()
         while stripped.startswith("Answer:::"):
             stripped = stripped[len("Answer:::"):].strip()
-        if not stripped.lower().startswith(RESPONSE_MARKER):
-            continue
-        value = stripped[len(RESPONSE_MARKER):].strip().strip('."\'').lower()
-        if value == "yes":
-            verdict = Verdict.YES
-        elif value == "no":
-            verdict = Verdict.NO
-        else:
-            verdict = Verdict.UNPARSEABLE
-    return verdict
+        if stripped.lower().startswith(RESPONSE_MARKER):
+            value = stripped[len(RESPONSE_MARKER):].strip().strip('."\'').lower()
+            return _RESPONSES.get(value, Verdict.UNPARSEABLE)
+    return Verdict.UNPARSEABLE
 
 
 def to_categorical(

@@ -103,6 +103,8 @@ MALFORMED = [
     # a value the section itself refuses
     ({"endpoints": [{"name": "M", "temperature": 0.5}]}, "endpoints[0]"),
     ({"chunking": {"chunk_size": 10, "chunk_overlap": 10}}, "chunking"),
+    # two endpoints of one name, which every stored record is keyed by
+    ({"endpoints": [{"name": "M"}, {"name": "N"}, {"name": "M"}]}, "endpoints[2].name"),
 ]
 
 
@@ -298,3 +300,21 @@ def test_every_stage_reports_a_bad_value_without_traceback(tmp_path, data, messa
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert f"Error: {message}" in result.output
+
+
+@pytest.mark.parametrize("stage", ["ingest", "ask", "categorize", "vote", "filter",
+                                   "evaluate", "footprint", "report", "all"])
+def test_every_stage_refuses_a_repeated_endpoint_name_without_traceback(tmp_path, stage):
+    data = yaml.safe_load((FIXTURES / "config.yaml").read_text(encoding="utf-8"))
+    data["endpoints"][4]["name"] = "Mixtral 8x7B"
+    workspace = tmp_path / "ws"
+    needs_corpus = stage in ("ingest", "ask", "filter", "all")
+    corpus = ["--corpus", str(FIXTURES / "mini_corpus")] if needs_corpus else []
+    result = CliRunner().invoke(main, [stage, "--config", str(write(tmp_path, data)),
+                                       "--workspace", str(workspace),
+                                       "--mock", str(FIXTURES / "mock_responses"), *corpus])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("Error: config key endpoints[4].name: 'Mixtral 8x7B' "
+                             "is already the name of endpoints[3]\n")
+    assert not (workspace / "answers" / "answers.jsonl").exists()

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from litrag import appendlog
 from litrag.errors import AuthenticationError, CorruptStoreError, GatewayError
 from litrag.gateway import (
+    MAX_IN_FLIGHT,
     STAGES,
     ChatRequest,
     LlmGateway,
@@ -21,6 +22,7 @@ from litrag.gateway import (
     TimingEntry,
     TimingLog,
     TimingStore,
+    TransientBackendError,
     dedupe_timing_logs,
     format_hours_minutes,
     stage_runtimes,
@@ -162,6 +164,67 @@ class TestInFlightCap:
         for thread in threads:
             thread.join()
         assert state["peak"] <= 4
+
+    def test_endpoints_first_asked_at_once_get_one_cap_each(self):
+        import time as time_mod
+
+        active = {}
+        peak = {}
+        lock = threading.Lock()
+
+        class SlowBackend:
+            def send(self, endpoint, request):
+                with lock:
+                    active[endpoint.name] = active.get(endpoint.name, 0) + 1
+                    peak[endpoint.name] = max(peak.get(endpoint.name, 0), active[endpoint.name])
+                time_mod.sleep(0.005)
+                with lock:
+                    active[endpoint.name] -= 1
+                return "ok", 1
+
+        # every thread's request reaches a new gateway at once, the threads
+        # spinning until then so that they switch often: two threads that each
+        # found no state for an endpoint would give it two caps, and the
+        # endpoint more than MAX_IN_FLIGHT sends at once
+        endpoints = [ModelEndpoint(name=f"Model {i}") for i in range(3)]
+        workers = 8 * len(endpoints)
+        # a race each round does not always hit, so several rounds
+        rounds = 10
+        completed = 0
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                gateway = LlmGateway(SlowBackend(), parallelism=workers, sleep=lambda s: None)
+                spinning = []
+                go = threading.Event()
+
+                def ask(endpoint, request):
+                    spinning.append(request)
+                    while not go.is_set():
+                        pass
+                    gateway.complete(endpoint, request)
+
+                threads = [
+                    threading.Thread(target=ask, daemon=True, args=(
+                        endpoints[i % 3], ChatRequest.create(endpoints[i % 3], f"p{i}")))
+                    for i in range(workers)
+                ]
+                for thread in threads:
+                    thread.start()
+                deadline = time_mod.monotonic() + 30
+                while len(spinning) < workers and time_mod.monotonic() < deadline:
+                    pass
+                go.set()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+                completed += len(gateway.timing_log)
+        finally:
+            sys.setswitchinterval(interval)
+        assert completed == rounds * workers
+        assert sorted(peak) == [endpoint.name for endpoint in endpoints]
+        assert max(peak.values()) <= MAX_IN_FLIGHT
 
 
 class TestSendSlots:
@@ -305,6 +368,57 @@ class TestSendSlots:
         assert not holder.is_alive() and not late.is_alive()
         gateway.complete(limited, ChatRequest.create(limited, "next"))
         assert sent_at == [70.0, 130.0]
+
+
+def outcome_within(seconds, call, *args):
+    """What ``call(*args)`` returns or raises, run on a daemon thread that
+    must end within ``seconds``: a request that waits for a slot or token no
+    one gives back fails the test rather than hang it."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append(call(*args))
+        except BaseException as exc:
+            outcome.append(exc)
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join(timeout=seconds)
+    assert not thread.is_alive(), "a request waits for a slot or a token that was not given back"
+    return outcome[0]
+
+
+class TestAFailedSendGivesBackItsSlotAndToken:
+    @pytest.mark.parametrize("failure", [TransientBackendError, AuthenticationError,
+                                         KeyboardInterrupt])
+    def test_the_next_requests_still_complete_at_parallelism_1(self, failure):
+        failing = ModelEndpoint(name="Failing")
+        sent = []
+
+        class Backend(MockBackend):
+            def send(self, endpoint, request):
+                sent.append(request.prompt)
+                if request.prompt.startswith("fail"):
+                    raise failure("send failed")
+                return super().send(endpoint, request)
+
+        gateway = LlmGateway(Backend(), parallelism=1, sleep=lambda s: None)
+        raised = GatewayError if failure is TransientBackendError else failure
+        # more failures than the endpoint has in-flight tokens, one at a time
+        for i in range(MAX_IN_FLIGHT + 1):
+            request = ChatRequest.create(failing, f"fail {i}")
+            assert isinstance(outcome_within(5, gateway.complete, failing, request), raised)
+        # a rejected endpoint is not sent to again, so the completing requests
+        # go to another endpoint; their one send slot is the failed sends' slot
+        ok = ENDPOINT if failure is AuthenticationError else failing
+        for i in range(MAX_IN_FLIGHT):
+            request = ChatRequest.create(ok, f"ok {i}")
+            assert outcome_within(5, gateway.complete, ok, request).attempt_count == 1
+        attempts = gateway.max_attempts if failure is TransientBackendError else 1
+        failed_sends = attempts * (1 if failure is AuthenticationError else MAX_IN_FLIGHT + 1)
+        assert len(sent) == failed_sends + MAX_IN_FLIGHT
+        assert len(gateway.timing_log) == MAX_IN_FLIGHT
 
 
 class TestRateLimiter:
@@ -570,6 +684,58 @@ class TestStageRuntimes:
         path.write_bytes(b"unique_id,doi,endpoint,stage,ms,timestamp_iso8601\r\n")
         with pytest.raises(CorruptStoreError, match=r"timing\.csv: line 1: expected header"):
             stage_runtimes(path)
+
+
+# field text that the CSV writer must quote, or that is not ASCII
+awkward_text = st.lists(
+    st.sampled_from([",", '"', "\r", "\n", "\r\n", "é", "雨", "\u2028", "a", " "]), max_size=6
+).map("".join)
+
+
+class TestSaveCsvWritesWhatEncodeWrites:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        appended=st.lists(st.builds(
+            TimingEntry,
+            unique_id=st.uuids().map(lambda u: u.hex),
+            doc_id=awkward_text,
+            endpoint=awkward_text,
+            stage=st.sampled_from(STAGES),
+            duration_ms=st.integers(0, 10**7),
+            timestamp=st.sampled_from(["2024-01-01T00:00:03+00:00",
+                                       "2024-01-01T00:00:04.250000+00:00"]),
+        ), max_size=12, unique_by=lambda e: e.unique_id),
+        cut=st.integers(3, 50),
+    )
+    def test_rows_appended_after_a_torn_row_are_encode_row_by_row(self, appended, cut):
+        kept = entry("a", 5, "2024-01-01T00:00:01+00:00")
+        torn = entry("b", 7, "2024-01-01T00:00:02+00:00", stage="filter")
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "timing.csv"
+            TimingLog([kept, torn]).save_csv(path)
+            data = path.read_bytes()
+            # the last row loses its line end and at least one byte of its
+            # timestamp, so it no longer holds a whole entry
+            path.write_bytes(data[:-cut])
+            TimingLog(appended).save_csv(path)
+            store = TimingStore(path)
+            rows = [store.encode(e) for e in [kept, *appended]]
+            assert path.read_bytes() == (store.header + "".join(rows)).encode("utf-8")
+            assert TimingLog.load_csv(path).entries() == [kept, *appended]
+            assert stage_runtimes(path) == {
+                stage: sum(e.duration_ms for e in [kept, *appended] if e.stage == stage)
+                for stage in STAGES
+            }
+
+    def test_a_new_file_gets_the_header_and_an_empty_log_no_row(self, tmp_path):
+        path = tmp_path / "timing.csv"
+        TimingLog().save_csv(path)
+        assert path.read_bytes() == TimingStore.header.encode("utf-8")
+        row = TimingEntry("a", '10.1/x,"y"', "Mödel\r\n2", "rag", 5, "2024-01-01T00:00:01+00:00")
+        TimingLog([row]).save_csv(path)
+        assert path.read_bytes().decode("utf-8") == (
+            TimingStore.header + 'a,"10.1/x,""y""","Mödel\r\n2",rag,5,2024-01-01T00:00:01+00:00\r\n'
+        )
 
 
 class TestMockBackendDir:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from litrag import prompts, voting
 from litrag.corpus import CitationRecord, PublicationRecord
@@ -77,6 +79,80 @@ class TestParseCategoricalResponse:
 
     def test_format_echo_is_unparseable(self):
         assert parse_categorical_response("Response: (Yes or No)") is Verdict.UNPARSEABLE
+
+
+def line_by_line_verdict(text):
+    """The verdict parse read forwards over every line, the last "Response:"
+    line overriding those before it: the reference the last-line scan of
+    `parse_categorical_response` must agree with."""
+    verdict = Verdict.UNPARSEABLE
+    for line in text.splitlines():
+        stripped = line.strip()
+        while stripped.startswith("Answer:::"):
+            stripped = stripped[len("Answer:::"):].strip()
+        if not stripped.lower().startswith("response:"):
+            continue
+        value = stripped[len("response:"):].strip().strip('."\'').lower()
+        if value == "yes":
+            verdict = Verdict.YES
+        elif value == "no":
+            verdict = Verdict.NO
+        else:
+            verdict = Verdict.UNPARSEABLE
+    return verdict
+
+
+# every line boundary `str.splitlines` splits on
+LINE_BREAKS = ["\n", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+def mixed_case(word):
+    return st.lists(st.booleans(), min_size=len(word), max_size=len(word)).map(
+        lambda upper: "".join(c.upper() if u else c for c, u in zip(word, upper)))
+
+
+def marks(max_size):
+    return st.lists(st.sampled_from(['.', '"', "'", " "]), max_size=max_size).map("".join)
+
+
+RESPONSE_LINES = st.builds(
+    "".join,
+    st.tuples(
+        st.sampled_from(["", " ", "\t"]),
+        st.lists(st.sampled_from(["Answer:::", "Answer::: ", " Answer:::", "answer:::"]),
+                 max_size=3).map("".join),
+        st.one_of(mixed_case("response:"), st.sampled_from(["Response", "The response:", ""])),
+        marks(2),
+        st.one_of(mixed_case("yes"), mixed_case("no"),
+                  st.sampled_from(["maybe", "", "(Yes or No)", "yes no", "yess"])),
+        marks(3),
+    ),
+)
+RESPONSES = st.lists(
+    st.tuples(st.one_of(RESPONSE_LINES, st.text(max_size=12)), st.sampled_from(LINE_BREAKS)),
+    max_size=6,
+).map(lambda lines: "".join(line + end for line, end in lines))
+
+
+class TestParseCategoricalResponseAgreesLineByLine:
+    @settings(max_examples=400, deadline=None)
+    @given(RESPONSES, st.booleans())
+    def test_the_last_line_scan_equals_the_forward_parse(self, text, cut_last_break):
+        if cut_last_break:
+            # a reply need not end in a line break
+            text = text[:-1]
+        assert parse_categorical_response(text) is line_by_line_verdict(text)
+
+    @pytest.mark.parametrize("end", LINE_BREAKS)
+    def test_each_line_break_ends_a_response_line(self, end):
+        text = f"Response: Yes{end}Response: no{end}Answer:::"
+        assert parse_categorical_response(text) is Verdict.NO
+        assert line_by_line_verdict(text) is Verdict.NO
+
+    def test_an_unparseable_last_response_line_wins_over_an_earlier_yes(self):
+        text = "Response: Yes\nAnswer::: response: (Yes or No)\nAnswer:::"
+        assert parse_categorical_response(text) is Verdict.UNPARSEABLE
 
 
 class TestToCategorical:
