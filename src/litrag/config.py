@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import enum
 import functools
 import logging
 import typing
@@ -83,6 +82,11 @@ class PipelineConfig:
     def select_endpoints(self, names: Optional[list[str]]) -> list[ModelEndpoint]:
         if not names:
             return list(self.endpoints)
+        # every stored record names its endpoint, so an endpoint selected
+        # twice would answer each item twice under one key
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise ConfigError(f"endpoint {name!r} selected more than once")
         return [self.endpoint(name) for name in names]
 
 
@@ -120,7 +124,7 @@ def _question_variables(mapping: Any) -> dict[int, str]:
     return {_integer(cq_id): _string(variable) for cq_id, variable in mapping.items()}
 
 
-# how a value is read for each annotated type that is neither an enum nor a section
+# how a value is read for each annotated type that is not a section
 _CONVERTERS: dict[Any, Callable[[Any], Any]] = {
     int: _integer, float: _real, str: _string, dict[int, str]: _question_variables,
 }
@@ -156,9 +160,8 @@ def _read(kind: Any, value: Any, key: str) -> Any:
         return [_section(kind, spec, f"{key}[{i}]") for i, spec in enumerate(value)]
     if is_dataclass(kind):
         return _section(kind, value, key)
-    convert = kind if isinstance(kind, enum.EnumMeta) else _CONVERTERS[kind]
     try:
-        return convert(value)
+        return _CONVERTERS[kind](value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config key {key}: cannot read {value!r}: {exc}") from exc
 

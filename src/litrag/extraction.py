@@ -138,19 +138,16 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def _outcome(request: Callable[[], R]) -> R | BaseException:
-    """The record ``request`` returns, or the exception it raises."""
-    try:
-        return request()
-    except BaseException as exc:  # raised again on the calling thread
-        return exc
-
-
 def _serve(requests: queue.SimpleQueue, outcomes: queue.SimpleQueue) -> None:
     """Make each ``(item, request)`` taken from ``requests`` and put
-    ``((item, request), outcome)`` on ``outcomes``, until a None."""
+    ``((item, request), outcome)`` on ``outcomes``, until a None. The
+    outcome is the record the request returns, or the exception it raises."""
     while (pending := requests.get()) is not None:
-        outcomes.put((pending, _outcome(pending[1])))
+        try:
+            outcome = pending[1]()
+        except BaseException as exc:  # raised again on the calling thread
+            outcome = exc
+        outcomes.put((pending, outcome))
 
 
 @contextlib.contextmanager
@@ -192,15 +189,15 @@ def run_requests(
     that returns the record.
 
     Batches are taken in order on the calling thread, and a batch's pending
-    items are all prepared before any of its requests is made. With
-    ``parallelism`` above 1, ``2 * parallelism`` threads take the prepared
-    requests from one queue, and the calling thread takes as many outcomes
-    as the previous batch held before it prepares the next batch, so at most
-    two batches are in flight and memory does not grow with the corpus.
-    Callers pass the gateway's ``parallelism``, which also bounds the
-    requests being sent; the other threads let as many requests wait out a
-    backoff or a rate limit without idling a send slot. Records are appended
-    on the calling thread as they arrive. The requests that raised
+    items are all prepared before any of its requests is made.
+    ``2 * parallelism`` threads take the prepared requests from one queue,
+    and the calling thread takes as many outcomes as the previous batch held
+    before it prepares the next batch, so at most two batches are in flight
+    and memory does not grow with the corpus. Callers pass the gateway's
+    ``parallelism``, which also bounds the requests being sent; the other
+    threads let as many requests wait out a backoff or a rate limit without
+    idling a send slot, at every parallelism. Records are appended on the
+    calling thread as they arrive. The requests that raised
     `GatewayError` are made once more after the last batch, as one more
     batch; an item that fails again goes into ``failed``, which is sorted by
     ``key``, and nothing is stored for it, so a resume retries it.
@@ -241,17 +238,7 @@ def run_requests(
             appending = False
             result.completed += 1
 
-    def run(
-        queues: Optional[tuple[queue.SimpleQueue, queue.SimpleQueue]],
-        batches: Iterable[list[tuple[T, Callable[[], R]]]],
-        last: bool,
-    ) -> None:
-        if queues is None:
-            for batch in batches:
-                for pending in batch:
-                    record(pending, _outcome(pending[1]), last)
-            return
-        requests, outcomes = queues
+    def run(batches: Iterable[list[tuple[T, Callable[[], R]]]], last: bool) -> None:
         held = 0
         for batch in batches:
             for pending in batch:
@@ -263,21 +250,19 @@ def run_requests(
         for _ in range(held):
             record(*outcomes.get(), last)
 
-    queues = None
+    outcomes = None
     try:
-        with (
-            _request_loops(2 * parallelism) if parallelism > 1 else contextlib.nullcontext()
-        ) as queues:
-            run(queues, map(prepare, batches), last=False)
-            run(queues, [failures], last=True)
+        with _request_loops(2 * parallelism) as (requests, outcomes):
+            run(map(prepare, batches), last=False)
+            run([failures], last=True)
     except BaseException:
         # The loops have ended, so every reply they finished is on the outcome
         # queue: store them, since they were paid for, unless the store failed.
         # An error while doing so stops it and never replaces the first one.
-        if queues is not None and not appending:
+        if outcomes is not None and not appending:
             with contextlib.suppress(BaseException):
                 while True:
-                    outcome = queues[1].get_nowait()[1]
+                    outcome = outcomes.get_nowait()[1]
                     if not isinstance(outcome, BaseException):
                         store.append(outcome)
         raise

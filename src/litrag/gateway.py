@@ -10,9 +10,13 @@ A request holds two kinds of token, each from a `_Slots` counter. Its
 endpoint's in-flight token (`MAX_IN_FLIGHT` per endpoint) is held from
 when `LlmGateway.complete` starts until it returns or raises, over every
 attempt, backoff and rate-limit wait. A send slot (``parallelism`` over all
-endpoints) is held only for one attempt's rate-limit check and, when the
-window has room, its `Backend.send`, until the send returns or raises. Both
-are given back on every exit, an exception or an interrupt included.
+endpoints) is held only for one attempt's credential check, its rate-limit
+check and, when the window has room, its `Backend.send`, until the send
+returns or raises. Both are given back on every exit, an exception or an
+interrupt included. An endpoint's credential rejection is recorded before
+the send slot is given back, so every request to that endpoint that takes
+a send slot after it fails without reaching the backend, at every
+``parallelism``.
 """
 
 from __future__ import annotations
@@ -508,21 +512,16 @@ class LlmGateway:
         requests per endpoint are in progress, their waits included.
 
         An authentication failure propagates immediately and is fatal for
-        the endpoint: every later request to it raises `AuthenticationError`
-        without reaching the backend. Exhausting the retry budget raises
-        GatewayError.
+        the endpoint: every request to it that takes a send slot after the
+        failure raises `AuthenticationError` without reaching the backend.
+        Exhausting the retry budget raises GatewayError.
         """
         state = self._state(endpoint)
         last_error: Optional[Exception] = None
         with state.in_flight:
             for attempt in range(1, self.max_attempts + 1):
-                if state.rejected is not None:
-                    raise AuthenticationError(str(state.rejected))
                 try:
                     text, duration_ms = self._send(state, endpoint, request)
-                except AuthenticationError as exc:
-                    state.rejected = exc
-                    raise
                 except TransientBackendError as exc:
                     last_error = exc
                     if attempt < self.max_attempts:
@@ -546,12 +545,21 @@ class LlmGateway:
     ) -> tuple[str, int]:
         """Send under a send slot. The rate limit counts the request only
         once it holds a slot, so no wait for a slot falls between the two;
-        a request that must wait for its window waits without a slot."""
+        a request that must wait for its window waits without a slot. The
+        endpoint's credential rejection is checked and recorded under the
+        slot too, so no request that takes a slot after it reaches the
+        backend."""
         while True:
             with self._sending:
+                if state.rejected is not None:
+                    raise AuthenticationError(str(state.rejected))
                 wait = state.limiter.try_acquire() if state.limiter is not None else 0.0
                 if not wait:
-                    return self.backend.send(endpoint, request)
+                    try:
+                        return self.backend.send(endpoint, request)
+                    except AuthenticationError as exc:
+                        state.rejected = exc
+                        raise
             self._sleep(wait)
 
     def _log_timing(

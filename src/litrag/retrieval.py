@@ -3,7 +3,6 @@ budgeted context assembly."""
 
 from __future__ import annotations
 
-import enum
 import logging
 from dataclasses import dataclass
 from typing import Sequence
@@ -13,16 +12,10 @@ from . import textsim
 log = logging.getLogger(__name__)
 
 
-class TokenUnit(str, enum.Enum):
-    WHITESPACE_WORD = "whitespace-word"
-    CHARACTER = "character"
-
-
 @dataclass(frozen=True)
 class ChunkingConfig:
     chunk_size: int = 1000
     overlap: int = 50
-    token_unit: TokenUnit = TokenUnit.WHITESPACE_WORD
 
     def __post_init__(self) -> None:
         if self.chunk_size < 1:
@@ -62,33 +55,27 @@ class RetrievalContext:
 
 
 def chunk_document(text: str, config: ChunkingConfig, doc_id: str = "") -> list[Chunk]:
-    """Cut the text into windows of ``chunk_size`` tokens advancing by
-    ``chunk_size - overlap``.
+    """Cut the text into windows of ``chunk_size`` whitespace-separated
+    words advancing by ``chunk_size - overlap``; a chunk's text is its words
+    joined by single spaces.
 
     The walk stops once a window reaches the end of the document, so every
     token is covered at least once and only the final chunk may be short.
     Empty input gives an empty list.
     """
-    if config.token_unit is TokenUnit.CHARACTER:
-        tokens: Sequence[str] = text
-    else:
-        tokens = text.split()
+    tokens = text.split()
     if not tokens:
         return []
     chunks: list[Chunk] = []
     start = 0
     while True:
         window = tokens[start:start + config.chunk_size]
-        if config.token_unit is TokenUnit.CHARACTER:
-            chunk_text = text[start:start + config.chunk_size]
-        else:
-            chunk_text = " ".join(window)
         chunks.append(
             Chunk(
                 doc_id=doc_id,
                 index=len(chunks),
                 start=start,
-                text=chunk_text,
+                text=" ".join(window),
                 length=len(window),
             )
         )

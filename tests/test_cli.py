@@ -101,6 +101,25 @@ class TestAsk:
             rows = list(csv.reader(text.splitlines()))[1:]
             assert [row[0] for row in rows] == ["Llama 3 70B - Gemma 2 9B"]
 
+    @pytest.mark.parametrize("command", ["ask", "all"])
+    def test_an_endpoint_selected_twice_is_refused_before_any_request(
+        self, tmp_path, mini_corpus_dir, monkeypatch, command
+    ):
+        sends, send = [], cli.MockBackend.send
+
+        def counted(self, endpoint, request):
+            sends.append(endpoint.name)
+            return send(self, endpoint, request)
+
+        monkeypatch.setattr(cli.MockBackend, "send", counted)
+        workspace = tmp_path / "ws"
+        result = invoke(command, *base_args(workspace), "--corpus", str(mini_corpus_dir),
+                        "--endpoints", "Gemma 2 9B,Llama 3 70B,Gemma 2 9B")
+        assert result.exit_code == 1, result.output
+        assert "Error: endpoint 'Gemma 2 9B' selected more than once" in result.output
+        assert sends == []
+        assert not (workspace / "answers" / "answers.jsonl").exists()
+
     def test_no_resume_discards_verdicts_of_discarded_answers(self, tmp_path, mini_corpus_dir):
         mock = tmp_path / "mock"
         shutil.copytree(FIXTURES / "mock_responses", mock)
@@ -723,8 +742,8 @@ class TestFailedRequests:
             assert (workspace / sub / name).read_bytes() == (GOLDEN / name).read_bytes(), name
 
     def test_rejected_credentials_stop_their_endpoint(self, tmp_path, mini_corpus_dir, monkeypatch):
-        # one worker, so no second request to the endpoint is already in flight
-        # when its first rejection arrives
+        # one send slot, under which the gateway records the first rejection,
+        # so no second request to the endpoint is sent
         config = config_with(tmp_path, parallelism=1)
         workspace = tmp_path / "ws"
         rejected = "Mixtral 8x7B"

@@ -1,5 +1,4 @@
 import dataclasses
-import enum
 import logging
 import re
 import typing
@@ -12,7 +11,7 @@ from litrag.cli import main
 from litrag.config import PipelineConfig, load_config
 from litrag.errors import ConfigError
 from litrag.footprint import HardwareProfile
-from litrag.retrieval import ChunkingConfig, TokenUnit
+from litrag.retrieval import ChunkingConfig
 from conftest import FIXTURES
 
 ENDPOINT = {"name": "Only Model"}
@@ -61,7 +60,6 @@ MALFORMED = [
     ({"cq_variable_mapping": {"x": "a"}}, "cq_variable_mapping"),
     ({"cq_variable_mapping": "a"}, "cq_variable_mapping"),
     ({"chunking": {"chunk_size": "big"}}, "chunking.chunk_size"),
-    ({"chunking": {"token_unit": "syllable"}}, "chunking.token_unit"),
     ({"chunking": 5}, "chunking"),
     ({"endpoints": [{"name": "M", "rate_limit_per_min": "many"}]},
      "endpoints[0].rate_limit_per_min"),
@@ -127,7 +125,7 @@ def test_an_unquoted_yes_or_no_is_refused_with_a_hint(tmp_path):
 # a non-default value for a field of each type but a string, which takes the
 # field's name, and for the fields whose range that value falls outside;
 # temperature is pinned to its default
-SAMPLES = {int: 7, float: 0.5, TokenUnit: TokenUnit.CHARACTER, dict[int, str]: {3: "variable"}}
+SAMPLES = {int: 7, float: 0.5, dict[int, str]: {3: "variable"}}
 RANGED = {"overlap": 3, "pue": 1.5, "tie_rule": "yes", "filter_endpoint": "name", "temperature": 0.0}
 
 
@@ -146,8 +144,7 @@ def sample(cls):
         elif dataclasses.is_dataclass(kind):
             written, value = sample(kind)
         else:
-            value = RANGED.get(f.name, f.name if kind is str else SAMPLES[kind])
-            written = value.value if isinstance(value, enum.Enum) else value
+            written = value = RANGED.get(f.name, f.name if kind is str else SAMPLES[kind])
         default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
         assert value != default or f.name == "temperature"
         spec["chunk_overlap" if f.name == "overlap" else f.name] = written
@@ -256,7 +253,8 @@ def test_unknown_keys_warn_once_each(tmp_path, caplog):
     data = {
         "paralellism": 8,
         "endpoints": [{"name": "M", "max_response_words": 400}],
-        "chunking": {"overlap": 10},
+        # not a key: chunks are always counted in whitespace words
+        "chunking": {"overlap": 10, "token_unit": "character"},
         "hardware_profile": {"cores": 2, "power_per_core": 5.0, "watts": 10},
     }
     with caplog.at_level(logging.WARNING, logger="litrag.config"):
@@ -265,11 +263,11 @@ def test_unknown_keys_warn_once_each(tmp_path, caplog):
         "unknown config key paralellism ignored",
         "unknown config key endpoints[0].max_response_words ignored",
         "unknown config key chunking.overlap ignored",
+        "unknown config key chunking.token_unit ignored",
         "unknown config key hardware_profile.watts ignored",
     ]
     assert config.parallelism == PipelineConfig.parallelism
     assert config.chunking.overlap == ChunkingConfig.overlap
-    assert config.chunking.token_unit is TokenUnit.WHITESPACE_WORD
 
 
 def test_cli_reports_a_config_error_without_traceback(tmp_path):

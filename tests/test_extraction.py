@@ -8,7 +8,7 @@ import pytest
 
 from litrag import extraction, prompts, textsim
 from litrag.corpus import CitationRecord, PublicationRecord
-from litrag.errors import CorruptStoreError, GatewayError
+from litrag.errors import AuthenticationError, CorruptStoreError, GatewayError
 from litrag.extraction import (
     AnswerStore,
     CompetencyQuestion,
@@ -25,6 +25,7 @@ from litrag.gateway import (
     LlmGateway,
     MockBackend,
     ModelEndpoint,
+    _Slots,
 )
 from litrag.retrieval import ChunkingConfig, DocumentIndex, retrieve_context
 
@@ -200,6 +201,83 @@ class TestRunRequests:
                               call, AnswerStore(tmp_path / "answers.jsonl"), parallelism)
         assert result.completed == 6
         assert in_backoff == [2.0] * parallelism
+
+    def test_at_parallelism_1_a_request_in_backoff_leaves_the_send_slot_to_another(
+        self, tmp_path
+    ):
+        endpoint = ModelEndpoint(name="Model 0")
+        requests = {item: ChatRequest.create(endpoint, f"item {item}") for item in range(4)}
+        flaky = requests[0].request_id  # fails its first send
+        in_backoff, sent_meanwhile = threading.Event(), threading.Event()
+        backoffs = []
+
+        class Backend(MockBackend):
+            def send(self, endpoint, request):
+                if in_backoff.is_set() and request.request_id != flaky:
+                    sent_meanwhile.set()
+                return super().send(endpoint, request)
+
+        def sleep(seconds):
+            backoffs.append(seconds)
+            in_backoff.set()
+            # the backoff ends once another item reached the backend during it
+            assert sent_meanwhile.wait(timeout=2), "no item was sent during the backoff"
+
+        gateway = LlmGateway(Backend(fail_first={flaky: 1}), parallelism=1, sleep=sleep)
+
+        def call(item):
+            def request():
+                if requests[item].request_id != flaky:
+                    # reach the gateway only once the flaky item is in its backoff
+                    in_backoff.wait(timeout=5)
+                response = gateway.complete(endpoint, requests[item])
+                return TextualAnswer(f"10.1/{item}", 1, endpoint.name, response.text,
+                                     response.duration_ms)
+            return request
+
+        store = AnswerStore(tmp_path / "answers.jsonl")
+        result = run_requests([range(4)], lambda item: (f"10.1/{item}", 1, endpoint.name),
+                              call, store, parallelism=1)
+        assert result.completed == 4 and result.is_complete
+        assert backoffs == [2.0]
+        assert sorted(answer.key for answer in store.load()) == [
+            (f"10.1/{item}", 1, endpoint.name) for item in range(4)]
+
+    def test_at_parallelism_1_a_rejection_is_recorded_before_the_send_slot_is_given_back(
+        self, tmp_path, monkeypatch
+    ):
+        endpoint = ModelEndpoint(name="Model 0")
+        sends = []
+
+        class Rejecting(MockBackend):
+            def send(self, endpoint, request):
+                sends.append(request.request_id)
+                raise AuthenticationError(f"endpoint {endpoint.name} rejected credentials")
+
+        give_back = _Slots.__exit__
+
+        def give_back_slowly(self, *exc_info):
+            give_back(self, *exc_info)
+            # time for a request waiting on the token to take it and go on
+            time.sleep(0.01)
+
+        monkeypatch.setattr(_Slots, "__exit__", give_back_slowly)
+        gateway = LlmGateway(Rejecting(), parallelism=1, sleep=lambda s: None)
+
+        def call(item):
+            request = ChatRequest.create(endpoint, f"item {item}")
+
+            def answer():
+                response = gateway.complete(endpoint, request)
+                return TextualAnswer(f"10.1/{item}", 1, endpoint.name, response.text, 0)
+            return answer
+
+        result = run_requests([range(8)], lambda item: (f"10.1/{item}", 1, endpoint.name),
+                              call, AnswerStore(tmp_path / "answers.jsonl"), parallelism=1)
+        assert result.completed == 0
+        assert [failure[0] for failure in result.failed] == [f"10.1/{item}" for item in range(8)]
+        assert all("rejected credentials" in failure[-1] for failure in result.failed)
+        assert len(sends) == 1
 
     def test_every_request_is_made_once_under_fast_thread_switching(self, tmp_path):
         items = range(300)

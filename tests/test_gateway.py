@@ -369,6 +369,46 @@ class TestSendSlots:
         gateway.complete(limited, ChatRequest.create(limited, "next"))
         assert sent_at == [70.0, 130.0]
 
+    def test_a_request_waiting_for_its_rate_limit_is_not_sent_once_its_endpoint_is_rejected(
+        self
+    ):
+        limited = ModelEndpoint(name="Limited", rate_limit_per_min=1)
+        clock = {"now": 0.0}
+        sending, in_wait, first_done = threading.Event(), threading.Event(), threading.Event()
+        sent, first_raised = [], []
+
+        class Backend:
+            def send(self, endpoint, request):
+                sent.append(request.prompt)
+                sending.set()
+                # reject once the other request waits for the window this one filled
+                assert in_wait.wait(timeout=5)
+                raise AuthenticationError("bad key")
+
+        def sleep(seconds):
+            in_wait.set()
+            assert first_done.wait(timeout=5)
+            clock["now"] += seconds
+
+        gateway = LlmGateway(Backend(), parallelism=2, sleep=sleep, clock=lambda: clock["now"])
+
+        def first():
+            try:
+                gateway.complete(limited, ChatRequest.create(limited, "first"))
+            except AuthenticationError as exc:
+                first_raised.append(exc)
+            finally:
+                first_done.set()
+
+        thread = threading.Thread(target=first)
+        thread.start()
+        assert sending.wait(timeout=5)
+        with pytest.raises(AuthenticationError):
+            gateway.complete(limited, ChatRequest.create(limited, "second"))
+        thread.join(timeout=10)
+        assert not thread.is_alive() and len(first_raised) == 1
+        assert sent == ["first"]
+
 
 def outcome_within(seconds, call, *args):
     """What ``call(*args)`` returns or raises, run on a daemon thread that

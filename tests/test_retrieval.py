@@ -11,7 +11,6 @@ from litrag.retrieval import (
     ChunkingConfig,
     DocumentIndex,
     RetrievalContext,
-    TokenUnit,
     assemble_context,
     chunk_document,
     rank_scores,
@@ -49,11 +48,6 @@ class TestChunkDocument:
 
     def test_empty_text(self):
         assert chunk_document("", ChunkingConfig()) == []
-
-    def test_character_mode(self):
-        chunks = chunk_document("abcdefgh", ChunkingConfig(chunk_size=5, overlap=2,
-                                                           token_unit=TokenUnit.CHARACTER))
-        assert [c.text for c in chunks] == ["abcde", "defgh"]
 
     def test_invalid_overlap_rejected(self):
         with pytest.raises(ValueError):
@@ -209,12 +203,10 @@ class TestDocumentIndex:
         queries=st.lists(texts, min_size=1, max_size=4),
         chunk_size=st.integers(1, 40),
         overlap_share=st.floats(0.0, 0.99),
-        unit=st.sampled_from(list(TokenUnit)),
         budget=st.one_of(st.just(0), st.integers(0, 200)),
     )
-    def test_matches_per_call_retrieval(self, text, queries, chunk_size, overlap_share, unit, budget):
-        config = ChunkingConfig(chunk_size=chunk_size, overlap=int(overlap_share * chunk_size),
-                                token_unit=unit)
+    def test_matches_per_call_retrieval(self, text, queries, chunk_size, overlap_share, budget):
+        config = ChunkingConfig(chunk_size=chunk_size, overlap=int(overlap_share * chunk_size))
         index = DocumentIndex(text, config, doc_id="d")
         for query in queries:
             scores, context = seed_retrieve(text, query, config, budget, "d")
@@ -243,35 +235,28 @@ class TestDocumentIndexFit:
         text=texts,
         chunk_size=st.integers(1, 40),
         overlap_share=st.floats(0.0, 0.99),
-        unit=st.sampled_from(list(TokenUnit)),
     )
-    def test_equals_fit_and_transform(self, text, chunk_size, overlap_share, unit):
-        config = ChunkingConfig(chunk_size=chunk_size, overlap=int(overlap_share * chunk_size),
-                                token_unit=unit)
+    def test_equals_fit_and_transform(self, text, chunk_size, overlap_share):
+        config = ChunkingConfig(chunk_size=chunk_size, overlap=int(overlap_share * chunk_size))
         assert_fitted_as_by_fit_and_transform(DocumentIndex(text, config))
 
-    @pytest.mark.parametrize("unit", list(TokenUnit))
-    def test_one_chunk_that_repeats_a_term(self, unit):
-        index = DocumentIndex("cnn data cnn gpu cnn", ChunkingConfig(chunk_size=50, overlap=0,
-                                                                     token_unit=unit))
+    def test_one_chunk_that_repeats_a_term(self):
+        index = DocumentIndex("cnn data cnn gpu cnn", ChunkingConfig(chunk_size=50, overlap=0))
         assert len(index.chunks) == 1
         assert_fitted_as_by_fit_and_transform(index)
         # one chunk: every term is in every chunk, so each idf is ln(2/2) + 1,
         # however often the chunk repeats it
         assert set(index.model.idf.values()) == {1.0}
-        if unit is TokenUnit.WHITESPACE_WORD:
-            assert index.vectors == [{"cnn": 3.0, "data": 1.0, "gpu": 1.0}]
+        assert index.vectors == [{"cnn": 3.0, "data": 1.0, "gpu": 1.0}]
 
-    @pytest.mark.parametrize("unit", list(TokenUnit))
-    def test_chunks_that_repeat_terms(self, unit):
+    def test_chunks_that_repeat_terms(self):
         text = "cnn cnn cnn data gpu gpu model model cnn images data data"
-        index = DocumentIndex(text, ChunkingConfig(chunk_size=4, overlap=1, token_unit=unit))
+        index = DocumentIndex(text, ChunkingConfig(chunk_size=4, overlap=1))
         assert len(index.chunks) > 1
         assert_fitted_as_by_fit_and_transform(index)
-        if unit is TokenUnit.WHITESPACE_WORD:
-            # "cnn" is in 2 of 4 chunks, and three times in the first
-            assert index.model.idf["cnn"] == math.log(5 / 3) + 1.0
-            assert index.vectors[0]["cnn"] == 3 * index.model.idf["cnn"]
+        # "cnn" is in 2 of 4 chunks, and three times in the first
+        assert index.model.idf["cnn"] == math.log(5 / 3) + 1.0
+        assert index.vectors[0]["cnn"] == 3 * index.model.idf["cnn"]
 
 
 class TestTextsim:
