@@ -5,15 +5,17 @@ verdicts that `ask`, `categorize` and `filter` append, the votes that
 `vote` writes and the timing log that each requesting stage appends to. A
 subclass defines only its line format.
 
-Each record is one line. A crash can leave a final line whose newline was
-never written. `RecordStore.load`, and `RecordStore.scan` for a reader that
-keeps less, drop such a line with a warning unless it holds a whole record;
-the next `RecordStore.extend` cuts a torn final line off, or terminates a
-whole record that only lost its newline, so the next record starts on a
-line of its own. A malformed line anywhere else, or a wrong header, is
-corruption: both raise `CorruptStoreError` naming the file and the first
-bad line. A whole-file rewrite goes through `replace_file`, so it leaves
-either the old file or the new one.
+Each record is one line. A store's records are read one way: a stream of
+64 KiB blocks of whole lines behind `RecordStore.scan`, which `load` parses
+in one call and `canonicalize` reads again to sort the file's lines. A
+crash can leave a final line whose newline was never written; the reader
+drops such a line with a warning unless it holds a whole record, and the
+next `RecordStore.extend` cuts a torn final line off, or terminates a whole
+record that only lost its newline, so the next record starts on a line of
+its own. A malformed line anywhere else, or a wrong header, is corruption:
+both raise `CorruptStoreError` naming the file and the first bad line. A
+whole-file rewrite goes through `replace_file`, so it leaves either the old
+file or the new one.
 """
 
 from __future__ import annotations
@@ -68,11 +70,13 @@ class RecordStore(Generic[R]):
     `canonicalize` read each record's ``key``; `canonicalize` rewrites the
     file in key order, so a finished store is byte-identical whatever order
     its records arrived in, and leaves a file already in that order alone.
-    After a `load` that found one whole record on each line, the store keeps
+    After a `load` that found `header` exactly as written, only
+    newline-terminated lines and one whole record on each, the store keeps
     the records it read and those `extend` appends, each in the order of its
     line. `canonicalize` loads the file when the store does not keep them;
-    with them kept, it sorts the file's own lines by those records' keys and
-    encodes no record.
+    with them kept, it reads the file's lines again through `scan` and sorts
+    them by those records' keys, encoding no record. `load`, `scan` and that
+    second read share one reader.
 
     A subclass defines the line format: `header` (the file's first line,
     with its line end, or empty), `encode` (one record as a line, with its
@@ -142,36 +146,31 @@ class RecordStore(Generic[R]):
         replace_file(self.path, itertools.chain((self.header,), map(self.encode, records)))
 
     def load(self) -> list[R]:
-        if not self.path.is_file():
-            self._records = []
-            return []
+        """The file's records in file order, read through `scan` and parsed in
+        one `parse` call, so that a record may span lines; the last comes from
+        an unterminated final line if that holds a whole record. A missing
+        file has none. Afterwards the store knows its records (see the class)
+        if the file held `header` exactly as written, only newline-terminated
+        lines and one record on each."""
         self._records = None
-        try:
-            lines, tail = self._read_lines()
-            header, records = self._parse_file(lines)
-        except CorruptStoreError:
-            raise
-        except _MALFORMED as exc:
-            raise self._corrupt(exc) from exc
-        # no torn tail, and one record on each line after the header
-        if not tail and header == self.header and len(records) == len(lines) - bool(self.header):
+        whole: list[bool] = []
+        lines, records = self.scan(lambda read: (lines := list(read), self.parse(lines)), whole)
+        if whole == [True] and len(records) == len(lines):
             self._records = list(records)
-        if tail:
-            record = self._tail_record(tail)
-            if record is not None:
-                records.append(record)
         return records
 
-    def scan(self, consume: Callable[[Iterator[str]], T]) -> T:
-        """``consume`` applied to the file's record lines, read in one pass,
-        for a reader that keeps less than the records `load` builds. The lines
-        are those after the header, each decoded with its line end, and last
-        an unterminated final line that holds a whole record (`parse_tail`).
-        The checks are those of `load`: a wrong header, or a line ``consume``
-        fails to parse, raises `CorruptStoreError` naming the line, and a torn
-        final line is dropped with `load`'s warning. A missing file has no
-        lines."""
-        blocks = self._line_blocks()
+    def scan(self, consume: Callable[[Iterator[str]], T],
+             whole: Optional[list[bool]] = None) -> T:
+        """``consume`` applied to the file's record lines, read in one pass a
+        block at a time: the lines after the header, each decoded with its
+        line end, and last an unterminated final line that holds a whole
+        record (`parse_tail`). A wrong header, or a line ``consume`` fails to
+        parse, raises `CorruptStoreError` naming the line, and a torn final
+        line is dropped with a warning. A missing file has no lines. Once
+        ``consume`` has read every line, the reader appends to ``whole``, if
+        given, whether the file held `header` exactly as written and only
+        newline-terminated lines, as a missing file does."""
+        blocks = self._line_blocks(whole)
         try:
             return consume(itertools.chain.from_iterable(blocks))
         except CorruptStoreError:
@@ -181,22 +180,28 @@ class RecordStore(Generic[R]):
         finally:
             blocks.close()
 
-    def _line_blocks(self) -> Iterator[list[str]]:
-        """The lines `scan` gives, read and decoded a block at a time."""
-        if not self.path.is_file():
-            return
-        with open(self.path, "rb") as fh:
-            first = fh.readline() if self.header else b""
-            if first.endswith(b"\n"):
-                self._check_header(first.decode("utf-8"))
-            else:
-                # no header line to check, or one cut short: that is the final line
-                fh.seek(0)
-            while block := fh.readlines(_SCAN_BLOCK_BYTES):
-                # only the file's last line can lack its line end
-                if not block[-1].endswith(b"\n") and self._tail_record(block[-1]) is None:
-                    block.pop()
-                yield [line.decode("utf-8") for line in block]
+    def _line_blocks(self, whole: Optional[list[bool]]) -> Iterator[list[str]]:
+        """The lines `scan` gives, read and decoded a block at a time; the
+        only reader of a store's records."""
+        exact = True
+        if self.path.is_file():
+            with open(self.path, "rb") as fh:
+                first = fh.readline() if self.header else b""
+                exact = first == self.header.encode("utf-8")
+                if first.endswith(b"\n"):
+                    self._check_header(first.decode("utf-8"))
+                else:
+                    # no header line to check, or one cut short: that is the final line
+                    fh.seek(0)
+                while block := fh.readlines(_SCAN_BLOCK_BYTES):
+                    # only the file's last line can lack its line end
+                    if not block[-1].endswith(b"\n"):
+                        exact = False
+                        if self._tail_record(block[-1]) is None:
+                            block.pop()
+                    yield [line.decode("utf-8") for line in block]
+        if whole is not None:
+            whole.append(exact)
 
     def _tail_record(self, tail: bytes) -> Optional[R]:
         """The record on the unterminated final line ``tail``, or None, with a
@@ -214,15 +219,6 @@ class RecordStore(Generic[R]):
             raise CorruptStoreError(
                 f"{self.path}: line 1: expected header {self.header.rstrip()}"
             )
-
-    def _read_lines(self) -> tuple[list[str], bytes]:
-        """The file read in one call: its whole lines, each decoded with its
-        line end, and the unterminated tail after them, left undecoded since a
-        write may have cut it inside a character. Lines end at ``\\n`` alone, as
-        a record can hold other line breaks."""
-        lines = io.BytesIO(self.path.read_bytes()).readlines()
-        tail = lines.pop() if lines and not lines[-1].endswith(b"\n") else b""
-        return [line.decode("utf-8") for line in lines], tail
 
     def _corrupt(self, exc: Exception) -> CorruptStoreError:
         """The error for a file that did not parse, naming its first whole
@@ -245,9 +241,10 @@ class RecordStore(Generic[R]):
         already in that order. A store that does not know its records (see
         the class) loads the file first. When the records are known, a file
         already in key order is left alone, and otherwise its lines are read
-        once and written back in the stable key order of those records, none
-        encoded again. When they are still unknown, the file has a torn or
-        blank line, a header written differently or a record over several
+        once more through `scan` and written back in the stable key order of
+        those records, none encoded again. When they are still unknown, the
+        file has a torn or blank line, a last record without its newline, a
+        header missing or written differently or a record over several
         lines, so it cannot hold the sorted encoding: the records are written
         sorted. A missing file gets its header."""
         self.close()
@@ -262,18 +259,19 @@ class RecordStore(Generic[R]):
     def _sort_lines(self, order: list[int]) -> None:
         """Rewrite the file with the lines of the known records taken in
         ``order``, as written: a known record's line is what `encode` wrote.
-        A file that no longer holds the header and one whole line per known
-        record is written from the records, encoded."""
+        A file that no longer holds `header` exactly as written and one
+        newline-terminated line per known record is written from the records,
+        encoded."""
         records = [self._records[i] for i in order]
+        whole: list[bool] = []
         try:
-            lines, tail = self._read_lines()
+            lines = self.scan(list, whole)
         except (OSError, ValueError):
-            lines, tail = [], b""
-        start = bool(self.header)
-        if tail or "".join(lines[:start]) != self.header or len(lines) - start != len(order):
+            lines = []
+        if whole != [True] or len(lines) != len(order):
             self.write(records)
             return
-        replace_file(self.path, itertools.chain((self.header,), (lines[start + i] for i in order)))
+        replace_file(self.path, itertools.chain((self.header,), map(lines.__getitem__, order)))
         self._records = records
 
     def _open_append(self) -> TextIO:
@@ -300,17 +298,6 @@ class RecordStore(Generic[R]):
         if not size:
             text.write(self.header)
         return text
-
-    def _parse_file(self, lines: list[str]) -> tuple[Optional[str], list[R]]:
-        """The header line as read (empty for a format without one, None for a
-        file without lines) and the records after it."""
-        first: Optional[str] = ""
-        if self.header:
-            first = lines[0] if lines else None
-            if first is not None:
-                self._check_header(first)
-            lines = lines[1:]
-        return first, self.parse(lines)
 
 
 # one buffer and writer per thread, since stores on several threads may encode at once

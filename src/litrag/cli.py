@@ -330,7 +330,7 @@ def _ask(
     ctx: RunContext, corpus_dir: str, endpoint_names: Optional[str] = None, resume: bool = True
 ):
     """Answer every question for every publication on every endpoint."""
-    names = endpoint_names.split(",") if endpoint_names else None
+    names = [name.strip() for name in endpoint_names.split(",")] if endpoint_names else None
     if not resume:
         # verdicts were made from the answers being discarded
         (ctx.workspace / ANSWERS).unlink(missing_ok=True)

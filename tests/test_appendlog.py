@@ -6,6 +6,7 @@ import os
 import pytest
 
 from conftest import FIXTURES
+from litrag import appendlog
 from litrag.errors import CorruptStoreError
 from litrag.extraction import AnswerStore, TextualAnswer
 from litrag.gateway import TimingEntry, TimingStore
@@ -148,7 +149,101 @@ class TestCanonicalize:
         assert path.read_bytes() == expected
 
 
+def with_blank_line(store_class, records):
+    lines = written(store_class, records).splitlines(keepends=True)
+    return b"".join([*lines[:3], b"\n", *lines[3:]])
+
+
+def with_torn_tail(store_class, records):
+    data = written(store_class, records)
+    return data + written(store_class, records[:1])[len(store_class.header):][:-4]
+
+
+def with_lf_header(store_class, records):
+    data = written(store_class, records)
+    header = store_class.header.encode("utf-8")
+    return header.replace(b"\r\n", b"\n") + data[len(header):]
+
+
+def over_two_lines(store_class, records):
+    # a verdict whose endpoint name holds a newline: its quoted row spans two lines
+    return written(store_class, [*records[:2], CategoricalAnswer("10.1/0000", 1, "M\nN", Verdict.NO),
+                                 *records[2:]])
+
+
+@pytest.mark.parametrize("store_class, make, shape", [
+    (VerdictStore, verdicts, lambda store_class, records: b""),
+    (AnswerStore, answers, with_blank_line),
+    (VerdictStore, verdicts, with_blank_line),
+    (VerdictStore, verdicts, with_lf_header),
+    (AnswerStore, answers, with_torn_tail),
+    (VerdictStore, verdicts, with_torn_tail),
+    (AnswerStore, answers, lambda store_class, records: written(store_class, records)[:-1]),
+    (VerdictStore, verdicts, lambda store_class, records: written(store_class, records)[:-2]),
+    (VerdictStore, verdicts, over_two_lines),
+], ids=["zero-byte csv", "blank line json", "blank line csv", "lf-only header", "torn tail json",
+        "torn tail csv", "unterminated record json", "unterminated record csv",
+        "record over two lines"])
+@pytest.mark.parametrize("reverse", [False, True], ids=["in key order", "reversed"])
+def test_a_file_whose_records_stay_unknown_after_load_is_written_sorted(
+    tmp_path, monkeypatch, store_class, make, shape, reverse
+):
+    path = tmp_path / "store"
+    path.write_bytes(shape(store_class, make(6)[::-1] if reverse else make(6)))
+    store = store_class(path)
+    loaded = store.load()
+    expected = sorted(loaded, key=lambda record: record.key)
+    encoded = counting_encodes(monkeypatch, store_class)
+    store.canonicalize()
+    # encoded from the records, since the file's lines are not theirs one to one
+    assert encoded == expected
+    assert path.read_bytes() == written(store_class, expected)
+
+
+@pytest.mark.parametrize("store_class, data", [
+    (VerdictStore, VerdictStore.header.encode("utf-8")),
+    (AnswerStore, b""),
+], ids=["header-only csv", "zero-byte json"])
+def test_a_file_without_records_is_known_and_left_alone(tmp_path, monkeypatch, store_class, data):
+    path = tmp_path / "store"
+    path.write_bytes(data)
+    os.utime(path, ns=(10**18, 10**18))
+    store = store_class(path)
+    assert store.load() == []
+    encoded = counting_encodes(monkeypatch, store_class)
+    store.canonicalize()
+    assert encoded == []
+    assert path.read_bytes() == data
+    assert path.stat().st_mtime_ns == 10**18
+
+
 class TestLoad:
+    def test_a_record_over_two_lines_across_read_blocks_is_read(self, tmp_path):
+        records = verdicts(6000)
+        path = tmp_path / "verdicts.csv"
+        path.write_bytes(written(VerdictStore, records))
+        # the record whose first line ends the first block of lines read after the header
+        with open(path, "rb") as fh:
+            fh.readline()
+            at = len(fh.readlines(appendlog._SCAN_BLOCK_BYTES)) - 1
+        split = CategoricalAnswer(records[at].doi, records[at].cq_id, "M\nN", Verdict.NO)
+        records[at] = split
+        path.write_bytes(written(VerdictStore, records))
+        with open(path, "rb") as fh:
+            fh.readline()
+            assert fh.readlines(appendlog._SCAN_BLOCK_BYTES)[-1].endswith(b',"M\n')
+        assert VerdictStore(path).load() == records
+
+    @pytest.mark.parametrize("store_class, make", JSON_STORES)
+    def test_a_bad_line_after_the_first_read_block_is_named(self, tmp_path, store_class, make):
+        lines = written(store_class, make(3000)).splitlines(keepends=True)
+        assert sum(map(len, lines[:2500])) > appendlog._SCAN_BLOCK_BYTES
+        lines[2500] = lines[2500][:-5] + b"\n"
+        path = tmp_path / "store.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(CorruptStoreError, match=r"store\.jsonl: line 2501: "):
+            store_class(path).load()
+
     @pytest.mark.parametrize("store_class, make", JSON_STORES)
     def test_a_tail_cut_inside_a_character_is_dropped(self, tmp_path, caplog, store_class, make):
         records = make(3)

@@ -120,6 +120,36 @@ class TestAsk:
         assert sends == []
         assert not (workspace / "answers" / "answers.jsonl").exists()
 
+    @pytest.mark.parametrize("command", ["ask", "all"])
+    def test_endpoint_names_are_trimmed(self, tmp_path, mini_corpus_dir, command):
+        workspace = tmp_path / "ws"
+        result = invoke(command, *base_args(workspace), "--corpus", str(mini_corpus_dir),
+                        "--endpoints", "Llama 3 70B, Gemma 2 9B ")
+        assert result.exit_code == 0, result.output
+        assert "ask: 168 new answer(s), 0 already stored, 0 failed" in result.output
+        answers = AnswerStore(workspace / "answers" / "answers.jsonl").load()
+        assert Counter(a.endpoint for a in answers) == {"Llama 3 70B": 84, "Gemma 2 9B": 84}
+
+    @pytest.mark.parametrize("command", ["ask", "all"])
+    def test_an_endpoint_selected_twice_is_refused_after_trimming(
+        self, tmp_path, mini_corpus_dir, command
+    ):
+        workspace = tmp_path / "ws"
+        result = invoke(command, *base_args(workspace), "--corpus", str(mini_corpus_dir),
+                        "--endpoints", "Gemma 2 9B, Gemma 2 9B")
+        assert result.exit_code == 1, result.output
+        assert "Error: endpoint 'Gemma 2 9B' selected more than once" in result.output
+        assert not (workspace / "answers" / "answers.jsonl").exists()
+
+    @pytest.mark.parametrize("command", ["ask", "all"])
+    def test_an_unknown_endpoint_is_refused(self, tmp_path, mini_corpus_dir, command):
+        workspace = tmp_path / "ws"
+        result = invoke(command, *base_args(workspace), "--corpus", str(mini_corpus_dir),
+                        "--endpoints", "Llama 3 70B,Nope")
+        assert result.exit_code == 1, result.output
+        assert result.output.splitlines()[-1] == "Error: endpoint 'Nope' not present in config"
+        assert not (workspace / "answers" / "answers.jsonl").exists()
+
     def test_no_resume_discards_verdicts_of_discarded_answers(self, tmp_path, mini_corpus_dir):
         mock = tmp_path / "mock"
         shutil.copytree(FIXTURES / "mock_responses", mock)
@@ -484,6 +514,19 @@ class TestEvaluate:
         result = invoke("evaluate", *args)
         assert result.exit_code == 0, result.output
         assert report.read_text(encoding="utf-8").splitlines()[-1] == "Total,5/6"
+
+    def test_a_reference_key_without_a_verdict_is_an_error_naming_the_endpoint(self, tmp_path):
+        workspace = golden_workspace(tmp_path / "ws")
+        reference = tmp_path / "reference.csv"
+        reference.write_text("doi,variable,label\n10.5555/eco.0001,1,Yes\n10.9999/none,2,No\n",
+                             encoding="utf-8")
+        result = invoke("evaluate", *base_args(workspace), "--reference", str(reference))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.splitlines()[-1] == (
+            "Error: endpoint Llama 3 70B has no verdict for ('10.9999/none', 2)"
+        )
+        assert not (workspace / "reports" / "categorical_agreement.csv").exists()
 
     def test_a_missing_reference_is_an_error(self, tmp_path):
         workspace = golden_workspace(tmp_path / "ws")

@@ -278,6 +278,20 @@ def test_cli_reports_a_config_error_without_traceback(tmp_path):
     assert "Error: config key max_attempts must be at least 1, got 0" in result.output
 
 
+@pytest.mark.parametrize("text,message", [
+    ("parallelism: [1\n", "Error: cannot read config {path}: "),
+    ("- parallelism: 1\n", "Error: config {path} must be a mapping"),
+], ids=["invalid-yaml", "list"])
+def test_cli_reports_an_unreadable_config_without_traceback(tmp_path, text, message):
+    path = tmp_path / "config.yaml"
+    path.write_text(text, encoding="utf-8")
+    result = CliRunner().invoke(main, ["vote", "--config", str(path),
+                                       "--workspace", str(tmp_path / "ws")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(message.format(path=path)), result.output
+
+
 @pytest.mark.parametrize("data,message", [
     ({"endpoints": [{"name": "M", "rate_limit_per_min": -1}]},
      "config key endpoints[0].rate_limit_per_min must be at least 1, got -1"),

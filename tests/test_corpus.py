@@ -259,6 +259,13 @@ class TestLoadCorpus:
         assert len(load.publications) == 1
         assert load.publications[0].citation.title == "First"
 
+    def test_the_only_bib_file_is_read_whatever_its_name(self, tmp_path):
+        (tmp_path / "export.bib").write_text("@article{a, doi = {10.1/a}}", encoding="utf-8")
+        (tmp_path / "10.1_a.txt").write_text("the full text", encoding="utf-8")
+        load = load_corpus(tmp_path)
+        assert [p.citation.doi for p in load.publications] == ["10.1/a"]
+        assert load.skipped == []
+
     def test_a_dx_resolver_doi_is_the_same_publication(self, tmp_path):
         (tmp_path / "bibliography.bib").write_text(
             "@article{a, doi = {10.1000/abc}, title = {First}}\n"

@@ -98,6 +98,16 @@ def test_connection_problems_are_transient():
         backend.send(ENDPOINT, ChatRequest.create(ENDPOINT, "p"))
 
 
+def test_a_client_error_fails_the_request_without_a_retry():
+    session = StubSession([StubResponse(status_code=400, text="bad request")])
+    gateway = LlmGateway(HttpBackend(session=session), sleep=lambda s: pytest.fail("slept"))
+    with pytest.raises(GatewayError, match="^HTTP 400: bad request$") as caught:
+        gateway.complete(ENDPOINT, ChatRequest.create(ENDPOINT, "p"))
+    assert type(caught.value) is GatewayError
+    assert len(session.calls) == 1
+    assert len(gateway.timing_log) == 0
+
+
 def test_malformed_payload_is_fatal():
     backend = HttpBackend(session=StubSession([StubResponse(payload={"weird": []})]))
     with pytest.raises(GatewayError):
