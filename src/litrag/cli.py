@@ -331,12 +331,12 @@ def _ask(
 ):
     """Answer every question for every publication on every endpoint."""
     names = [name.strip() for name in endpoint_names.split(",")] if endpoint_names else None
-    if not resume:
-        # verdicts were made from the answers being discarded
-        (ctx.workspace / ANSWERS).unlink(missing_ok=True)
-        (ctx.workspace / VERDICTS).unlink(missing_ok=True)
     load = load_corpus(corpus_dir)
     endpoints = ctx.config.select_endpoints(names)
+    if not resume:
+        # only once the run can start; verdicts were made from the answers being discarded
+        (ctx.workspace / ANSWERS).unlink(missing_ok=True)
+        (ctx.workspace / VERDICTS).unlink(missing_ok=True)
 
     def run() -> RunResult:
         with ctx.gateway() as gateway:
@@ -433,7 +433,7 @@ def _read_reference_csv(path: str | Path, question_ids: bool) -> metrics.LabelSe
                 if key in labels:
                     raise PipelineError(f"{where}: a second label for {key}")
                 labels[key] = label
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise PipelineError(f"cannot read reference {path}: {exc}") from exc
     if not labels:
         raise PipelineError(f"{path}: no labels")
@@ -545,13 +545,15 @@ def _report(ctx: RunContext):
 
 
 def _write_tables(ctx: RunContext) -> str:
-    reports_dir = ctx.workspace / REPORTS
+    """Check the votes, answers and verdicts, then write every table; a
+    defect found writes none."""
     filters = {v.doi: v.is_dl_study for v in FilterStore(ctx.workspace / FILTERS).load()}
     questions = {q.id: q.text for q in load_competency_questions()}
-
-    coverage = metrics.per_cq_coverage(VoteStore(ctx.workspace / VOTES).load(), filters)
-    header, rows = reports.coverage_rows(coverage, questions)
-    reports.write_report(reports_dir, "coverage", header, rows)
+    try:
+        coverage = metrics.per_cq_coverage(VoteStore(ctx.workspace / VOTES).load(), filters)
+    except ValueError as exc:
+        raise PipelineError(f"{VOTES}: {exc}; rerun categorize, then vote") from exc
+    tables = {"coverage": reports.coverage_rows(coverage, questions)}
 
     terms_by_endpoint = _answer_terms(ctx)
     keys = sorted(_require_complete(terms_by_endpoint))
@@ -570,10 +572,11 @@ def _write_tables(ctx: RunContext) -> str:
         ("iaa_pairs", labels_by_endpoint, metrics.pairwise_kappa, "kappa"),
     ):
         # the after-filtering column goes when the filter retained nothing to compare
-        header, rows = reports.pair_rows(
+        tables[name] = reports.pair_rows(
             matrix(by_endpoint, keys), matrix(by_endpoint, kept) if kept else None, value_name
         )
-        reports.write_report(reports_dir, name, header, rows)
+    for name, (header, rows) in tables.items():
+        reports.write_report(ctx.workspace / REPORTS, name, header, rows)
     return f"report: wrote {', '.join(REPORT_TABLES)}"
 
 
@@ -608,7 +611,8 @@ def _keywords(ctx: RunContext, abstracts_dir: str, endpoint_name: Optional[str] 
     """Harvest keywords from abstracts, consolidate them, and report
     what human curation changed (if keywords/curated.txt exists)."""
     endpoint = ctx.config.endpoint(endpoint_name) if endpoint_name else ctx.config.endpoints[0]
-    abstracts = {p: p.read_text("utf-8") for p in sorted(Path(abstracts_dir).glob("*.txt"))}
+    abstracts = {p: p.read_text("utf-8", errors="replace")
+                 for p in sorted(Path(abstracts_dir).glob("*.txt"))}
     if not abstracts:
         raise PipelineError(f"{abstracts_dir}: no .txt abstract")
     if empty := [path for path, abstract in abstracts.items() if not abstract.strip()]:
@@ -659,8 +663,8 @@ STAGES = (
         CORPUS_OPTION,
         ENDPOINTS_OPTION,
         click.option("--resume/--no-resume", default=True, show_default=True,
-                     help="Skip answers already in the store; --no-resume first deletes the "
-                          "answer and verdict stores."),
+                     help="Skip answers already in the store; --no-resume deletes the answer "
+                          "and verdict stores once the corpus and endpoints are read."),
     )),
     Stage("categorize", _categorize, (VERDICTS,), requires=((ANSWERS, "ask"),), noun="verdict"),
     Stage("vote", _vote, (VOTES,), requires=((VERDICTS, "categorize"),)),

@@ -201,7 +201,7 @@ def load_config(path: Optional[str | Path]) -> PipelineConfig:
         text = Path(path).read_text(encoding="utf-8")
         # libyaml's loader when PyYAML was built with it; the same config, faster
         data = yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader)) or {}
-    except (OSError, yaml.YAMLError) as exc:
+    except (OSError, UnicodeDecodeError, yaml.YAMLError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must be a mapping")

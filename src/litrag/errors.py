@@ -14,7 +14,12 @@ class TemplateError(PipelineError):
 
 
 class GatewayError(PipelineError):
-    """A request to a model endpoint failed after all retries."""
+    """A request to a model endpoint failed: refused, or failing after all retries."""
+
+
+class RefusedRequestError(GatewayError):
+    """The endpoint answered with a refusal or with a reply that cannot be
+    used; sending the request again would pay for the same answer."""
 
 
 class AuthenticationError(GatewayError):

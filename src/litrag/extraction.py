@@ -15,7 +15,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import appendlog, prompts
 from .corpus import PublicationRecord
-from .errors import GatewayError
+from .errors import GatewayError, RefusedRequestError
 from .gateway import ChatRequest, LlmGateway, ModelEndpoint
 from .retrieval import ChunkingConfig, DocumentIndex
 # Not called in this module; the span tracer in perfbench/trace.py patches this name.
@@ -23,7 +23,7 @@ from .retrieval import retrieve_context  # noqa: F401
 
 log = logging.getLogger(__name__)
 
-ANSWER_MARKERS = ("Helpful Answer::", "Answer::")
+ANSWER_MARKER = "Answer::"
 
 
 @dataclass(frozen=True)
@@ -51,20 +51,14 @@ def load_competency_questions(path: Optional[str | Path] = None) -> list[Compete
 
 
 def strip_answer_markers(text: str) -> str:
-    """Return the text after the final answer marker, trimmed.
+    """Return the text after the last `ANSWER_MARKER`, trimmed.
 
     Models sometimes wrap the payload in scaffolding such as
-    "Helpful Answer:: ..."; only what follows the last marker is kept.
-    Idempotent, and the identity on marker-free input (modulo trimming).
+    "Helpful Answer:: ..."; only what follows the last "Answer::", which
+    also ends each "Helpful Answer::", is kept. Idempotent, and the
+    identity on marker-free input (modulo trimming).
     """
-    cut = -1
-    for marker in ANSWER_MARKERS:
-        pos = text.rfind(marker)
-        if pos >= 0:
-            cut = max(cut, pos + len(marker))
-    if cut >= 0:
-        return text[cut:].strip()
-    return text.strip()
+    return text.rpartition(ANSWER_MARKER)[2].strip()
 
 
 @dataclass(frozen=True, slots=True)
@@ -199,8 +193,10 @@ def run_requests(
     idling a send slot, at every parallelism. Records are appended on the
     calling thread as they arrive. The requests that raised
     `GatewayError` are made once more after the last batch, as one more
-    batch; an item that fails again goes into ``failed``, which is sorted by
-    ``key``, and nothing is stored for it, so a resume retries it.
+    batch, except a `RefusedRequestError`, which a second send would only
+    pay for again; an item that fails for good goes into ``failed``, which
+    is sorted by ``key``, and nothing is stored for it, so a resume retries
+    it.
     Any other exception, or an interrupt, stops the run: the queued requests
     are not made, only those already being made finish, every record already
     made is appended unless the exception came from the store, and the
@@ -226,7 +222,7 @@ def run_requests(
                last: bool) -> None:
         nonlocal appending
         if isinstance(outcome, GatewayError):
-            if last:
+            if last or isinstance(outcome, RefusedRequestError):
                 result.failed.append((*key(pending[0]), str(outcome)))
             else:
                 failures.append(pending)

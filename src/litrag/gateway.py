@@ -39,7 +39,7 @@ from typing import (
 )
 
 from . import appendlog
-from .errors import AuthenticationError, GatewayError
+from .errors import AuthenticationError, GatewayError, RefusedRequestError
 
 if TYPE_CHECKING:
     import requests
@@ -290,7 +290,8 @@ class TransientBackendError(Exception):
 class Backend(Protocol):
     def send(self, endpoint: ModelEndpoint, request: ChatRequest) -> tuple[str, int]:
         """Return (response text, duration in ms). May raise
-        TransientBackendError, AuthenticationError, or GatewayError."""
+        TransientBackendError, AuthenticationError, RefusedRequestError or
+        GatewayError."""
 
 
 class HttpBackend:
@@ -341,13 +342,13 @@ class HttpBackend:
         if response.status_code == 429 or response.status_code >= 500:
             raise TransientBackendError(f"HTTP {response.status_code}")
         if response.status_code != 200:
-            raise GatewayError(f"HTTP {response.status_code}: {response.text[:200]}")
+            raise RefusedRequestError(f"HTTP {response.status_code}: {response.text[:200]}")
         try:
             text = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
-            raise GatewayError(f"malformed completion payload: {exc}") from exc
+            raise RefusedRequestError(f"malformed completion payload: {exc}") from exc
         if not isinstance(text, str):
-            raise GatewayError(
+            raise RefusedRequestError(
                 f"malformed completion payload: message content is {type(text).__name__}, "
                 "not a string"
             )

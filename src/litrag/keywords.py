@@ -47,19 +47,15 @@ class ReplyStore(RecordStore[KeywordReply]):
 
 
 def parse_keyword_response(text: str) -> list[str]:
-    """Pull the comma-separated list that follows the last keyword marker.
+    """Pull the comma-separated list that follows the last keyword marker,
+    up to an "Answer:::" after it.
 
     Items are trimmed and lowercased; an absent marker gives an empty list.
     """
-    pos = text.rfind(KEYWORD_MARKER)
-    if pos < 0:
+    _, marker, tail = text.rpartition(KEYWORD_MARKER)
+    if not marker:
         return []
-    tail = text[pos + len(KEYWORD_MARKER):]
-    for stop in ("Answer:::",):
-        cut = tail.find(stop)
-        if cut >= 0:
-            tail = tail[:cut]
-    items = [item.strip().lower() for item in tail.split(",")]
+    items = [item.strip().lower() for item in tail.partition("Answer:::")[0].split(",")]
     return [item for item in items if item]
 
 
@@ -109,8 +105,12 @@ def consolidate_keywords(
 
 
 def load_curated(path: str | Path) -> KeywordSet:
-    """Read one keyword per line; blanks skipped, duplicates dropped with a warning."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    """Read one keyword per line; blanks skipped, duplicates dropped with a warning.
+    A file that is not UTF-8 is a `PipelineError` naming it."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise PipelineError(f"{path}: curated keyword file is not UTF-8: {exc}") from exc
     keywords: list[str] = []
     seen: set[str] = set()
     for line in lines:

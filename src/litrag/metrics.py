@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 from . import textsim
 from .voting import Verdict, VoteRecord
@@ -137,31 +137,26 @@ class SimilarityMatrix:
 
 
 def average_pairwise_similarity(
-    answers_by_endpoint: Mapping[str, Mapping[object, str | Counter[str]]],
-    keys: Optional[Sequence[object]] = None,
+    answers_by_endpoint: Mapping[str, Mapping[object, Counter[str]]], keys: Sequence[object]
 ) -> SimilarityMatrix:
-    """Average, over all shared keys, the tf-idf cosine between answer texts.
+    """Average, over ``keys``, the tf-idf cosine between answer texts.
 
-    Each answer is its text or its `textsim.term_counts`; pass counts to
-    tokenize once for several matrices. The idf table is fitted on the union
-    of every endpoint's answers. Empty answers become zero vectors and
-    contribute 0 to each average. Diagonal entries are 1.0 for any endpoint
-    with at least one nonzero vector. No endpoint gives an empty matrix.
+    Each answer is given as its `textsim.term_counts`, so several matrices
+    share one tokenization, and every endpoint must answer the same keys.
+    The idf table is fitted on every endpoint's answers to ``keys``. Empty
+    answers become zero vectors and contribute 0 to each average. Diagonal
+    entries are 1.0 for any endpoint with at least one nonzero vector. No
+    endpoint gives an empty matrix.
 
     The vectors of one key are weighed at a time, so memory holds one
     vector per endpoint, not one per endpoint and key; each pair's cosines
     are added up in key order.
     """
     names = tuple(answers_by_endpoint)
-    key_sets = [set(answers) for answers in answers_by_endpoint.values()]
-    shared = key_sets[0] if key_sets else set()
-    if any(ks != shared for ks in key_sets):
+    key_sets = [answers.keys() for answers in answers_by_endpoint.values()]
+    if any(ks != key_sets[0] for ks in key_sets):
         raise ValueError("every endpoint must answer the same keys")
-    ordered_keys = list(keys) if keys is not None else sorted(shared)
-    counts = [
-        [_term_counts(answers_by_endpoint[name][key]) for key in ordered_keys]
-        for name in names
-    ]
+    counts = [[answers_by_endpoint[name][key] for key in keys] for name in names]
     model = textsim.TfidfModel.fit_terms(c.keys() for row in counts for c in row)
     size = len(names)
     matrix = [[0.0] * size for _ in range(size)]
@@ -177,12 +172,8 @@ def average_pairwise_similarity(
                 )
     for i in range(size):
         for j in range(i + 1, size):
-            matrix[i][j] = matrix[j][i] = matrix[i][j] / len(ordered_keys)
+            matrix[i][j] = matrix[j][i] = matrix[i][j] / len(keys)
     return SimilarityMatrix(names=names, values=tuple(tuple(row) for row in matrix))
-
-
-def _term_counts(answer: str | Counter[str]) -> Counter[str]:
-    return textsim.term_counts(answer) if isinstance(answer, str) else answer
 
 
 @dataclass(frozen=True)
@@ -216,8 +207,7 @@ def is_retained(doi: str, filter_verdicts: Mapping[str, bool]) -> bool:
 
 
 def per_cq_coverage(
-    votes: Sequence[VoteRecord],
-    filter_verdicts: Optional[Mapping[str, bool]] = None,
+    votes: Sequence[VoteRecord], filter_verdicts: Mapping[str, bool]
 ) -> CoverageTable:
     """Per question: how many publications voted Yes, before and after masking
     publications judged not to be deep-learning studies.
@@ -236,7 +226,6 @@ def per_cq_coverage(
     ]
     if missing:
         raise ValueError(f"vote store incomplete; first missing: {missing[0]}")
-    filter_verdicts = filter_verdicts or {}
     retained = [doi for doi in dois if is_retained(doi, filter_verdicts)]
     rows = []
     for cq in cq_ids:

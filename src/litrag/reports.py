@@ -82,16 +82,15 @@ def reference_rows(comparison: ReferenceComparison) -> tuple[list[str], list[lis
 
 
 def coverage_rows(
-    coverage: CoverageTable, question_texts: Mapping[int, str] | None = None
+    coverage: CoverageTable, question_texts: Mapping[int, str]
 ) -> tuple[list[str], list[list[str]]]:
     header = ["cq_id", "question", "publications_with_info", "publications_with_info_after_filtering"]
-    texts = question_texts or {}
     rows = []
     for row in coverage.rows:
         rows.append(
             [
                 str(row.cq_id),
-                texts.get(row.cq_id, ""),
+                question_texts.get(row.cq_id, ""),
                 ratio(row.yes_before, row.total_before),
                 ratio(row.yes_after, row.total_after),
             ]

@@ -528,6 +528,16 @@ class TestEvaluate:
         )
         assert not (workspace / "reports" / "categorical_agreement.csv").exists()
 
+    def test_a_reference_that_is_not_utf8_is_an_error_naming_it(self, tmp_path):
+        workspace = golden_workspace(tmp_path / "ws")
+        reference = tmp_path / "reference.csv"
+        reference.write_bytes(b"doi,variable,label\n10.5555/eco.0001,1,Yes\n10.5555/caf\xe9,1,No\n")
+        result = invoke("evaluate", *base_args(workspace), "--reference", str(reference))
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.splitlines()[-1].startswith(f"Error: cannot read reference {reference}: ")
+        assert not (workspace / "reports" / "categorical_agreement.csv").exists()
+
     def test_a_missing_reference_is_an_error(self, tmp_path):
         workspace = golden_workspace(tmp_path / "ws")
         result = invoke("evaluate", *base_args(workspace), "--reference", str(tmp_path / "none.csv"))
@@ -848,6 +858,7 @@ class TestKeywordsCommand:
         ("no abstract", "abstracts"),
         ("no keyword marker", "abstracts"),
         ("empty curated list", "ws/keywords/curated.txt"),
+        ("curated list not UTF-8", "ws/keywords/curated.txt"),
     ])
     def test_a_bad_input_is_an_error_naming_it(self, tmp_path, monkeypatch, case, culprit):
         abstracts = tmp_path / "abstracts"
@@ -864,6 +875,8 @@ class TestKeywordsCommand:
         (workspace / "keywords").mkdir(parents=True)
         if case == "empty curated list":
             (workspace / "keywords" / "curated.txt").write_text("\n  \n", encoding="utf-8")
+        elif case == "curated list not UTF-8":
+            (workspace / "keywords" / "curated.txt").write_bytes(b"cnn\nr\xe9seau\n")
         result = invoke("keywords", *base_args(workspace), "--abstracts", str(abstracts))
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)  # not a traceback
@@ -887,6 +900,19 @@ class TestKeywordsCommand:
         assert result.output.splitlines()[-1].startswith("Error: ")
         assert not (workspace / "logs" / "timing.csv").exists()  # no request was made
         assert not (workspace / "keywords" / "replies.jsonl").exists()
+
+    def test_an_abstract_that_is_not_utf8_is_decoded_like_a_full_text(self, tmp_path,
+                                                                         monkeypatch):
+        abstracts = tmp_path / "abstracts"
+        abstracts.mkdir()
+        (abstracts / "talk1.txt").write_bytes(b"A r\xe9seau of convolutional networks.")
+        prompts_sent = []
+        default_response = MockBackend._default_response
+        monkeypatch.setattr(MockBackend, "_default_response", staticmethod(
+            lambda request: prompts_sent.append(request.prompt) or default_response(request)))
+        result = invoke("keywords", *base_args(tmp_path / "ws"), "--abstracts", str(abstracts))
+        assert result.exit_code == 0, result.output
+        assert "A r\ufffdseau of convolutional networks." in prompts_sent[0]
 
     def abstracts(self, directory: Path) -> Path:
         abstracts = directory / "abstracts"
@@ -1413,6 +1439,37 @@ def test_an_interrupted_report_keeps_the_previous_tables(
     assert not list((workspace / "reports").glob("*.tmp"))
 
 
+@pytest.mark.parametrize("defect", ["incomplete votes", "verdicts cut to the header"])
+def test_a_report_that_finds_a_defect_rewrites_no_table(finished, tmp_path, defect):
+    workspace = tmp_path / "ws"
+    shutil.copytree(finished[0], workspace)
+    verdicts = workspace / "verdicts" / "verdicts.csv"
+    header, *rows = verdicts.read_bytes().splitlines(keepends=True)
+    if defect == "incomplete votes":
+        # every verdict of one publication for questions 10-28, then a vote on the rest
+        rows = [row for row in rows if not (row.startswith(b"10.5555/eco.0003,")
+                                            and int(row.split(b",")[1]) >= 10)]
+        verdicts.write_bytes(header + b"".join(rows))
+        result = invoke("vote", *base_args(workspace))
+        assert result.stdout == "vote: 65 decision(s), 30 Yes\n", result.output
+    else:
+        verdicts.write_bytes(header)
+    for name in STAGE_OUTPUTS["report"]:
+        os.utime(workspace / name, ns=(PAST_NS, PAST_NS))
+    result = invoke("report", *base_args(workspace))
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)  # no traceback
+    error = result.output.splitlines()[-1]
+    if defect == "incomplete votes":
+        assert error == ("Error: votes/votes.csv: vote store incomplete; first missing: "
+                         "('10.5555/eco.0003', 10); rerun categorize, then vote")
+    else:
+        assert error.startswith("Error: ") and error.endswith("rerun categorize")
+    for name in STAGE_OUTPUTS["report"]:
+        assert (workspace / name).read_bytes() == golden_output(name), name
+        assert (workspace / name).stat().st_mtime_ns == PAST_NS, name
+
+
 def test_every_required_file_is_written_by_an_earlier_stage():
     order = [stage.name for stage in cli.STAGES]
     for stage in cli.STAGES:
@@ -1572,6 +1629,21 @@ class TestSkipUnchangedRequests:
         self.assert_golden(workspace, "ask")
         result = self.invoke("categorize", workspace, corpus, mock)
         assert result.stdout == "categorize: 420 new verdict(s), 0 already stored, 0 failed\n"
+        self.assert_golden(workspace, "categorize")
+
+    @pytest.mark.parametrize("defect", ["mistyped endpoint", "corpus without a bibliography"])
+    def test_no_resume_that_cannot_start_deletes_no_store(self, finished, tmp_path, defect):
+        workspace, corpus, mock = self.copies(finished, tmp_path)
+        extra = ["--no-resume"]
+        if defect == "mistyped endpoint":
+            extra += ["--endpoints", "Llama 3 70B,Gemma 2 9X"]
+        else:
+            (corpus / "bibliography.bib").unlink()
+        result = self.invoke("ask", workspace, corpus, mock, *extra)
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # no traceback
+        assert result.output.splitlines()[-1].startswith("Error: ")
+        self.assert_golden(workspace, "ask")
         self.assert_golden(workspace, "categorize")
 
 

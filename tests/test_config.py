@@ -330,3 +330,13 @@ def test_every_stage_refuses_a_repeated_endpoint_name_without_traceback(tmp_path
     assert result.output == ("Error: config key endpoints[4].name: 'Mixtral 8x7B' "
                              "is already the name of endpoints[3]\n")
     assert not (workspace / "answers" / "answers.jsonl").exists()
+
+
+def test_cli_reports_a_config_that_is_not_utf8_without_traceback(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b'tie_rule: "yes"\n# caf\xe9\n')
+    result = CliRunner().invoke(main, ["vote", "--config", str(path),
+                                       "--workspace", str(tmp_path / "ws")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.startswith(f"Error: cannot read config {path}: "), result.output

@@ -5,7 +5,8 @@ import json
 import pytest
 import requests
 
-from litrag.errors import AuthenticationError, GatewayError
+from litrag.errors import AuthenticationError, GatewayError, RefusedRequestError
+from litrag.extraction import AnswerStore, TextualAnswer, run_requests
 from litrag.gateway import (
     ChatRequest,
     HttpBackend,
@@ -103,7 +104,7 @@ def test_a_client_error_fails_the_request_without_a_retry():
     gateway = LlmGateway(HttpBackend(session=session), sleep=lambda s: pytest.fail("slept"))
     with pytest.raises(GatewayError, match="^HTTP 400: bad request$") as caught:
         gateway.complete(ENDPOINT, ChatRequest.create(ENDPOINT, "p"))
-    assert type(caught.value) is GatewayError
+    assert type(caught.value) is RefusedRequestError
     assert len(session.calls) == 1
     assert len(gateway.timing_log) == 0
 
@@ -132,3 +133,25 @@ def test_gateway_retries_429_then_succeeds():
     assert response.text == "eventually"
     assert response.attempt_count == 3
     assert len(session.calls) == 3
+
+
+@pytest.mark.parametrize("status,sends_per_item", [(400, 1), (503, 2 * 3)])
+def test_run_requests_sends_a_refused_request_once_and_a_transient_one_again(
+    tmp_path, status, sends_per_item
+):
+    # a reply for each of up to 2 × 3 sends of each of the three items
+    session = StubSession([StubResponse(status_code=status, text="refused")] * 3 * 2 * 3)
+    gateway = LlmGateway(HttpBackend(session=session), max_attempts=3, sleep=lambda s: None)
+
+    def call(item):
+        def request():
+            response = gateway.complete(ENDPOINT, ChatRequest.create(ENDPOINT, f"item {item}"))
+            return TextualAnswer(f"10.1/{item}", 1, ENDPOINT.name, response.text, 0)
+        return request
+
+    result = run_requests([range(3)], lambda item: (f"10.1/{item}", 1, ENDPOINT.name), call,
+                          AnswerStore(tmp_path / "answers.jsonl"), parallelism=2)
+    assert result.completed == 0
+    assert [failure[:-1] for failure in result.failed] == [
+        (f"10.1/{item}", 1, ENDPOINT.name) for item in range(3)]
+    assert len(session.calls) == 3 * sends_per_item

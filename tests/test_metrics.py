@@ -129,13 +129,21 @@ class TestAgreementCounts:
         assert agreement_counts(a, b) == (0, 6)
 
 
+def term_counts(answers_by_endpoint):
+    """The answers as the report passes them: each text's term counts."""
+    return {
+        name: {key: textsim.term_counts(text) for key, text in texts.items()}
+        for name, texts in answers_by_endpoint.items()
+    }
+
+
 class TestAveragePairwiseSimilarity:
     def test_identical_answers_average_one(self):
         answers = {
             "A": {1: "the same text", 2: "another answer"},
             "B": {1: "the same text", 2: "another answer"},
         }
-        matrix = average_pairwise_similarity(answers)
+        matrix = average_pairwise_similarity(term_counts(answers), [1, 2])
         assert matrix.pair("A", "B") == pytest.approx(1.0, abs=1e-12)
 
     def test_disjoint_vocabulary_average_zero(self):
@@ -143,7 +151,7 @@ class TestAveragePairwiseSimilarity:
             "A": {1: "alpha beta", 2: "gamma delta"},
             "B": {1: "epsilon zeta", 2: "eta theta"},
         }
-        assert average_pairwise_similarity(answers).pair("A", "B") == 0.0
+        assert average_pairwise_similarity(term_counts(answers), [1, 2]).pair("A", "B") == 0.0
 
     def test_hand_computed_two_key_fixture(self):
         answers = {
@@ -156,7 +164,7 @@ class TestAveragePairwiseSimilarity:
         idf_df1 = math.log(5 / 2) + 1
         cos_k1 = idf_df2 ** 2 / (idf_df2 ** 2 + idf_df1 ** 2)
         expected = (cos_k1 + 1.0) / 2
-        matrix = average_pairwise_similarity(answers, keys=["k1", "k2"])
+        matrix = average_pairwise_similarity(term_counts(answers), keys=["k1", "k2"])
         assert matrix.pair("A", "B") == pytest.approx(expected, abs=1e-12)
 
     def test_empty_answer_contributes_zero(self):
@@ -164,7 +172,7 @@ class TestAveragePairwiseSimilarity:
             "A": {1: "shared words", 2: ""},
             "B": {1: "shared words", 2: "anything"},
         }
-        matrix = average_pairwise_similarity(answers)
+        matrix = average_pairwise_similarity(term_counts(answers), [1, 2])
         assert matrix.pair("A", "B") == pytest.approx(0.5, abs=1e-12)
 
     def test_symmetric_unit_diagonal_in_bounds(self):
@@ -177,7 +185,7 @@ class TestAveragePairwiseSimilarity:
             }
             for name in ("A", "B", "C")
         }
-        matrix = average_pairwise_similarity(answers)
+        matrix = average_pairwise_similarity(term_counts(answers), list(range(6)))
         for i, a in enumerate(matrix.names):
             assert matrix.values[i][i] == 1.0
             for j, b in enumerate(matrix.names):
@@ -186,7 +194,7 @@ class TestAveragePairwiseSimilarity:
 
     def test_mismatched_keys_rejected(self):
         with pytest.raises(ValueError):
-            average_pairwise_similarity({"A": {1: "x"}, "B": {2: "x"}})
+            average_pairwise_similarity(term_counts({"A": {1: "x"}, "B": {2: "x"}}), [1])
 
 
 def oracle_similarity(answers_by_endpoint, keys):
@@ -293,7 +301,7 @@ class TestPairwiseKappa:
 
     def test_no_endpoint_gives_an_empty_matrix(self):
         assert pairwise_kappa({}, []).values == ()
-        assert average_pairwise_similarity({}).values == ()
+        assert average_pairwise_similarity({}, []).values == ()
 
 
 class TestSimilarityMatchesOracle:
@@ -301,16 +309,17 @@ class TestSimilarityMatchesOracle:
     @given(answer_sets())
     def test_every_entry_equals_the_oracle(self, case):
         answers, subset = case
-        assert average_pairwise_similarity(answers).values == \
-            oracle_similarity(answers, sorted(next(iter(answers.values()))))
+        every_key = sorted(next(iter(answers.values())))
+        assert average_pairwise_similarity(term_counts(answers), every_key).values == \
+            oracle_similarity(answers, every_key)
         expected = oracle_similarity(answers, subset)
-        assert average_pairwise_similarity(answers, keys=subset).values == expected
+        assert average_pairwise_similarity(term_counts(answers), keys=subset).values == expected
         # the report tokenizes once and filters the term counts
         terms = {
             name: {key: textsim.term_counts(texts[key]) for key in subset}
             for name, texts in answers.items()
         }
-        assert average_pairwise_similarity(terms).values == expected
+        assert average_pairwise_similarity(terms, subset).values == expected
 
 
 def all_vectors_similarity(answers_by_endpoint, keys):
@@ -341,20 +350,17 @@ def all_vectors_similarity(answers_by_endpoint, keys):
 
 @st.composite
 def report_answers(draw):
-    """1-6 endpoints' answers (texts, some empty, or their term counts) over
-    0-40 shared (doi, question) keys, and the ``keys=`` argument: None or a
-    subset in any order."""
+    """1-6 endpoints' answers (the term counts of texts, some empty) over
+    0-40 shared (doi, question) keys, and a key subset in any order, or None
+    for every key in sorted order."""
     keys = draw(st.lists(
         st.tuples(st.sampled_from([f"10.1/{c}" for c in "abcde"]), st.integers(1, 28)),
         max_size=40, unique=True,
     ))
-    as_counts = draw(st.booleans())
     answers = {}
     for i in range(draw(st.integers(1, 6))):
         texts = {key: " ".join(draw(st.lists(st.sampled_from(WORDS), max_size=8))) for key in keys}
-        answers[f"E{i}"] = (
-            {key: textsim.term_counts(text) for key, text in texts.items()} if as_counts else texts
-        )
+        answers[f"E{i}"] = {key: textsim.term_counts(text) for key, text in texts.items()}
     subset = draw(st.none() | st.permutations(keys).flatmap(
         lambda order: st.integers(0, len(order)).map(lambda n: order[:n])))
     return answers, subset
@@ -382,7 +388,7 @@ class TestPerKeySimilarity:
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(textsim, "cosine", counted)
-            matrix = average_pairwise_similarity(answers, keys=subset)
+            matrix = average_pairwise_similarity(answers, keys=keys)
         assert len(calls) == size * (size - 1) // 2 * len(keys)
         assert matrix.names == tuple(answers)
         assert matrix.values == all_vectors_similarity(answers, keys)
@@ -434,7 +440,7 @@ class TestPerCqCoverage:
     def test_missing_filter_verdict_retains(self):
         votes = [VoteRecord(doi="10.1/a", cq_id=1, yes_count=5, no_count=0,
                             decision=Verdict.YES)]
-        coverage = per_cq_coverage(votes, None)
+        coverage = per_cq_coverage(votes, {})
         assert coverage.rows[0].total_after == 1
 
 
